@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
                 vecube::ViewCache::LookupOutcome outcome =
                     cache.LookupOrBegin(view);
                 if (outcome.hit) {
-                  cell0 = (*outcome.hit)[0];
+                  cell0 = outcome.hit.At(uint64_t{0});
                   break;
                 }
                 if (!outcome.fill.leader()) {

@@ -365,9 +365,6 @@ Result<std::unique_ptr<OlapSession>> OlapSession::OpenDurable(
     ++session->stats_.wal_replayed;
   }
   session->wal_ = std::move(wal).value();
-  // Replayed deltas staled any answers cached before the crash; the cache
-  // is in-memory only, but flush defensively in case construction warmed it.
-  if (session->cache_ != nullptr) session->cache_->InvalidateAll();
   session->RebuildEngines();
   VECUBE_RETURN_NOT_OK(session->VerifyFullState());
   return session;
@@ -533,10 +530,15 @@ Status OlapSession::AddFact(const std::vector<uint32_t>& coords,
   }
   // Element data changed in place; plans (which depend only on which
   // elements exist) remain valid, so no engine invalidation is needed.
-  // Cached *answers* are another story: every view element is a linear
-  // functional of the cube, so this delta staled every one of them — as
-  // are the stored norms the degradation bounds are computed from.
-  if (cache_ != nullptr) cache_->InvalidateAll();
+  // Cached answers are linear functionals of the cube too: the same
+  // delta moves one cell of each, so the cache (or, without one, the
+  // range engine's private intermediates) is patched rather than
+  // flushed. The stored norms the degradation bounds are computed from
+  // are stale, so they are dropped.
+  if (cache_ != nullptr) {
+    VECUBE_RETURN_NOT_OK(cache_->ApplyPointDelta(shape_, coords, amount));
+  }
+  VECUBE_RETURN_NOT_OK(range_engine_->ApplyPointDelta(coords, amount));
   server_->InvalidateApprox();
   VECUBE_RETURN_NOT_OK(VerifyAfterUpdate());
   if (wal_ != nullptr && options_.durability.checkpoint_every > 0 &&

@@ -100,10 +100,12 @@ struct OlapSessionOptions {
   /// tensors across Element()/ViewByMask()/RangeSum() with
   /// benefit-weighted eviction. Off unless view_cache.enabled. Cached
   /// answers are bit-exact with uncached ones (assembly is
-  /// deterministic); the cache is flushed wholesale by AddFact()/WAL
-  /// replay (a point delta stales every element) and by
-  /// Optimize()/Repair() (the materialized set changes). The COUNT side
-  /// (AvgByMask) is never cached — its elements share ids with SUM ones.
+  /// deterministic). AddFact() patches every cached tensor's one
+  /// affected cell instead of flushing: bit-exact for integer-valued
+  /// facts below 2^53, within the error bound of DESIGN.md §10
+  /// otherwise. Optimize()/Repair() flush wholesale (the materialized
+  /// set changes). The COUNT side (AvgByMask) is never cached — its
+  /// elements share ids with SUM ones.
   ViewCacheOptions view_cache = {};
   /// Robustness knobs for the serving front end (serve/serving.h):
   /// deadline → op-budget conversion rate and follower retry policy.

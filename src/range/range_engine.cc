@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/update.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -74,7 +75,6 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
         ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(id);
         if (outcome.hit) {
           pinned = std::move(outcome.hit);
-          element = pinned.get();
           break;
         }
         if (!outcome.fill.leader()) {
@@ -133,7 +133,9 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
                               " not materialized");
     }
 
-    total += element->At(coords);
+    // A cache hit reads through the handle, which applies the entry's
+    // pending write patches to the cell.
+    total += pinned ? pinned.At(coords) : element->At(coords);
     ++terms;
     if (stats != nullptr) ++stats->cell_reads;
 
@@ -147,6 +149,11 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
   }
   if (stats != nullptr && terms > 0) stats->additions += terms - 1;
   return total;
+}
+
+Status RangeEngine::ApplyPointDelta(const std::vector<uint32_t>& coords,
+                                    double delta) {
+  return vecube::ApplyPointDelta(&assembled_cache_, coords, delta);
 }
 
 Result<double> NaiveRangeSum(const Tensor& cube, const CubeShape& shape,

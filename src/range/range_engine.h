@@ -11,6 +11,7 @@
 #define VECUBE_RANGE_RANGE_ENGINE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/assembly.h"
 #include "core/store.h"
@@ -65,6 +66,11 @@ class RangeEngine {
   Result<double> RangeSum(const RangeSpec& range,
                           RangeQueryStats* stats = nullptr,
                           const QueryContext& ctx = QueryContext());
+
+  /// Keeps the private store of on-demand assemblies exact under the
+  /// cube write A[coords] += delta (core/update.h). The caller updates
+  /// the borrowed store and shared cache itself.
+  Status ApplyPointDelta(const std::vector<uint32_t>& coords, double delta);
 
  private:
   const ElementStore* store_;

@@ -51,7 +51,7 @@ Result<Tensor> DynamicAssembler::Query(const ElementId& view, OpCounter* ops,
     for (;;) {
       ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(view);
       if (outcome.hit) {
-        answer = *outcome.hit;
+        answer = outcome.hit.CopyOut();
         break;
       }
       if (!outcome.fill.leader()) {

@@ -74,7 +74,7 @@ Result<QueryAnswer> ElementServer::Serve(const ElementId& id,
     ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(id);
     if (outcome.hit) {
       QueryAnswer answer;
-      answer.data = *outcome.hit;
+      answer.data = outcome.hit.CopyOut();
       return answer;
     }
     if (outcome.fill.leader()) {

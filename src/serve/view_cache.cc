@@ -6,29 +6,71 @@
 #include <deque>
 #include <utility>
 
+#include "core/update.h"
+#include "util/logging.h"
+
 namespace vecube {
+
+// One logged point delta: cell `flat_index` of the entry's tensor moves
+// by `delta` (the ±1 projection sign already applied).
+struct ViewCache::Patch {
+  uint64_t flat_index = 0;
+  double delta = 0.0;
+};
 
 // A resident element. Shared between successive table versions (a COW
 // publish copies the pointer, not the entry), so the lock-free hit
 // counter a reader bumps is the same object no matter which table
-// version the reader loaded. Everything except `pending_hits` is either
-// immutable after construction or guarded by the owning shard's mu.
-struct ViewCache::Entry {
+// version the reader loaded. A compaction replaces the entry itself
+// (see Slot). `pending_hits` and `num_patches` are the reader-visible
+// atomics; `patches[i]` is written once, under the owning shard's mu,
+// before `num_patches` passes i, and never again; everything else is
+// immutable after construction or guarded by the shard's mu.
+struct alignas(64) ViewCache::Entry {
+  /// Published prefix of `patches`: release-stored by the writer after
+  /// writing the patch, acquire-loaded by readers. Every hit reads it,
+  /// so it sits on the entry's first cache line beside data's pointer,
+  /// which every hit reads anyway: a hit with no patches pending touches
+  /// no line it would not touch without the log.
+  std::atomic<uint32_t> num_patches{0};
   std::shared_ptr<const Tensor> data;
   uint64_t assembly_cost = 0;
   uint64_t bytes = 0;
-  /// Hits recorded since the last fold, bumped relaxed by readers.
-  std::atomic<uint64_t> pending_hits{0};
   /// Decayed hit weight as of write-generation `folded_at` (mu).
   double folded_heat = 0.0;
   uint64_t folded_at = 0;
+  /// Append-only patch log; read only up to a loaded `num_patches`.
+  /// Allocated apart, so the entry stays two cache lines.
+  std::unique_ptr<Patch[]> patches = std::make_unique<Patch[]>(kPatchCapacity);
+  /// Hits recorded since the last fold, bumped relaxed by readers. On a
+  /// line of its own: concurrent readers' bumps on a hot entry do not
+  /// keep evicting the read-mostly line above from each other's caches.
+  alignas(64) std::atomic<uint64_t> pending_hits{0};
 };
 
-// One immutable published version of a shard's resident set. Readers
-// reach it through Shard::live under an epoch pin; writers replace it
-// wholesale and retire the old version through the limbo list.
+// A table's hold on one resident entry: readers load `entry`, and
+// `owner` keeps it alive for as long as this table version lives. Both
+// are written only under the shard's mu — at construction, or when a
+// compaction swaps a rebuilt entry into the live table, which is why
+// they are mutable: that swap is the one in-place change a published
+// table ever sees, and it spares compaction a table copy and publish.
+struct ViewCache::Slot {
+  explicit Slot(std::shared_ptr<Entry> e)
+      : entry(e.get()), owner(std::move(e)) {}
+  // Table copies run under the shard's mu, like every write to `owner`.
+  Slot(const Slot& other) : Slot(other.owner) {}
+  Slot& operator=(const Slot&) = delete;
+
+  mutable std::atomic<Entry*> entry;
+  mutable std::shared_ptr<Entry> owner;
+};
+
+// One published version of a shard's resident set (immutable but for
+// compaction's slot swaps). Readers reach it through Shard::live under
+// an epoch pin; writers replace it wholesale and retire the old version
+// through the limbo list.
 struct ViewCache::Table {
-  std::unordered_map<ElementId, std::shared_ptr<Entry>, ElementIdHash> map;
+  std::unordered_map<ElementId, Slot, ElementIdHash> map;
   uint64_t bytes = 0;
 };
 
@@ -50,11 +92,12 @@ struct ViewCache::Flight {
 };
 
 struct ViewCache::Shard {
-  // A retired table version plus the entries that publish removed,
-  // destroyable once every reader epoch passes `tag`. Removed entries
-  // ride here explicitly (not just inside the old table) so their final
-  // pending hit counts can be folded exactly at reclaim time — after
-  // which no reader can still bump them.
+  // A retired table version (null for a compaction) plus the entries
+  // that publish or compaction removed, destroyable once every reader
+  // epoch passes `tag`. Removed entries ride here explicitly (not just
+  // inside the old table) so their final pending hit counts can be
+  // folded exactly at reclaim time — after which no reader can still
+  // bump them.
   struct Limbo {
     uint64_t tag = 0;
     std::unique_ptr<const Table> table;
@@ -70,7 +113,7 @@ struct ViewCache::Shard {
   std::atomic<uint64_t> misses{0};
 
   uint64_t generation VECUBE_GUARDED_BY(mu) = 0;   ///< write generation
-  /// Bumped by InvalidateAll; stales in-flight fills.
+  /// Bumped by InvalidateAll and ApplyPointDelta; stales in-flight fills.
   uint64_t flush_epoch VECUBE_GUARDED_BY(mu) = 0;
   uint64_t folded_hits VECUBE_GUARDED_BY(mu) = 0;
   uint64_t coalesced_hits VECUBE_GUARDED_BY(mu) = 0;
@@ -79,6 +122,8 @@ struct ViewCache::Shard {
   uint64_t stale_fills VECUBE_GUARDED_BY(mu) = 0;
   uint64_t evictions VECUBE_GUARDED_BY(mu) = 0;
   uint64_t invalidations VECUBE_GUARDED_BY(mu) = 0;
+  uint64_t patches VECUBE_GUARDED_BY(mu) = 0;
+  uint64_t compactions VECUBE_GUARDED_BY(mu) = 0;
   uint64_t folded_ops_saved VECUBE_GUARDED_BY(mu) = 0;
   uint64_t ops_executed VECUBE_GUARDED_BY(mu) = 0;
   std::unordered_map<ElementId, std::shared_ptr<Flight>, ElementIdHash>
@@ -116,6 +161,43 @@ ViewCache::Shard& ViewCache::ShardFor(const ElementId& id) {
   return *shards_[ElementIdHash{}(id) % shards_.size()];
 }
 
+ViewCache::ReadHandle::ReadHandle(EpochDomain::Pin pin,
+                                  const Entry* entry) noexcept
+    : pin_(std::move(pin)),
+      entry_(entry),
+      // order: acquire — pairs with ApplyPointDelta's release store, so
+      // every patch below the loaded count is fully written; later ones
+      // are never read through this handle.
+      num_patches_(entry->num_patches.load(std::memory_order_acquire)) {}
+
+Tensor ViewCache::ReadHandle::CopyOut() const {
+  return Patched(*entry_, num_patches_);
+}
+
+double ViewCache::ReadHandle::At(uint64_t flat) const {
+  double value = (*entry_->data)[flat];
+  // The cell's patches in log order: the same additions, in the same
+  // order, as CopyOut() performs on this cell.
+  for (uint32_t i = 0; i < num_patches_; ++i) {
+    if (entry_->patches[i].flat_index == flat) {
+      value += entry_->patches[i].delta;
+    }
+  }
+  return value;
+}
+
+double ViewCache::ReadHandle::At(const std::vector<uint32_t>& coords) const {
+  return At(entry_->data->FlatIndex(coords));
+}
+
+Tensor ViewCache::Patched(const Entry& entry, uint32_t num_patches) {
+  Tensor out = *entry.data;
+  for (uint32_t i = 0; i < num_patches; ++i) {
+    out[entry.patches[i].flat_index] += entry.patches[i].delta;
+  }
+  return out;
+}
+
 ViewCache::ReadHandle ViewCache::FindPinned(
     const ElementId& id, bool count_miss,
     std::shared_ptr<const Tensor>* out_shared) {
@@ -132,13 +214,20 @@ ViewCache::ReadHandle ViewCache::FindPinned(
     if (count_miss) shard.misses.fetch_add(1, std::memory_order_relaxed);
     return ReadHandle();
   }
-  Entry* entry = it->second.get();
+  // order: acquire — pairs with the seq_cst store that swaps in a
+  // compacted entry (ApplyPointDelta), so its contents are visible.
+  Entry* entry = it->second.entry.load(std::memory_order_acquire);
   // order: relaxed — pure event count; folded under shard.mu (or at
   // reclaim, after the epoch proves no reader can still bump it), so no
   // other data is published through this counter.
   entry->pending_hits.fetch_add(1, std::memory_order_relaxed);
-  if (out_shared != nullptr) *out_shared = entry->data;
-  return ReadHandle(std::move(pin), entry->data.get());
+  ReadHandle handle(std::move(pin), entry);
+  if (out_shared != nullptr) {
+    *out_shared = handle.num_patches_ == 0
+                      ? entry->data
+                      : std::make_shared<const Tensor>(handle.CopyOut());
+  }
+  return handle;
 }
 
 ViewCache::ReadHandle ViewCache::LookupPinned(const ElementId& id) {
@@ -146,8 +235,9 @@ ViewCache::ReadHandle ViewCache::LookupPinned(const ElementId& id) {
 }
 
 std::shared_ptr<const Tensor> ViewCache::Lookup(const ElementId& id) {
-  // The shared_ptr copy happens under the probe's pin (the entry and its
-  // control block are alive), after which the handle itself can drop.
+  // The shared_ptr copy (or patched copy) happens under the probe's pin
+  // (the entry and its control block are alive), after which the handle
+  // itself can drop.
   std::shared_ptr<const Tensor> shared;
   FindPinned(id, /*count_miss=*/true, &shared);
   return shared;
@@ -169,10 +259,10 @@ ViewCache::LookupOutcome ViewCache::LookupOrBegin(const ElementId& id) {
   auto it = table->map.find(id);
   if (it != table->map.end()) {
     EpochDomain::Pin pin = EpochDomain::Acquire();
-    Entry* entry = it->second.get();
+    Entry* entry = it->second.owner.get();
     // order: relaxed — same event-count contract as in FindPinned.
     entry->pending_hits.fetch_add(1, std::memory_order_relaxed);
-    out.hit = ReadHandle(std::move(pin), entry->data.get());
+    out.hit = ReadHandle(std::move(pin), entry);
     return out;
   }
   auto fit = shard.flights.find(id);
@@ -309,28 +399,30 @@ std::shared_ptr<const Tensor> ViewCache::InsertLocked(
     // First writer wins: assembly is deterministic, so a concurrent
     // duplicate insert carries bit-identical data; keep the shared copy
     // (and count the duplicate as a touch).
-    Entry* entry = it->second.get();
+    Entry* entry = it->second.owner.get();
     FoldEntryLocked(shard, entry);
     entry->folded_heat += 1.0;
-    return entry->data;
+    // order: relaxed — mu-serialized read; only ApplyPointDelta, under
+    // the same mu, stores the count.
+    const uint32_t pending = entry->num_patches.load(std::memory_order_relaxed);
+    if (pending == 0) return entry->data;
+    return std::make_shared<const Tensor>(Patched(*entry, pending));
   }
   const uint64_t bytes = shared->size() * sizeof(double);
   if (bytes > shard_capacity_bytes_) {
     ++shard->rejected_inserts;
     return shared;
   }
-  auto next = std::make_unique<Table>();
-  next->map = live->map;
-  next->bytes = live->bytes;
+  auto next = std::make_unique<Table>(*live);
   EvictIntoLocked(shard, next.get(), bytes);
   // EvictIntoLocked detached the victims from `next`; recover them by
   // set difference so they can ride the limbo list to exact reclaim.
   std::vector<std::shared_ptr<Entry>> removed;
   if (next->map.size() != live->map.size()) {
     removed.reserve(live->map.size() - next->map.size());
-    for (const auto& [live_id, live_entry] : live->map) {
+    for (const auto& [live_id, live_slot] : live->map) {
       if (next->map.find(live_id) == next->map.end()) {
-        removed.push_back(live_entry);
+        removed.push_back(live_slot.owner);
       }
     }
   }
@@ -382,20 +474,20 @@ void ViewCache::EvictIntoLocked(Shard* shard, Table* next, uint64_t needed) {
   // Fold every entry once so scores compare decayed heat plus all hits
   // recorded so far. Hits landing on a victim after this fold stay in
   // its pending counter and are folded exactly at reclaim time.
-  for (auto& [id, entry] : next->map) FoldEntryLocked(shard, entry.get());
+  for (auto& [id, slot] : next->map) FoldEntryLocked(shard, slot.owner.get());
   while (!next->map.empty() &&
          next->bytes + needed > shard_capacity_bytes_) {
     auto victim = next->map.begin();
-    double victim_score = ScoreLocked(*shard, *victim->second);
+    double victim_score = ScoreLocked(*shard, *victim->second.owner);
     for (auto it = std::next(next->map.begin()); it != next->map.end();
          ++it) {
-      const double score = ScoreLocked(*shard, *it->second);
+      const double score = ScoreLocked(*shard, *it->second.owner);
       if (score < victim_score) {
         victim = it;
         victim_score = score;
       }
     }
-    next->bytes -= victim->second->bytes;
+    next->bytes -= victim->second.owner->bytes;
     next->map.erase(victim);
     ++shard->evictions;
   }
@@ -411,6 +503,11 @@ void ViewCache::PublishLocked(Shard* shard, std::unique_ptr<Table> next,
   // tag is guaranteed to load this replacement, never `old` (see
   // epoch.h's announce-and-confirm proof).
   shard->live.store(next.release(), std::memory_order_seq_cst);
+  RetireLocked(shard, std::move(old), std::move(removed));
+}
+
+void ViewCache::RetireLocked(Shard* shard, std::unique_ptr<const Table> old,
+                             std::vector<std::shared_ptr<Entry>> removed) {
   const uint64_t tag = EpochDomain::Instance().Retire();
   shard->limbo.push_back(
       Shard::Limbo{tag, std::move(old), std::move(removed)});
@@ -444,11 +541,10 @@ void ViewCache::Invalidate(const ElementId& id) {
   auto it = live->map.find(id);
   if (it == live->map.end()) return;
   ++shard.generation;
-  auto next = std::make_unique<Table>();
-  next->map = live->map;
-  next->bytes = live->bytes - it->second->bytes;
+  auto next = std::make_unique<Table>(*live);
+  next->bytes -= it->second.owner->bytes;
   std::vector<std::shared_ptr<Entry>> removed;
-  removed.push_back(it->second);
+  removed.push_back(it->second.owner);
   next->map.erase(id);
   ++shard.invalidations;
   PublishLocked(&shard, std::move(next), std::move(removed));
@@ -471,11 +567,74 @@ uint64_t ViewCache::InvalidateAll() {
     shard->invalidations += count;
     std::vector<std::shared_ptr<Entry>> removed;
     removed.reserve(count);
-    for (const auto& [id, entry] : live->map) removed.push_back(entry);
+    for (const auto& [id, slot] : live->map) removed.push_back(slot.owner);
     PublishLocked(shard.get(), std::make_unique<Table>(),
                   std::move(removed));
   }
   return dropped;
+}
+
+Status ViewCache::ApplyPointDelta(const CubeShape& shape,
+                                  const std::vector<uint32_t>& coords,
+                                  double delta) {
+  if (coords.size() != shape.ndim()) {
+    return Status::InvalidArgument("coordinate arity mismatch");
+  }
+  for (uint32_t m = 0; m < shape.ndim(); ++m) {
+    if (coords[m] >= shape.extent(m)) {
+      return Status::OutOfRange("coordinate outside cube extent");
+    }
+  }
+  for (auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    // A fill that began before this write assembled pre-write data: it
+    // is served but not retained, and later misses start fresh flights.
+    ++shard->flush_epoch;
+    shard->flights.clear();
+    // order: relaxed — mu-serialized against every publish.
+    const Table* live = shard->live.load(std::memory_order_relaxed);
+    std::vector<std::shared_ptr<Entry>> compacted;
+    for (const auto& [id, slot] : live->map) {
+      Entry* entry = slot.owner.get();
+      Result<PointProjection> at = ProjectPoint(id, coords, shape);
+      VECUBE_CHECK(at.ok()) << "cached " << id.ToString()
+                            << " is not an element of the written cube";
+      const Patch patch{at->flat_index, at->sign * delta};
+      ++shard->patches;
+      // order: relaxed — mu-serialized: this writer stored the count last.
+      const uint32_t n = entry->num_patches.load(std::memory_order_relaxed);
+      if (n < kPatchCapacity) {
+        entry->patches[n] = patch;
+        // order: release — publishes the patch just written to readers
+        // that acquire-load the count (ReadHandle's constructor).
+        entry->num_patches.store(n + 1, std::memory_order_release);
+        continue;
+      }
+      // Full log: rebuild the entry with every patch applied in log
+      // order and swap it into the slot. Readers of the old entry keep
+      // their snapshot; its hits after this fold stay pending and are
+      // folded when it is reclaimed.
+      FoldEntryLocked(shard.get(), entry);
+      Tensor data = Patched(*entry, n);
+      data[patch.flat_index] += patch.delta;
+      auto fresh = std::make_shared<Entry>();
+      fresh->data = std::make_shared<const Tensor>(std::move(data));
+      fresh->assembly_cost = entry->assembly_cost;
+      fresh->bytes = entry->bytes;
+      fresh->folded_heat = entry->folded_heat;
+      fresh->folded_at = entry->folded_at;
+      // order: seq_cst — like the table store in PublishLocked, must
+      // precede RetireLocked's epoch advance, so a reader pinned past
+      // the retire tag loads `fresh`, never the entry being retired.
+      slot.entry.store(fresh.get(), std::memory_order_seq_cst);
+      compacted.push_back(std::exchange(slot.owner, std::move(fresh)));
+      ++shard->compactions;
+    }
+    if (!compacted.empty()) {
+      RetireLocked(shard.get(), nullptr, std::move(compacted));
+    }
+  }
+  return Status::OK();
 }
 
 ServeMetrics ViewCache::Metrics() const {
@@ -499,6 +658,8 @@ ServeMetrics ViewCache::Metrics() const {
     metrics.stale_fills += shard->stale_fills;
     metrics.evictions += shard->evictions;
     metrics.invalidations += shard->invalidations;
+    metrics.patches += shard->patches;
+    metrics.compactions += shard->compactions;
     metrics.assembly_ops_saved += shard->folded_ops_saved;
     metrics.assembly_ops_executed += shard->ops_executed;
     // order: relaxed — mu-serialized against every publish.
@@ -509,13 +670,13 @@ ServeMetrics ViewCache::Metrics() const {
     // not yet reclaimed. Counting both keeps the aggregate exact
     // whenever the cache is quiescent (and a consistent snapshot
     // otherwise).
-    for (const auto& [id, entry] : live->map) {
+    for (const auto& [id, slot] : live->map) {
       // order: relaxed — snapshot of an event counter; hits landing
       // during the walk appear in the next snapshot.
       const uint64_t pending =
-          entry->pending_hits.load(std::memory_order_relaxed);
+          slot.owner->pending_hits.load(std::memory_order_relaxed);
       metrics.hits += pending;
-      metrics.assembly_ops_saved += pending * entry->assembly_cost;
+      metrics.assembly_ops_saved += pending * slot.owner->assembly_cost;
     }
     for (const Shard::Limbo& rec : shard->limbo) {
       for (const std::shared_ptr<Entry>& entry : rec.dying) {

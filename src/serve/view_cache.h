@@ -19,10 +19,10 @@
 // pointer; readers pin a process-wide epoch (util/epoch.h), load the
 // table, and record the hit with one relaxed fetch_add on the entry's
 // own counter — no mutex, no shared_ptr refcount traffic, no shared
-// mutable map. Writers (insert / evict / invalidate / flush) serialize
-// on a per-shard mutex, copy-on-write the table, and retire the old
-// version through the epoch limbo, so a reader holding a ReadHandle can
-// never observe freed memory and never blocks a writer.
+// mutable map. Writers (insert / evict / invalidate / flush / patch)
+// serialize on a per-shard mutex, copy-on-write the table or entry, and
+// retire the old version through the epoch limbo, so a reader holding a
+// ReadHandle can never observe freed memory and never blocks a writer.
 //
 // Misses are single-flight: concurrent misses on one ElementId coalesce
 // onto a single assembly. LookupOrBegin() returns either a hit, a leader
@@ -34,11 +34,16 @@
 // whose lookups began before the flush but is NOT retained — a stale
 // pre-flush tensor can never be re-inserted and served to later queries.
 //
-// Invalidation model: every view element is a linear functional of the
-// data cube, so a single point delta stales EVERY cached tensor — delta
-// hooks are a wholesale flush, not a per-key invalidation.
-// Reconfiguration/optimization swap the materialized set, changing every
-// entry's rebuild cost, so they flush too.
+// Write model: every view element is a linear functional of the data
+// cube, so a point delta A[x] += δ moves exactly one cell of every cached
+// tensor by ±δ (the (k,o) projection of core/update.h). ApplyPointDelta
+// patches each resident entry instead of dropping it: cached tensors are
+// immutable (readers hold them lock-free), so the ±δ goes into the
+// entry's append-only patch log, which readers apply to the prefix they
+// observe. A full log is compacted copy-on-write into a fresh entry,
+// swapped into the entry's table slot without republishing the table.
+// Only reconfiguration/optimization flush (InvalidateAll): they swap the
+// materialized set, changing every entry's rebuild cost.
 
 #ifndef VECUBE_SERVE_VIEW_CACHE_H_
 #define VECUBE_SERVE_VIEW_CACHE_H_
@@ -51,6 +56,7 @@
 #include <vector>
 
 #include "core/element_id.h"
+#include "cube/shape.h"
 #include "cube/tensor.h"
 #include "util/epoch.h"
 #include "util/query_context.h"
@@ -97,6 +103,12 @@ struct ServeMetrics {
   uint64_t stale_fills = 0;
   uint64_t evictions = 0;        ///< entries displaced by capacity pressure
   uint64_t invalidations = 0;    ///< entries dropped by invalidate/flush
+  /// Entry cells moved by point deltas (one per resident entry per
+  /// ApplyPointDelta), whether logged or folded into a compaction.
+  uint64_t patches = 0;
+  /// Copy-on-write rebuilds of entries whose patch log was full. Not
+  /// invalidations, misses or evictions: the entry stays resident.
+  uint64_t compactions = 0;
   uint64_t entries = 0;          ///< currently resident
   uint64_t bytes_resident = 0;   ///< payload bytes currently resident
   /// Σ Procedure-3 cost over hits: assembly operations the cache saved.
@@ -129,22 +141,33 @@ struct ServeMetrics {
 class ViewCache {
  private:
   struct Flight;
+  struct Patch;
   struct Entry;
+  struct Slot;
   struct Table;
   struct Shard;
 
  public:
+  /// Patch-log capacity per entry: a resident entry absorbs this many
+  /// point deltas in place before ApplyPointDelta compacts it
+  /// copy-on-write.
+  static constexpr uint32_t kPatchCapacity = 64;
+
   explicit ViewCache(ViewCacheOptions options = {});
   ~ViewCache();
 
   ViewCache(const ViewCache&) = delete;
   ViewCache& operator=(const ViewCache&) = delete;
 
-  /// A zero-refcount, epoch-pinned view of a cached tensor. While the
-  /// handle lives, the tensor cannot be reclaimed (writers retire it
-  /// into the epoch limbo instead of freeing it). Release promptly —
-  /// a long-lived handle delays memory reclamation, though it never
-  /// blocks writers. Must be destroyed on the thread that looked it up.
+  /// A zero-refcount, epoch-pinned view of a cached entry: its tensor
+  /// plus the prefix of its patch log published when the lookup ran.
+  /// Every read goes through the accessors, which apply that prefix, so
+  /// a handle answers one consistent state however many deltas land
+  /// after it was taken. While the handle lives, the entry cannot be
+  /// reclaimed (writers retire it into the epoch limbo instead of
+  /// freeing it). Release promptly — a long-lived handle delays memory
+  /// reclamation, though it never blocks writers. Must be destroyed on
+  /// the thread that looked it up.
   class ReadHandle {
    public:
     ReadHandle() noexcept = default;
@@ -153,18 +176,22 @@ class ViewCache {
     ReadHandle(const ReadHandle&) = delete;
     ReadHandle& operator=(const ReadHandle&) = delete;
 
-    explicit operator bool() const { return data_ != nullptr; }
-    [[nodiscard]] const Tensor* get() const { return data_; }
-    const Tensor& operator*() const { return *data_; }
-    const Tensor* operator->() const { return data_; }
+    explicit operator bool() const { return entry_ != nullptr; }
+    /// The cached tensor with the observed patches applied.
+    [[nodiscard]] Tensor CopyOut() const;
+    /// One cell of CopyOut(), by flat index or coordinates, without the
+    /// copy. Bit-identical to the same cell of CopyOut().
+    [[nodiscard]] double At(uint64_t flat) const;
+    [[nodiscard]] double At(const std::vector<uint32_t>& coords) const;
 
    private:
     friend class ViewCache;
-    ReadHandle(EpochDomain::Pin pin, const Tensor* data) noexcept
-        : pin_(std::move(pin)), data_(data) {}
+    /// Snapshots the entry's published patch count (acquire).
+    ReadHandle(EpochDomain::Pin pin, const Entry* entry) noexcept;
 
     EpochDomain::Pin pin_;
-    const Tensor* data_ = nullptr;
+    const Entry* entry_ = nullptr;
+    uint32_t num_patches_ = 0;
   };
 
   /// Permission to fill one element, handed out by LookupOrBegin() on a
@@ -203,8 +230,9 @@ class ViewCache {
   [[nodiscard]] ReadHandle LookupPinned(const ElementId& id);
 
   /// Compatibility hit path: like LookupPinned but hands out a
-  /// shared_ptr (one refcount bump; the handle may outlive the cache
-  /// entry and be held indefinitely). Null on a miss.
+  /// shared_ptr that may outlive the cache entry and be held
+  /// indefinitely. The resident tensor itself (one refcount bump) while
+  /// no patches are pending; a patched copy otherwise. Null on a miss.
   std::shared_ptr<const Tensor> Lookup(const ElementId& id);
 
   /// Single-flight entry point: a hit returns a pinned handle; the first
@@ -250,9 +278,10 @@ class ViewCache {
   /// Caches `data` for `id` with its Procedure-3 assembly cost and
   /// returns a shared handle to it (also when the entry is too large to
   /// retain — the caller can still serve from the returned pointer).
-  /// If `id` is already resident the existing tensor is kept (first
+  /// If `id` is already resident the existing entry is kept (first
   /// writer wins; concurrent assemblies of one element are bit-identical
-  /// by determinism) and returned. Evicts minimum-score entries in the
+  /// by determinism) and its current value returned (patched copy when
+  /// patches are pending). Evicts minimum-score entries in the
   /// target shard until the new entry fits.
   std::shared_ptr<const Tensor> Insert(const ElementId& id, Tensor data,
                                        uint64_t assembly_cost);
@@ -260,11 +289,21 @@ class ViewCache {
   /// Drops one entry if resident.
   void Invalidate(const ElementId& id);
 
-  /// Wholesale flush — the delta / reconfiguration hook. Returns the
-  /// number of entries dropped. Bumps every shard's flush epoch so
-  /// in-flight fills that began before the flush cannot re-insert their
-  /// (now stale) tensors.
+  /// Wholesale flush — the reconfiguration hook (the materialized set
+  /// changed). Returns the number of entries dropped. Bumps every
+  /// shard's flush epoch so in-flight fills that began before the flush
+  /// cannot re-insert their (now stale) tensors.
   uint64_t InvalidateAll();
+
+  /// The write hook: A[coords] += delta on the cube of `shape` moves one
+  /// cell of every resident entry by ±delta (ProjectPoint). Appends that
+  /// patch to each entry's log, compacting full logs copy-on-write (heat
+  /// and pending hits carry over; nothing is dropped). Bumps every
+  /// shard's flush epoch like InvalidateAll, so a fill that began before
+  /// the write is served but not retained. Every resident id must belong
+  /// to `shape`; fails, patching nothing, when `coords` does not.
+  Status ApplyPointDelta(const CubeShape& shape,
+                         const std::vector<uint32_t>& coords, double delta);
 
   [[nodiscard]] ServeMetrics Metrics() const;
 
@@ -299,11 +338,15 @@ class ViewCache {
   /// Fast-path probe shared by Lookup/LookupPinned/LookupOrBegin.
   /// `count_miss` controls whether a miss ticks the shard miss counter
   /// (LookupOrBegin counts the miss only when a leader is appointed).
-  /// When `out_shared` is non-null a hit also copies the entry's owning
-  /// pointer into it (the compat Lookup path; done under the pin, so the
+  /// When `out_shared` is non-null a hit also stores the entry's current
+  /// value into it: its owning pointer when no patches are pending, else
+  /// a patched copy (the compat Lookup path; done under the pin, so the
   /// control block is alive).
   ReadHandle FindPinned(const ElementId& id, bool count_miss,
                         std::shared_ptr<const Tensor>* out_shared);
+  /// `entry`'s tensor with its first `num_patches` patches applied in
+  /// log order. Caller keeps the entry alive (pin or shard.mu).
+  static Tensor Patched(const Entry& entry, uint32_t num_patches);
   /// Shared retain path for Insert and CompleteFill: dedup (first writer
   /// wins), oversized rejection, eviction, COW publish. Returns the
   /// tensor to serve (the retained one on dedup). Caller holds shard.mu.
@@ -329,6 +372,12 @@ class ViewCache {
   /// shard.mu.
   void PublishLocked(Shard* shard, std::unique_ptr<Table> next,
                      std::vector<std::shared_ptr<Entry>> removed)
+      VECUBE_REQUIRES(shard->mu);
+  /// Tags `old` (may be null) and `removed` with a fresh retire epoch,
+  /// parks them in the limbo, and reclaims what readers have vacated.
+  /// Caller holds shard.mu.
+  void RetireLocked(Shard* shard, std::unique_ptr<const Table> old,
+                    std::vector<std::shared_ptr<Entry>> removed)
       VECUBE_REQUIRES(shard->mu);
   /// Frees limbo tables/entries whose retire epoch has been vacated by
   /// every reader, folding the final hit counts of dying entries into

@@ -92,7 +92,7 @@ double HammerMs(ViewCache* cache, const std::vector<ElementId>& ids,
         const ElementId& id = ids[(w + round) % ids.size()];
         ViewCache::ReadHandle handle = cache->LookupPinned(id);
         ASSERT_TRUE(handle) << "pure-hit workload missed";
-        sink += (*handle)[0];
+        sink += handle.At(uint64_t{0});
       }
       EXPECT_GT(sink, 0.0);
     });

@@ -10,17 +10,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "api/session.h"
+#include "core/assembly.h"
 #include "core/computer.h"
 #include "core/element_id.h"
 #include "core/graph.h"
 #include "cube/synthetic.h"
 #include "cube/tensor.h"
 #include "select/dynamic.h"
+#include "serve/serving.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/population.h"
@@ -208,7 +212,7 @@ TEST(ViewCacheTest, LookupOrBeginAppointsExactlyOneLeader) {
   // Retained: the next lookup is a plain hit, not another flight.
   auto again = cache.LookupOrBegin(id);
   ASSERT_TRUE(again.hit);
-  EXPECT_EQ((*again.hit)[0], 3.0);
+  EXPECT_EQ(again.hit.At(uint64_t{0}), 3.0);
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_EQ(metrics.misses, 1u);
   EXPECT_EQ(metrics.insertions, 1u);
@@ -420,7 +424,7 @@ TEST(ServeSessionTest, RangeQueriesShareTheServingCache) {
   EXPECT_NEAR(*first, *naive, 1e-9);
 }
 
-TEST(ServeSessionTest, AddFactInvalidatesCachedAnswers) {
+TEST(ServeSessionTest, AddFactPatchesCachedAnswers) {
   auto shape = CubeShape::Make({4, 4});
   ASSERT_TRUE(shape.ok());
   Rng rng(14);
@@ -431,12 +435,20 @@ TEST(ServeSessionTest, AddFactInvalidatesCachedAnswers) {
 
   auto before = (*session)->ViewByMask(3);
   ASSERT_TRUE(before.ok());
+  const ServeMetrics warm = (*session)->serve_metrics();
+  ASSERT_GT(warm.entries, 0u);
   ASSERT_TRUE((*session)->AddFact({2, 3}, 5.0).ok());
-  EXPECT_GT((*session)->serve_metrics().invalidations, 0u);
+  const ServeMetrics patched = (*session)->serve_metrics();
+  EXPECT_EQ(patched.invalidations, 0u);
+  EXPECT_EQ(patched.entries, warm.entries);
+  EXPECT_EQ(patched.patches, warm.entries);  // one cell per resident entry
+  EXPECT_EQ(patched.compactions, 0u);
 
   auto after = (*session)->ViewByMask(3);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ((*after)[0], (*before)[0] + 5.0);
+  // Served from the patched entry, not re-assembled.
+  EXPECT_EQ((*session)->serve_metrics().misses, warm.misses);
 
   // Cross-check against a fresh session over the updated cube.
   Tensor updated = *cube;
@@ -446,6 +458,151 @@ TEST(ServeSessionTest, AddFactInvalidatesCachedAnswers) {
   auto expected = (*fresh)->ViewByMask(3);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(after->data(), expected->data());
+}
+
+// A cached and an uncached session over the same optimized store.
+struct SessionPair {
+  std::unique_ptr<OlapSession> cached;
+  std::unique_ptr<OlapSession> plain;
+
+  static SessionPair Make(const CubeShape& shape, const Tensor& cube) {
+    Rng wrng(20);
+    auto population = ZipfViewPopulation(shape, &wrng, 1.0);
+    EXPECT_TRUE(population.ok());
+    SessionPair pair;
+    auto cached = OlapSession::FromCube(shape, cube, CachedOptions());
+    auto plain = OlapSession::FromCube(shape, cube);
+    EXPECT_TRUE(cached.ok());
+    EXPECT_TRUE(plain.ok());
+    pair.cached = std::move(cached).value();
+    pair.plain = std::move(plain).value();
+    for (OlapSession* s : {pair.cached.get(), pair.plain.get()}) {
+      EXPECT_TRUE(s->DeclareWorkload(*population).ok());
+      EXPECT_TRUE(s->Optimize().ok());
+    }
+    return pair;
+  }
+
+  // Applies one fact to both sessions.
+  void AddFact(const std::vector<uint32_t>& coords, double amount) {
+    ASSERT_TRUE(cached->AddFact(coords, amount).ok());
+    ASSERT_TRUE(plain->AddFact(coords, amount).ok());
+  }
+};
+
+std::vector<uint32_t> RandomCoords(const CubeShape& shape, Rng* rng) {
+  std::vector<uint32_t> coords(shape.ndim());
+  for (uint32_t m = 0; m < shape.ndim(); ++m) {
+    coords[m] = static_cast<uint32_t>(rng->UniformU64(shape.extent(m)));
+  }
+  return coords;
+}
+
+// Whole-lattice exactness of write patching: a cached and an uncached
+// session take the same integer facts — more than a patch log holds, so
+// every cached entry is compacted — interleaved with every element of the
+// lattice and random range sums. Integer data keep every sum exact, so
+// the answers must be bit-identical.
+TEST(ServeSessionTest, PatchedAnswersMatchUncachedAcrossWholeLattice) {
+  auto shape = CubeShape::Make({8, 4});
+  ASSERT_TRUE(shape.ok());
+  Rng rng(19);
+  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
+  ASSERT_TRUE(cube.ok());
+  SessionPair sessions = SessionPair::Make(*shape, *cube);
+
+  const ViewElementGraph graph(*shape);
+  auto compare_lattice = [&] {
+    graph.ForEachElement([&](const ElementId& id) {
+      auto got = sessions.cached->Element(id);
+      auto want = sessions.plain->Element(id);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got->data(), want->data()) << id.ToString();
+    });
+  };
+  compare_lattice();
+  const ServeMetrics warm = sessions.cached->serve_metrics();
+  ASSERT_EQ(warm.entries, graph.NumElements());
+
+  constexpr uint32_t kFacts = 2 * ViewCache::kPatchCapacity + 9;
+  for (uint32_t f = 0; f < kFacts; ++f) {
+    sessions.AddFact(RandomCoords(*shape, &rng),
+                     static_cast<double>(rng.UniformU64(19)) - 9.0);
+    std::vector<uint32_t> start = RandomCoords(*shape, &rng);
+    std::vector<uint32_t> width(shape->ndim());
+    for (uint32_t m = 0; m < shape->ndim(); ++m) {
+      width[m] = 1 + static_cast<uint32_t>(
+                         rng.UniformU64(shape->extent(m) - start[m]));
+    }
+    auto range = RangeSpec::Make(start, width, *shape);
+    ASSERT_TRUE(range.ok());
+    auto got = sessions.cached->RangeSum(*range);
+    auto want = sessions.plain->RangeSum(*range);
+    auto naive = NaiveRangeSum(sessions.plain->cube(), *shape, *range);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(*got, *want) << range->ToString();
+    EXPECT_EQ(*want, *naive) << range->ToString();
+    if (f % 8 == 7) compare_lattice();
+  }
+  compare_lattice();
+
+  const ServeMetrics metrics = sessions.cached->serve_metrics();
+  EXPECT_EQ(metrics.invalidations, 0u);
+  EXPECT_EQ(metrics.misses, warm.misses) << "a write dropped a cached entry";
+  EXPECT_EQ(metrics.entries, warm.entries);
+  EXPECT_EQ(metrics.patches, uint64_t{kFacts} * warm.entries);
+  EXPECT_EQ(metrics.compactions,
+            warm.entries * (kFacts / (ViewCache::kPatchCapacity + 1)));
+}
+
+// The float contract (DESIGN.md §10): with non-integer data a patched
+// cell and a fresh assembly round differently, but by at most
+//   2 (3L + m) u S,
+// u = 2^-53, L = Σ_m log2 N_m, m = facts applied, S = Σ|A_0| + Σ|δ_i|.
+TEST(ServeSessionTest, PatchedAnswersStayWithinTheFloatBound) {
+  auto shape = CubeShape::Make({8, 8});
+  ASSERT_TRUE(shape.ok());
+  Rng rng(21);
+  auto cube = Tensor::Zeros(shape->extents());
+  ASSERT_TRUE(cube.ok());
+  double l1 = 0.0;
+  for (uint64_t i = 0; i < cube->size(); ++i) {
+    (*cube)[i] = rng.UniformDouble(-100.0, 100.0);
+    l1 += std::abs((*cube)[i]);
+  }
+  SessionPair sessions = SessionPair::Make(*shape, *cube);
+  const ViewElementGraph graph(*shape);
+  graph.ForEachElement([&](const ElementId& id) {
+    ASSERT_TRUE(sessions.cached->Element(id).ok());
+  });
+
+  constexpr uint32_t kFacts = 2 * ViewCache::kPatchCapacity + 9;
+  for (uint32_t f = 0; f < kFacts; ++f) {
+    const double amount = rng.UniformDouble(-10.0, 10.0);
+    l1 += std::abs(amount);
+    sessions.AddFact(RandomCoords(*shape, &rng), amount);
+  }
+  ASSERT_GT(sessions.cached->serve_metrics().compactions, 0u);
+
+  const double levels = 6.0;  // log2 8 + log2 8
+  const double bound =
+      2.0 * (3.0 * levels + kFacts) * std::ldexp(1.0, -53) * l1;
+  double worst = 0.0;
+  graph.ForEachElement([&](const ElementId& id) {
+    auto got = sessions.cached->Element(id);
+    auto want = sessions.plain->Element(id);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(got->size(), want->size());
+    for (uint64_t i = 0; i < got->size(); ++i) {
+      worst = std::max(worst, std::abs((*got)[i] - (*want)[i]));
+    }
+  });
+  EXPECT_LE(worst, bound);
+  EXPECT_EQ(sessions.cached->serve_metrics().invalidations, 0u);
 }
 
 TEST(ServeSessionTest, OptimizeFlushesTheCache) {
@@ -547,6 +704,171 @@ TEST(ServeStressTest, ConcurrentReadersSurviveInvalidatingWriter) {
   const ServeMetrics metrics = cache.Metrics();
   EXPECT_LE(metrics.bytes_resident, options.capacity_bytes);
   EXPECT_EQ(metrics.hits, hits.load());
+}
+
+// Readers on all three hit paths race a writer that patches every entry
+// through more than two compactions. Every copy a reader gets must be the
+// base plus a prefix of the delta sequence — fresh assemblies of the
+// element after j facts, for one j — and a reader's j for an element
+// never goes back. Integer deltas keep the prefixes exact.
+TEST(ServeStressTest, ReadersSeeAPrefixOfConcurrentPatches) {
+  auto shape_result = CubeShape::Make({8, 8});
+  ASSERT_TRUE(shape_result.ok());
+  const CubeShape shape = *shape_result;
+  const std::vector<ElementId> ids = PyramidIds(shape, 8);
+  Rng rng(0xfac7);
+  auto cube = UniformIntegerCube(shape, &rng, -9, 9);
+  ASSERT_TRUE(cube.ok());
+
+  constexpr uint32_t kDeltas = 2 * ViewCache::kPatchCapacity + 9;
+  std::vector<std::vector<uint32_t>> coords(kDeltas);
+  std::vector<double> deltas(kDeltas);
+  for (uint32_t j = 0; j < kDeltas; ++j) {
+    coords[j] = {static_cast<uint32_t>(rng.UniformU64(8)),
+                 static_cast<uint32_t>(rng.UniformU64(8))};
+    deltas[j] = static_cast<double>(rng.UniformU64(9)) - 4.0;
+  }
+  // prefix[i][j]: element ids[i] of the cube after the first j deltas.
+  std::vector<std::vector<Tensor>> prefix(ids.size());
+  Tensor updated = *cube;
+  for (uint32_t j = 0; j <= kDeltas; ++j) {
+    ElementComputer computer(shape, &updated);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto element = computer.Compute(ids[i]);
+      ASSERT_TRUE(element.ok());
+      prefix[i].push_back(std::move(element).value());
+    }
+    if (j < kDeltas) updated[updated.FlatIndex(coords[j])] += deltas[j];
+  }
+
+  ViewCacheOptions options;
+  options.shards = 4;
+  ViewCache cache(options);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_NE(cache.Insert(ids[i], prefix[i][0], /*assembly_cost=*/5),
+              nullptr);
+  }
+
+  constexpr int kReaders = 3;
+  constexpr int kMinReaderRounds = 300;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> violations{0};
+  std::atomic<uint64_t> lookups{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng reader_rng(0x9ead + static_cast<uint64_t>(r));
+      std::vector<uint32_t> seen(ids.size(), 0);
+      for (int round = 0;
+           round < kMinReaderRounds || !writer_done.load(); ++round) {
+        const size_t i = reader_rng.UniformU64(ids.size());
+        Tensor copy;
+        if (round % 3 == 2) {
+          std::shared_ptr<const Tensor> shared = cache.Lookup(ids[i]);
+          if (shared == nullptr) {
+            violations.fetch_add(1);
+            continue;
+          }
+          copy = *shared;
+        } else {
+          ViewCache::ReadHandle handle =
+              round % 3 == 0 ? std::move(cache.LookupOrBegin(ids[i]).hit)
+                             : cache.LookupPinned(ids[i]);
+          if (!handle) {
+            violations.fetch_add(1);
+            continue;
+          }
+          copy = handle.CopyOut();
+          // At() reads the same snapshot, cell for cell.
+          for (uint64_t c = 0; c < copy.size(); ++c) {
+            if (handle.At(c) != copy[c]) {
+              violations.fetch_add(1);
+              break;
+            }
+          }
+        }
+        lookups.fetch_add(1, std::memory_order_relaxed);
+        uint32_t j = seen[i];
+        while (j <= kDeltas && prefix[i][j].data() != copy.data()) ++j;
+        if (j > kDeltas) {
+          violations.fetch_add(1);
+        } else {
+          seen[i] = j;
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (uint32_t j = 0; j < kDeltas; ++j) {
+      EXPECT_TRUE(cache.ApplyPointDelta(shape, coords[j], deltas[j]).ok());
+      std::this_thread::yield();
+    }
+    writer_done.store(true);
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(violations.load(), 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    std::shared_ptr<const Tensor> final_value = cache.Lookup(ids[i]);
+    ASSERT_NE(final_value, nullptr);
+    EXPECT_EQ(final_value->data(), prefix[i][kDeltas].data());
+  }
+  // Compaction keeps every entry resident and every hit counted.
+  const ServeMetrics metrics = cache.Metrics();
+  EXPECT_EQ(metrics.hits, lookups.load() + ids.size());
+  EXPECT_EQ(metrics.misses, 0u);
+  EXPECT_EQ(metrics.invalidations, 0u);
+  EXPECT_EQ(metrics.evictions, 0u);
+  EXPECT_EQ(metrics.entries, ids.size());
+  EXPECT_EQ(metrics.patches, uint64_t{kDeltas} * ids.size());
+  EXPECT_EQ(metrics.compactions,
+            ids.size() * (kDeltas / (ViewCache::kPatchCapacity + 1)));
+}
+
+// The stale-fill rule holds for writes as it does for flushes: a leader
+// stalled (serve.fill kDelay) across ApplyPointDelta assembled pre-write
+// data, so its answer is served to it but not retained.
+TEST(ServeStressTest, FillStalledAcrossAWriteIsServedNotRetained) {
+  auto shape_result = CubeShape::Make({8, 8});
+  ASSERT_TRUE(shape_result.ok());
+  const CubeShape shape = *shape_result;
+  Rng rng(0x57a1e);
+  auto cube = UniformIntegerCube(shape, &rng, -9, 9);
+  ASSERT_TRUE(cube.ok());
+  ElementStore store(shape);
+  ASSERT_TRUE(store.Put(ElementId::Root(shape.ndim()), *cube).ok());
+  auto id = ElementId::AggregatedView(1, shape);
+  ASSERT_TRUE(id.ok());
+  AssemblyEngine reference(&store);
+  auto pre_write = reference.Assemble(*id);
+  ASSERT_TRUE(pre_write.ok());
+  ViewCache cache;
+
+  FailpointAction delay;
+  delay.kind = FailpointAction::Kind::kDelay;
+  delay.delay_ms = 200;
+  Failpoints::Arm("serve.fill", delay);
+  std::thread leader([&] {
+    AssemblyEngine engine(&store);
+    ElementServer server(&engine, &store, &cache);
+    auto answer = server.Serve(*id, QueryContext());
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->data.data(), pre_write->data());
+  });
+  // The leader's ticket is taken once its miss is counted; the stall
+  // comes after, so this write lands mid-fill.
+  while (cache.Metrics().misses < 1) std::this_thread::yield();
+  ASSERT_TRUE(cache.ApplyPointDelta(shape, {1, 2}, 4.0).ok());
+  leader.join();
+  Failpoints::DisarmAll();
+
+  const ServeMetrics metrics = cache.Metrics();
+  EXPECT_EQ(metrics.stale_fills, 1u);
+  EXPECT_EQ(metrics.insertions, 0u);
+  EXPECT_EQ(metrics.entries, 0u);
+  EXPECT_EQ(cache.Lookup(*id), nullptr) << "pre-write fill was retained";
 }
 
 // The serving accounting identity: every query either pays its assembly

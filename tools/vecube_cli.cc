@@ -38,7 +38,8 @@
 //       Replay N view queries sampled from the workload distribution
 //       through the full serving stack (admission control + per-worker
 //       ElementServer over the shared cache, src/serve) and dump the
-//       ServeMetrics block: hits, misses, evictions, resident bytes,
+//       ServeMetrics block: hits, misses, evictions, write patches and
+//       compactions, resident bytes,
 //       assembly operations saved versus uncached serving, and the
 //       robustness counters (deadline_exceeded / shed / degraded /
 //       follower_retries). --deadline-ms bounds each query (0 =
@@ -538,6 +539,10 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(metrics.evictions));
   std::printf("  invalidations      %llu\n",
               static_cast<unsigned long long>(metrics.invalidations));
+  std::printf("  patches            %llu\n",
+              static_cast<unsigned long long>(metrics.patches));
+  std::printf("  compactions        %llu\n",
+              static_cast<unsigned long long>(metrics.compactions));
   std::printf("  entries            %llu\n",
               static_cast<unsigned long long>(metrics.entries));
   std::printf("  bytes_resident     %llu\n",
