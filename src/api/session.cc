@@ -587,6 +587,7 @@ Result<Tensor> OlapSession::ViewByMask(uint32_t aggregated_mask,
 
 Result<Tensor> OlapSession::Element(const ElementId& id,
                                     const QueryContext& ctx) {
+  VECUBE_RETURN_NOT_OK(id.Validate(shape_));
   // This signature returns a bare Tensor — no channel for an error
   // bound — so degradation must not leak through it even if the caller
   // set allow_degraded on the context. Query() is the degradation-aware
@@ -603,6 +604,7 @@ Result<Tensor> OlapSession::Element(const ElementId& id,
 
 Result<QueryAnswer> OlapSession::Query(const ElementId& id,
                                        const QueryContext& ctx) {
+  VECUBE_RETURN_NOT_OK(id.Validate(shape_));
   QueryAnswer answer;
   VECUBE_ASSIGN_OR_RETURN(answer, server_->Serve(id, ctx));
   ++stats_.queries;

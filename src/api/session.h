@@ -210,13 +210,15 @@ class OlapSession {
 
   /// Any view element by id — always exact (degradation, if requested on
   /// `ctx`, is stripped: this signature has no channel for a bound).
+  /// InvalidArgument when `id` does not fit the session's shape.
   Result<Tensor> Element(const ElementId& id,
                          const QueryContext& ctx = QueryContext());
 
   /// Degradation-aware element query: like Element(), but when `ctx`
   /// opted in via set_allow_degraded and the budget falls short, returns
   /// an approximate answer whose `l2_bound` soundly bounds its L2 error.
-  /// Degraded answers are never cached.
+  /// Degraded answers are never cached. InvalidArgument when `id` does
+  /// not fit the session's shape.
   Result<QueryAnswer> Query(const ElementId& id,
                             const QueryContext& ctx = QueryContext());
 

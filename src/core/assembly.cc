@@ -14,9 +14,16 @@
 namespace vecube {
 
 namespace {
-// Flat memo arrays up to this many graph nodes (~0.5 GiB of memo state);
-// larger graphs fall back to hash maps over the touched nodes.
+// Flat memo tables up to this many graph nodes: at most 192 MiB of address
+// space (4 + 8 bytes per node), of which only the pages holding visited
+// nodes are ever backed. Larger graphs use hash maps over the visited nodes.
 constexpr uint64_t kDenseMemoLimit = uint64_t{1} << 24;
+
+// Plan-memo word: (cost + 1) << 6 | split_dim << 2 | choice. cost + 1 wraps
+// kInfiniteCost to 0, and a finite cost makes the word nonzero, so 0 stays
+// free for "not yet planned".
+constexpr uint32_t kPlanCostShift = 6;
+constexpr uint64_t kMaxPackedCost = (uint64_t{1} << (64 - kPlanCostShift)) - 1;
 
 Status TooManyDims() {
   return Status::InvalidArgument(
@@ -97,13 +104,35 @@ Result<Tensor> AssemblyEngine::RunCascade(const Tensor& source,
   return CascadeAnalysis(source, steps, ops, pool_, arena_, ctx);
 }
 
-void AssemblyEngine::Invalidate() {
-  is_stored_.clear();
-  for (const ElementId& id : store_->Ids()) {
-    is_stored_[indexer_.Encode(id)] = 1;
+template <typename Word>
+void AssemblyEngine::WordMemo<Word>::Set(uint64_t index, Word word) {
+  if (!dense_) {
+    map_[index] = word;
+    return;
   }
-  ancestor_memo_.Init(indexer_.size(), dense_memos_);
-  plan_memo_.Init(indexer_.size(), dense_memos_);
+  if (words_ == nullptr) {
+    words_.reset(static_cast<Word*>(std::calloc(universe_, sizeof(Word))));
+    VECUBE_CHECK(words_ != nullptr);
+  }
+  words_[index] = word;
+}
+
+void AssemblyEngine::Invalidate() {
+  const std::vector<ElementId> ids = store_->Ids();
+  VECUBE_CHECK(ids.size() < std::numeric_limits<uint32_t>::max() - 1);
+  stored_slot_.clear();
+  stored_.assign(1, StoredRef{0, kInfiniteCost});
+  stored_codes_.clear();
+  for (const ElementId& id : ids) {
+    const uint64_t index = indexer_.Encode(id);
+    stored_slot_[index] = static_cast<uint32_t>(stored_.size());
+    stored_.push_back(StoredRef{index, id.DataVolume(shape_)});
+    stored_codes_.insert(stored_codes_.end(), id.codes().begin(),
+                         id.codes().end());
+  }
+
+  ancestor_memo_.Reset(indexer_.size(), dense_memos_);
+  plan_memo_.Reset(indexer_.size(), dense_memos_);
 }
 
 uint64_t AssemblyEngine::EncodeRaw(const DimCode* codes) const {
@@ -124,63 +153,91 @@ uint64_t AssemblyEngine::VolumeRaw(const DimCode* codes) const {
   return volume;
 }
 
-AssemblyEngine::AncestorInfo AssemblyEngine::MinAncestorRaw(DimCode* codes) {
+uint32_t AssemblyEngine::MinAncestorRaw(DimCode* codes) {
   const uint64_t index = EncodeRaw(codes);
-  if (const AncestorInfo* hit = ancestor_memo_.Find(index)) return *hit;
-  AncestorInfo info;
-  if (is_stored_.count(index) > 0) {
-    info.volume = VolumeRaw(codes);
-    info.arg = index;
+  if (const uint32_t hit = ancestor_memo_.Get(index); hit != 0) return hit;
+  uint32_t best = 1;  // the "none" sentinel
+  if (auto it = stored_slot_.find(index); it != stored_slot_.end()) {
+    best = it->second + 1;
   }
   for (uint32_t m = 0; m < shape_.ndim(); ++m) {
     if (codes[m].level == 0) continue;
     const DimCode saved = codes[m];
     codes[m] = DimCode{saved.level - 1, saved.offset >> 1};
-    const AncestorInfo parent = MinAncestorRaw(codes);
+    const uint32_t parent = MinAncestorRaw(codes);
     codes[m] = saved;
-    if (parent.volume < info.volume) info = parent;
+    if (stored_[parent - 1].volume < stored_[best - 1].volume) best = parent;
   }
-  return ancestor_memo_.Insert(index, info);
+  ancestor_memo_.Set(index, best);
+  return best;
+}
+
+bool AssemblyEngine::HasFinerRelativeRaw(const DimCode* codes) const {
+  const uint32_t ndim = shape_.ndim();
+  for (size_t base = 0; base < stored_codes_.size(); base += ndim) {
+    const DimCode* s = &stored_codes_[base];
+    bool finer = false;
+    uint32_t m = 0;
+    for (; m < ndim; ++m) {
+      // Comparable along m: the coarser code is a dyadic prefix of the finer.
+      const DimCode a = codes[m];
+      const DimCode b = s[m];
+      if (a.level <= b.level) {
+        if ((b.offset >> (b.level - a.level)) != a.offset) break;
+        finer |= a.level < b.level;
+      } else if ((a.offset >> (a.level - b.level)) != b.offset) {
+        break;
+      }
+    }
+    if (m == ndim && finer) return true;
+  }
+  return false;
 }
 
 AssemblyEngine::PlanNode AssemblyEngine::PlanRaw(DimCode* codes) {
   const uint64_t index = EncodeRaw(codes);
-  if (const PlanNode* hit = plan_memo_.Find(index)) return *hit;
+  if (const uint64_t word = plan_memo_.Get(index); word != 0) {
+    return PlanNode{(word >> kPlanCostShift) - 1,
+                    static_cast<Choice>(word & 3u),
+                    static_cast<uint32_t>(word >> 2) & 15u};
+  }
 
   PlanNode node;
   const uint64_t vol = VolumeRaw(codes);
   // F option: aggregate down from the smallest stored ancestor (a stored
   // target is the ancestor==self case with cost 0).
-  const AncestorInfo ancestor = MinAncestorRaw(codes);
-  if (ancestor.volume != kInfiniteCost) {
-    node.cost = ancestor.volume - vol;
+  const uint64_t ancestor_volume = stored_[MinAncestorRaw(codes) - 1].volume;
+  if (ancestor_volume != kInfiniteCost) {
+    node.cost = ancestor_volume - vol;
     node.choice = Choice::kAggregate;
-    node.source = ancestor.arg;
   }
 
   // R option: synthesize from the P/R children along the best dimension.
-  // Any synthesis costs at least Vol(n) (the final stage alone), so when
-  // aggregation already achieves that, the children cones need not be
-  // explored at all — this prunes most of the graph for stores containing
-  // coarse elements.
-  //
+  // It is explored only where it can win (DESIGN.md §1, Procedure 3):
+  //  - any synthesis costs at least Vol(n) (the final stage alone), so
+  //    aggregation at cost <= Vol(n) settles the node;
+  //  - every leaf of a synthesis tree aggregates from a stored element
+  //    comparable with n in every dimension. If none of those is finer
+  //    than n anywhere, all are ancestors of n of volume >= A (the best
+  //    ancestor's), and the >= 2 leaves cost >= 2A > A - Vol(n) = F_n, or
+  //    cannot be produced at all when n has no stored ancestor.
+  const bool may_synthesize = node.cost > vol && HasFinerRelativeRaw(codes);
   // Cheap first pass: bound each dimension's synthesis option by the
   // children's *aggregation-only* costs (no recursive exploration). This
   // often establishes the Vol(n) floor immediately — e.g. when both
   // children are stored — and lets the deep pass be skipped entirely.
-  if (node.cost > vol) {
+  if (may_synthesize) {
     for (uint32_t m = 0; m < shape_.ndim(); ++m) {
       if (codes[m].level >= shape_.log_extent(m)) continue;
       const DimCode saved = codes[m];
       codes[m] = DimCode{saved.level + 1, saved.offset * 2};
-      const AncestorInfo ap = MinAncestorRaw(codes);
+      const uint64_t ap = stored_[MinAncestorRaw(codes) - 1].volume;
       const uint64_t child_vol = VolumeRaw(codes);
       codes[m] = DimCode{saved.level + 1, saved.offset * 2 + 1};
-      const AncestorInfo ar = MinAncestorRaw(codes);
+      const uint64_t ar = stored_[MinAncestorRaw(codes) - 1].volume;
       codes[m] = saved;
-      if (ap.volume == kInfiniteCost || ar.volume == kInfiniteCost) continue;
-      const uint64_t cost =
-          vol + (ap.volume - child_vol) + (ar.volume - child_vol);
+      if (ap == kInfiniteCost || ar == kInfiniteCost) continue;
+      const uint64_t cost = vol + (ap - child_vol) + (ar - child_vol);
       if (cost < node.cost) {
         node.cost = cost;
         node.choice = Choice::kSynthesize;
@@ -189,7 +246,7 @@ AssemblyEngine::PlanNode AssemblyEngine::PlanRaw(DimCode* codes) {
       if (node.cost <= vol) break;
     }
   }
-  if (node.cost > vol) {
+  if (may_synthesize && node.cost > vol) {
     for (uint32_t m = 0; m < shape_.ndim(); ++m) {
       if (codes[m].level >= shape_.log_extent(m)) continue;
       const DimCode saved = codes[m];
@@ -209,7 +266,11 @@ AssemblyEngine::PlanNode AssemblyEngine::PlanRaw(DimCode* codes) {
     }
   }
 
-  return plan_memo_.Insert(index, node);
+  VECUBE_CHECK(node.cost == kInfiniteCost || node.cost < kMaxPackedCost);
+  plan_memo_.Set(index, ((node.cost + 1) << kPlanCostShift) |
+                            (uint64_t{node.split_dim} << 2) |
+                            static_cast<uint64_t>(node.choice));
+  return node;
 }
 
 void AssemblyEngine::WarmPlanRaw(DimCode* codes,
@@ -234,7 +295,8 @@ uint64_t AssemblyEngine::PlanCost(const ElementId& target) {
   // Guard the fixed-arity code buffers below: a shape beyond kMaxAssemblyDims
   // must not reach the std::array copy (stack overflow otherwise).
   if (shape_.ndim() > kMaxAssemblyDims) return kInfiniteCost;
-  if (target.ndim() != shape_.ndim()) return kInfiniteCost;
+  // A code outside the shape would index past the memo tables.
+  if (!target.Validate(shape_).ok()) return kInfiniteCost;
   std::array<DimCode, kMaxAssemblyDims> codes{};
   std::copy(target.codes().begin(), target.codes().end(), codes.begin());
   return PlanRaw(codes.data()).cost;
@@ -254,10 +316,11 @@ Result<Tensor> AssemblyEngine::ExecuteSolo(const ElementId& target,
   }
   std::array<DimCode, kMaxAssemblyDims> codes{};
   std::copy(target.codes().begin(), target.codes().end(), codes.begin());
-  const PlanNode node = PlanRaw(codes.data());  // copy: map may rehash below
+  const PlanNode node = PlanRaw(codes.data());
   switch (node.choice) {
     case Choice::kAggregate: {
-      const ElementId source = indexer_.Decode(node.source);
+      const ElementId source =
+          indexer_.Decode(SourceOf(EncodeRaw(codes.data())));
       const Tensor* data;
       VECUBE_ASSIGN_OR_RETURN(data, store_->Get(source));
       if (source == target) return *data;
@@ -330,7 +393,7 @@ Result<Tensor> AssemblyEngine::ExecuteShared(const ElementId& target,
     const PlanNode node = PlanRaw(codes.data());
     switch (node.choice) {
       case Choice::kAggregate: {
-        const ElementId source = indexer_.Decode(node.source);
+        const ElementId source = indexer_.Decode(SourceOf(target_index));
         const Tensor* data;
         VECUBE_ASSIGN_OR_RETURN(data, store_->Get(source));
         if (source == target) return *data;
@@ -377,11 +440,7 @@ Result<Tensor> AssemblyEngine::Assemble(const ElementId& target,
                                         OpCounter* ops,
                                         const QueryContext* ctx) {
   if (shape_.ndim() > kMaxAssemblyDims) return TooManyDims();
-  if (target.ndim() != shape_.ndim()) {
-    return Status::InvalidArgument("element arity does not match store");
-  }
-  ElementId checked;
-  VECUBE_ASSIGN_OR_RETURN(checked, ElementId::Make(target.codes(), shape_));
+  VECUBE_RETURN_NOT_OK(target.Validate(shape_));
   return ExecuteSolo(target, ops, ctx);
 }
 
@@ -390,11 +449,7 @@ Result<std::vector<Tensor>> AssemblyEngine::AssembleBatch(
     const QueryContext* ctx) {
   if (shape_.ndim() > kMaxAssemblyDims) return TooManyDims();
   for (const ElementId& target : targets) {
-    if (target.ndim() != shape_.ndim()) {
-      return Status::InvalidArgument("element arity does not match store");
-    }
-    ElementId checked;
-    VECUBE_ASSIGN_OR_RETURN(checked, ElementId::Make(target.codes(), shape_));
+    VECUBE_RETURN_NOT_OK(target.Validate(shape_));
   }
 
   // Phase 1 — serial planning: memoize the plan of every node execution

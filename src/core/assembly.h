@@ -17,8 +17,13 @@
 //
 // Implementation note: planning recursions run on raw per-dimension code
 // buffers with memo tables keyed by the element's mixed-radix index
-// (ElementIndexer), so planning over graphs of ~10^6 nodes stays in the
-// tens of milliseconds. Only nodes actually reached by a plan are stored.
+// (ElementIndexer): one word per graph node, 0 meaning "not yet planned".
+// Up to kDenseMemoLimit nodes the tables are flat arrays calloc'd on the
+// first plan, so pages the planner never touches stay unbacked zero pages;
+// above it they are hash maps over the visited nodes. A node is expanded
+// into its synthesis cones only when some stored element is finer than it
+// and comparable with it (DESIGN.md §1, Procedure 3), so a plan visits the
+// nodes near its target rather than the whole graph.
 // The raw buffers are fixed kMaxDims arrays; every public entry point
 // rejects stores of higher arity up front (CubeShape admits up to 24
 // dimensions, so the check is load-bearing, not decorative).
@@ -35,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -81,7 +87,8 @@ class AssemblyEngine {
 
   /// Procedure-3 cost T_n of producing `target` from the store, in
   /// add/subtract operations. kInfiniteCost if unreachable (store not
-  /// complete w.r.t. target, or arity beyond kMaxAssemblyDims).
+  /// complete w.r.t. target), if `target` does not fit the store's shape,
+  /// or if the arity is beyond kMaxAssemblyDims.
   uint64_t PlanCost(const ElementId& target);
 
   /// Materializes `target`. Status Incomplete if the stored set cannot
@@ -120,50 +127,47 @@ class AssemblyEngine {
  private:
   enum class Choice : uint8_t { kAggregate, kSynthesize, kNone };
 
+  // One node's plan, unpacked from its plan-memo word. The aggregate
+  // source is not part of it: it is the node's ancestor-memo entry.
   struct PlanNode {
     uint64_t cost = kInfiniteCost;
     Choice choice = Choice::kNone;
-    uint64_t source = 0;     // kAggregate: encoded index of the ancestor
     uint32_t split_dim = 0;  // kSynthesize
   };
 
-  struct AncestorInfo {
-    uint64_t volume = kInfiniteCost;  // min volume over stored ancestors
-    uint64_t arg = 0;                 // encoded index achieving it
+  // A stored element as the ancestor memo refers to it.
+  struct StoredRef {
+    uint64_t index;   // encoded element index
+    uint64_t volume;  // kInfiniteCost for the "no ancestor" sentinel
   };
 
-  // Memo table that is a flat array for graphs that fit in memory and a
-  // hash map for larger ones; planning visits each node at most once.
-  template <typename T>
-  class MemoTable {
+  // One word per graph node, 0 meaning "not yet visited". Dense tables are
+  // calloc'd on the first Set(), so an engine that never plans allocates
+  // nothing and untouched pages are never backed.
+  template <typename Word>
+  class WordMemo {
    public:
-    void Init(uint64_t universe, bool dense) {
+    void Reset(uint64_t universe, bool dense) {
+      universe_ = universe;
       dense_ = dense;
-      if (dense_) {
-        values_.assign(universe, T{});
-        present_.assign(universe, 0);
-      }
+      words_.reset();
       map_.clear();
     }
-    const T* Find(uint64_t index) const {
-      if (dense_) return present_[index] ? &values_[index] : nullptr;
+    [[nodiscard]] Word Get(uint64_t index) const {
+      if (dense_) return words_ != nullptr ? words_[index] : Word{0};
       auto it = map_.find(index);
-      return it == map_.end() ? nullptr : &it->second;
+      return it == map_.end() ? Word{0} : it->second;
     }
-    const T& Insert(uint64_t index, T value) {
-      if (dense_) {
-        present_[index] = 1;
-        values_[index] = value;
-        return values_[index];
-      }
-      return map_.insert_or_assign(index, value).first->second;
-    }
+    void Set(uint64_t index, Word word);
 
    private:
+    struct FreeDeleter {
+      void operator()(Word* words) const { std::free(words); }
+    };
+    uint64_t universe_ = 0;
     bool dense_ = false;
-    std::vector<T> values_;
-    std::vector<uint8_t> present_;
-    std::unordered_map<uint64_t, T> map_;
+    std::unique_ptr<Word[], FreeDeleter> words_;
+    std::unordered_map<uint64_t, Word> map_;
   };
 
   // Cross-target cache of sub-results for AssembleBatch. Each entry is a
@@ -174,8 +178,19 @@ class AssemblyEngine {
 
   uint64_t EncodeRaw(const DimCode* codes) const;
   uint64_t VolumeRaw(const DimCode* codes) const;
-  AncestorInfo MinAncestorRaw(DimCode* codes);
+  // The smallest stored ancestor-or-self, as an ancestor-memo word: 1 + its
+  // position in stored_ (position 0 is the "none" sentinel).
+  uint32_t MinAncestorRaw(DimCode* codes);
   PlanNode PlanRaw(DimCode* codes);
+  // True when some stored element is comparable with `codes` in every
+  // dimension (one code a dyadic prefix of the other) and strictly finer in
+  // at least one: a "finer relative". Without one, synthesis cannot beat
+  // aggregation (DESIGN.md §1, Procedure 3).
+  [[nodiscard]] bool HasFinerRelativeRaw(const DimCode* codes) const;
+  // Encoded index of the stored element a kAggregate node reads from.
+  [[nodiscard]] uint64_t SourceOf(uint64_t index) const {
+    return stored_[ancestor_memo_.Get(index) - 1].index;
+  }
   // Memoizes the plan of every node the execution of `codes` will visit
   // (serially), so concurrent batch execution only reads the memo tables.
   void WarmPlanRaw(DimCode* codes, std::unordered_set<uint64_t>* visited);
@@ -204,9 +219,14 @@ class AssemblyEngine {
   CubeShape shape_;
   ElementIndexer indexer_;
   bool dense_memos_ = false;
-  std::unordered_map<uint64_t, uint8_t> is_stored_;
-  MemoTable<AncestorInfo> ancestor_memo_;
-  MemoTable<PlanNode> plan_memo_;
+  // Stored elements: encoded index -> position in stored_, and stored_
+  // itself, behind the "none" sentinel at position 0.
+  std::unordered_map<uint64_t, uint32_t> stored_slot_;
+  std::vector<StoredRef> stored_;
+  // The codes of stored_[j + 1], ndim() per element, for the prune's scan.
+  std::vector<DimCode> stored_codes_;
+  WordMemo<uint32_t> ancestor_memo_;
+  WordMemo<uint64_t> plan_memo_;
 };
 
 }  // namespace vecube

@@ -10,23 +10,29 @@ ElementId ElementId::Root(uint32_t ndim) {
 
 Result<ElementId> ElementId::Make(std::vector<DimCode> codes,
                                   const CubeShape& shape) {
-  if (codes.size() != shape.ndim()) {
+  ElementId id(std::move(codes));
+  VECUBE_RETURN_NOT_OK(id.Validate(shape));
+  return id;
+}
+
+Status ElementId::Validate(const CubeShape& shape) const {
+  if (codes_.size() != shape.ndim()) {
     return Status::InvalidArgument("element arity does not match cube");
   }
   for (uint32_t m = 0; m < shape.ndim(); ++m) {
-    if (codes[m].level > shape.log_extent(m)) {
+    if (codes_[m].level > shape.log_extent(m)) {
       return Status::InvalidArgument(
-          "level " + std::to_string(codes[m].level) + " exceeds cascade depth " +
-          std::to_string(shape.log_extent(m)) + " of dimension " +
-          std::to_string(m));
+          "level " + std::to_string(codes_[m].level) +
+          " exceeds cascade depth " + std::to_string(shape.log_extent(m)) +
+          " of dimension " + std::to_string(m));
     }
-    if (codes[m].offset >= (1u << codes[m].level)) {
+    if (codes_[m].offset >= (1u << codes_[m].level)) {
       return Status::InvalidArgument(
-          "offset " + std::to_string(codes[m].offset) +
-          " out of range for level " + std::to_string(codes[m].level));
+          "offset " + std::to_string(codes_[m].offset) +
+          " out of range for level " + std::to_string(codes_[m].level));
     }
   }
-  return ElementId(std::move(codes));
+  return Status::OK();
 }
 
 Result<ElementId> ElementId::AggregatedView(uint32_t aggregated_mask,

@@ -67,6 +67,11 @@ class ElementId {
     return ElementId(std::move(codes));
   }
 
+  /// InvalidArgument unless the codes fit `shape`: same arity, every level
+  /// within its dimension's cascade depth, every offset below 2^level.
+  /// Allocates nothing when they do.
+  [[nodiscard]] Status Validate(const CubeShape& shape) const;
+
   [[nodiscard]] uint32_t ndim() const { return static_cast<uint32_t>(codes_.size()); }
   [[nodiscard]] const DimCode& dim(uint32_t m) const { return codes_[m]; }
   [[nodiscard]] const std::vector<DimCode>& codes() const { return codes_; }

@@ -42,6 +42,7 @@ DynamicAssembler::~DynamicAssembler() {
 
 Result<Tensor> DynamicAssembler::Query(const ElementId& view, OpCounter* ops,
                                        const QueryContext& ctx) {
+  VECUBE_RETURN_NOT_OK(view.Validate(shape_));
   VECUBE_RETURN_NOT_OK(ctx.Check());
   Tensor answer;
   if (cache_ == nullptr) {

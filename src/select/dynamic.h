@@ -72,7 +72,8 @@ class DynamicAssembler {
   /// `ctx` bounds the query: expiry/cancellation unwinds the assembly
   /// and every wait with kDeadlineExceeded / kCancelled; a leader abort
   /// for a leader-local cause is retried a bounded number of times, then
-  /// surfaces the cause.
+  /// surfaces the cause. InvalidArgument when `view` does not fit the
+  /// cube's shape.
   Result<Tensor> Query(const ElementId& view, OpCounter* ops = nullptr,
                        const QueryContext& ctx = QueryContext());
 

@@ -131,6 +131,19 @@ TEST(AssemblyTest, IncompleteStoreReportsIncomplete) {
   EXPECT_TRUE(engine.Assemble(*pp).ok());
 }
 
+// An empty store reaches nothing: every node plans to kInfiniteCost, and
+// the prune's scan over stored elements finds no finer relative.
+TEST(AssemblyTest, EmptyStoreIsUnreachable) {
+  const CubeShape shape = *CubeShape::Make({4, 4});
+  ElementStore store(shape);
+  AssemblyEngine engine(&store);
+  ViewElementGraph graph(shape);
+  graph.ForEachElement([&](const ElementId& id) {
+    EXPECT_EQ(engine.PlanCost(id), kInfiniteCost) << id.ToString();
+  });
+  EXPECT_TRUE(engine.Assemble(ElementId::Root(2)).status().IsIncomplete());
+}
+
 TEST(AssemblyTest, PrefersCheaperOfAggregationAndSynthesis) {
   Fixture f = MakeFixture({8}, 7);
   const ElementId root = ElementId::Root(1);
@@ -170,12 +183,66 @@ TEST(AssemblyTest, InvalidateAfterStoreMutation) {
   EXPECT_EQ(engine.PlanCost(*view), 0u);
 }
 
+// The memo tables are allocated by the first plan, not the constructor or
+// Invalidate(): an engine that never plans must construct and destroy.
+TEST(AssemblyTest, EngineThatNeverPlansIsFine) {
+  Fixture f = MakeFixture({8, 8}, 13);
+  ElementStore store = MaterializeSet(&f, CubeOnlySet(f.shape));
+  { AssemblyEngine unused(&store); }
+  AssemblyEngine invalidated(&store);
+  invalidated.Invalidate();
+  invalidated.Invalidate();
+}
+
+// Plans made before a store change must not leak into plans made after
+// Invalidate(): every node must cost what a fresh engine says.
+TEST(AssemblyTest, ReplanAfterInvalidateMatchesFreshEngine) {
+  Fixture f = MakeFixture({8, 4}, 14);
+  ElementStore store = MaterializeSet(&f, CubeOnlySet(f.shape));
+  AssemblyEngine engine(&store);
+  ViewElementGraph graph(f.shape);
+  graph.ForEachElement([&](const ElementId& id) { (void)engine.PlanCost(id); });
+
+  // Cube only -> cube plus one residual.
+  const ElementId residual = *ElementId::Make({{2, 3}, {1, 1}}, f.shape);
+  ElementComputer computer(f.shape, &f.cube);
+  ASSERT_TRUE(store.Put(residual, *computer.Compute(residual)).ok());
+  engine.Invalidate();
+
+  AssemblyEngine fresh(&store);
+  uint64_t cheaper = 0;
+  graph.ForEachElement([&](const ElementId& id) {
+    const uint64_t cost = fresh.PlanCost(id);
+    EXPECT_EQ(engine.PlanCost(id), cost) << id.ToString();
+    // Cube-only plans cost Vol(A) - Vol(n).
+    if (cost < f.shape.volume() - id.DataVolume(f.shape)) ++cheaper;
+  });
+  EXPECT_GT(cheaper, 0u);  // the residual did change some plans
+}
+
 TEST(AssemblyTest, ArityMismatchRejected) {
   Fixture f = MakeFixture({4, 4}, 10);
   ElementStore store = MaterializeSet(&f, CubeOnlySet(f.shape));
   AssemblyEngine engine(&store);
   EXPECT_TRUE(
       engine.Assemble(ElementId::Root(3)).status().IsInvalidArgument());
+}
+
+// Regression: PlanCost used to encode a foreign-shape id straight into the
+// dense memo, reading past its end.
+TEST(AssemblyTest, ForeignShapeTargetIsUnreachable) {
+  Fixture f = MakeFixture({4, 4}, 12);
+  ElementStore store = MaterializeSet(&f, CubeOnlySet(f.shape));
+  AssemblyEngine engine(&store);
+  auto wide = CubeShape::Make({64, 64});
+  ASSERT_TRUE(wide.ok());
+  auto foreign = ElementId::Make({{6, 63}, {6, 63}}, *wide);
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_EQ(engine.PlanCost(*foreign), kInfiniteCost);
+  EXPECT_EQ(engine.PlanCost(ElementId::UnsafeFromCodes({{1, 2}, {0, 0}})),
+            kInfiniteCost);
+  EXPECT_TRUE(engine.Assemble(*foreign).status().IsInvalidArgument());
+  EXPECT_TRUE(engine.AssembleBatch({*foreign}).status().IsInvalidArgument());
 }
 
 TEST(AssemblyTest, ExactValuesThroughDeepSynthesis) {

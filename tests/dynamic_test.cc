@@ -219,5 +219,22 @@ TEST(DynamicTest, CachedServingSavesOpsAndFlushesOnReconfigure) {
   EXPECT_GT(metrics.invalidations, 0u);  // the reconfiguration flushed
 }
 
+// Regression: a foreign-shape id must not reach the planner's memo tables.
+TEST(DynamicTest, ForeignShapeViewRejected) {
+  Fixture f = MakeFixture({4, 4}, 11);
+  for (const bool cached : {false, true}) {
+    DynamicOptions options;
+    options.cache.enabled = cached;
+    auto assembler = DynamicAssembler::Make(f.shape, f.cube, options);
+    ASSERT_TRUE(assembler.ok());
+    auto wide = CubeShape::Make({64, 64});
+    ASSERT_TRUE(wide.ok());
+    auto foreign = ElementId::Make({{6, 63}, {6, 63}}, *wide);
+    ASSERT_TRUE(foreign.ok());
+    EXPECT_TRUE((*assembler)->Query(*foreign).status().IsInvalidArgument());
+    EXPECT_EQ((*assembler)->queries_served(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace vecube

@@ -64,6 +64,47 @@ TEST_F(HighDimFixture, HashFallbackPlansAndAssembles) {
   }
 }
 
+TEST_F(HighDimFixture, RedundantStoreOnHashPath) {
+  // Cube, two views and one single-cell residual (the grand total's R
+  // sibling along dimension 3): aggregation, synthesis and the planner's
+  // finer-relative prune all run on the hash-map memo words.
+  std::vector<DimCode> codes(16, DimCode{1, 0});
+  codes[3] = DimCode{1, 1};
+  const ElementId residual = *ElementId::Make(codes, shape_);
+  const ElementId root = ElementId::Root(16);
+  const std::vector<ElementId> set = {
+      root, *ElementId::AggregatedView(0x00FF, shape_),
+      *ElementId::AggregatedView(0xFFFF, shape_), residual};
+  ElementComputer computer(shape_, &cube_);
+  auto store = computer.Materialize(set);
+  ASSERT_TRUE(store.ok());
+  AssemblyEngine engine(&*store);
+
+  std::vector<ElementId> targets = {
+      residual, *root.Child(3, StepKind::kPartial, shape_)};
+  for (uint32_t mask : {0x0001u, 0x00FFu, 0x01FFu, 0xFFF7u, 0xFFFEu}) {
+    targets.push_back(*ElementId::AggregatedView(mask, shape_));
+  }
+  for (const ElementId& target : targets) {
+    const uint64_t plan = engine.PlanCost(target);
+    ASSERT_NE(plan, kInfiniteCost) << target.ToString();
+    OpCounter ops;
+    auto out = engine.Assemble(target, &ops);
+    ASSERT_TRUE(out.ok()) << target.ToString();
+    EXPECT_EQ(ops.adds, plan) << target.ToString();
+    EXPECT_TRUE(out->ApproxEquals(*computer.Compute(target), 0.0))
+        << target.ToString();
+  }
+  // A stored view is free, and aggregating it one step costs its volume
+  // less the result's.
+  EXPECT_EQ(engine.PlanCost(*ElementId::AggregatedView(0x00FF, shape_)), 0u);
+  EXPECT_EQ(engine.PlanCost(*ElementId::AggregatedView(0x01FF, shape_)),
+            (uint64_t{1} << 8) - (uint64_t{1} << 7));
+  // View 0xFFF7 (two cells along dimension 3) is one synthesis stage over
+  // the grand total and the stored residual.
+  EXPECT_EQ(engine.PlanCost(*ElementId::AggregatedView(0xFFF7, shape_)), 2u);
+}
+
 TEST_F(HighDimFixture, GrandTotalExact) {
   ElementComputer computer(shape_, &cube_);
   auto store = computer.Materialize(CubeOnlySet(shape_));

@@ -150,5 +150,21 @@ TEST(SessionTest, ElementQueriesWork) {
   EXPECT_DOUBLE_EQ(got->Total(), f.cube.Total());
 }
 
+// Regression: an id of the right arity made for a wider shape used to reach
+// the planner's memo tables unchecked and index past them (a heap overflow
+// under AddressSanitizer). Every entry point must reject it up front.
+TEST(SessionTest, ForeignShapeElementRejected) {
+  Fixture f = MakeFixture({4, 4}, 9);
+  auto session = OlapSession::FromCube(f.shape, f.cube);
+  ASSERT_TRUE(session.ok());
+  auto wide = CubeShape::Make({64, 64});
+  ASSERT_TRUE(wide.ok());
+  auto foreign = ElementId::Make({{6, 63}, {6, 63}}, *wide);
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_TRUE((*session)->Element(*foreign).status().IsInvalidArgument());
+  EXPECT_TRUE((*session)->Query(*foreign).status().IsInvalidArgument());
+  EXPECT_EQ((*session)->stats().queries, 0u);
+}
+
 }  // namespace
 }  // namespace vecube
