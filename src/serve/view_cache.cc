@@ -1,6 +1,7 @@
 #include "serve/view_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <deque>
@@ -10,6 +11,23 @@
 #include "util/logging.h"
 
 namespace vecube {
+
+namespace {
+
+// Stripes of an entry's hit counter. A thread draws its stripe round
+// robin on its first hit, so up to this many concurrent readers of one
+// hot entry bump disjoint cache lines.
+constexpr uint32_t kHitStripes = 8;
+
+uint32_t ThreadHitStripe() {
+  static std::atomic<uint32_t> next_stripe{0};
+  // order: relaxed — a round-robin ticket; nothing is published through it.
+  thread_local const uint32_t stripe =
+      next_stripe.fetch_add(1, std::memory_order_relaxed) % kHitStripes;
+  return stripe;
+}
+
+}  // namespace
 
 // One logged point delta: cell `flat_index` of the entry's tensor moves
 // by `delta` (the ±1 projection sign already applied).
@@ -40,12 +58,45 @@ struct alignas(64) ViewCache::Entry {
   double folded_heat = 0.0;
   uint64_t folded_at = 0;
   /// Append-only patch log; read only up to a loaded `num_patches`.
-  /// Allocated apart, so the entry stays two cache lines.
+  /// Allocated apart, so the log adds no line to the entry.
   std::unique_ptr<Patch[]> patches = std::make_unique<Patch[]>(kPatchCapacity);
-  /// Hits recorded since the last fold, bumped relaxed by readers. On a
-  /// line of its own: concurrent readers' bumps on a hot entry do not
-  /// keep evicting the read-mostly line above from each other's caches.
-  alignas(64) std::atomic<uint64_t> pending_hits{0};
+  /// Hits recorded since the last fold, bumped relaxed by readers, one
+  /// cache line per stripe, apart from the read-mostly line above. Each
+  /// reader thread bumps its own stripe: with one shared counter, 4
+  /// threads hitting the same entries took 3-4x the wall of 1 thread
+  /// for the same per-thread work, as every bump moved the line.
+  struct alignas(64) HitStripe {
+    std::atomic<uint64_t> count{0};
+  };
+  std::array<HitStripe, kHitStripes> pending_hits;
+
+  void CountHit() {
+    // order: relaxed — pure event count; folded under shard.mu (or at
+    // reclaim, after the epoch proves no reader can still bump it), so
+    // no other data is published through this counter.
+    pending_hits[ThreadHitStripe()].count.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  // Takes every stripe's count; serialized by the shard's mu.
+  uint64_t DrainHits() {
+    uint64_t total = 0;
+    for (HitStripe& stripe : pending_hits) {
+      // order: relaxed — counts are self-contained; a bump racing the
+      // drain lands in this fold or the next.
+      total += stripe.count.exchange(0, std::memory_order_relaxed);
+    }
+    return total;
+  }
+  // Snapshot of the unfolded hits, for Metrics().
+  [[nodiscard]] uint64_t PendingHits() const {
+    uint64_t total = 0;
+    for (const HitStripe& stripe : pending_hits) {
+      // order: relaxed — snapshot of an event counter; hits landing
+      // during the walk appear in the next snapshot.
+      total += stripe.count.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 };
 
 // A table's hold on one resident entry: readers load `entry`, and
@@ -217,10 +268,7 @@ ViewCache::ReadHandle ViewCache::FindPinned(
   // order: acquire — pairs with the seq_cst store that swaps in a
   // compacted entry (ApplyPointDelta), so its contents are visible.
   Entry* entry = it->second.entry.load(std::memory_order_acquire);
-  // order: relaxed — pure event count; folded under shard.mu (or at
-  // reclaim, after the epoch proves no reader can still bump it), so no
-  // other data is published through this counter.
-  entry->pending_hits.fetch_add(1, std::memory_order_relaxed);
+  entry->CountHit();
   ReadHandle handle(std::move(pin), entry);
   if (out_shared != nullptr) {
     *out_shared = handle.num_patches_ == 0
@@ -260,8 +308,7 @@ ViewCache::LookupOutcome ViewCache::LookupOrBegin(const ElementId& id) {
   if (it != table->map.end()) {
     EpochDomain::Pin pin = EpochDomain::Acquire();
     Entry* entry = it->second.owner.get();
-    // order: relaxed — same event-count contract as in FindPinned.
-    entry->pending_hits.fetch_add(1, std::memory_order_relaxed);
+    entry->CountHit();
     out.hit = ReadHandle(std::move(pin), entry);
     return out;
   }
@@ -441,11 +488,7 @@ std::shared_ptr<const Tensor> ViewCache::InsertLocked(
 }
 
 void ViewCache::FoldEntryLocked(Shard* shard, Entry* entry) const {
-  // order: relaxed — drains the event counter; counts are self-contained
-  // (no payload is published through them) and the fold is serialized by
-  // shard->mu.
-  const uint64_t pending =
-      entry->pending_hits.exchange(0, std::memory_order_relaxed);
+  const uint64_t pending = entry->DrainHits();
   if (options_.heat_decay < 1.0 && entry->folded_heat != 0.0) {
     const uint64_t gap = shard->generation - entry->folded_at;
     if (gap != 0) {
@@ -522,10 +565,9 @@ void ViewCache::ReclaimLocked(Shard* shard) const {
     // No reader can reach these entries any more: fold their final hit
     // counts so ServeMetrics::hits stays exact across removals.
     for (const std::shared_ptr<Entry>& entry : rec.dying) {
-      // order: relaxed — MinPinned() proved no reader still holds the
-      // entry, so this drain cannot race a bump; counts are standalone.
-      const uint64_t pending =
-          entry->pending_hits.exchange(0, std::memory_order_relaxed);
+      // MinPinned() proved no reader still holds the entry, so this
+      // drain cannot race a bump.
+      const uint64_t pending = entry->DrainHits();
       shard->folded_hits += pending;
       shard->folded_ops_saved += pending * entry->assembly_cost;
     }
@@ -671,18 +713,13 @@ ServeMetrics ViewCache::Metrics() const {
     // whenever the cache is quiescent (and a consistent snapshot
     // otherwise).
     for (const auto& [id, slot] : live->map) {
-      // order: relaxed — snapshot of an event counter; hits landing
-      // during the walk appear in the next snapshot.
-      const uint64_t pending =
-          slot.owner->pending_hits.load(std::memory_order_relaxed);
+      const uint64_t pending = slot.owner->PendingHits();
       metrics.hits += pending;
       metrics.assembly_ops_saved += pending * slot.owner->assembly_cost;
     }
     for (const Shard::Limbo& rec : shard->limbo) {
       for (const std::shared_ptr<Entry>& entry : rec.dying) {
-        // order: relaxed — same snapshot contract as the live-map walk.
-        const uint64_t pending =
-            entry->pending_hits.load(std::memory_order_relaxed);
+        const uint64_t pending = entry->PendingHits();
         metrics.hits += pending;
         metrics.assembly_ops_saved += pending * entry->assembly_cost;
       }

@@ -1,5 +1,7 @@
 #include "workload/population.h"
 
+#include <cmath>
+
 #include "core/graph.h"
 #include "util/logging.h"
 
@@ -14,10 +16,16 @@ Result<QueryPopulation> QueryPopulation::Make(std::vector<QuerySpec> queries,
   for (const QuerySpec& q : queries) {
     ElementId checked;
     VECUBE_ASSIGN_OR_RETURN(checked, ElementId::Make(q.view.codes(), shape));
+    if (!std::isfinite(q.frequency)) {
+      return Status::InvalidArgument("frequencies must be finite");
+    }
     if (q.frequency <= 0.0) {
       return Status::InvalidArgument("frequencies must be positive");
     }
     total += q.frequency;
+  }
+  if (!std::isfinite(total)) {
+    return Status::InvalidArgument("frequency total overflows a double");
   }
   QueryPopulation population;
   population.queries_ = std::move(queries);

@@ -30,7 +30,8 @@ class QueryPopulation {
   QueryPopulation() = default;
 
   /// Validates ids against the shape and normalizes frequencies. Entries
-  /// with non-positive frequency are rejected.
+  /// with a non-finite or non-positive frequency, and frequencies whose
+  /// total is not finite, are rejected.
   static Result<QueryPopulation> Make(std::vector<QuerySpec> queries,
                                       const CubeShape& shape);
 

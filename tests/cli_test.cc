@@ -114,6 +114,25 @@ TEST_F(CliPipeline, BadInvocationsFail) {
             0);
 }
 
+// strtod accepts "nan" and "inf": such a workload must fail with an error
+// message and exit code 1, not abort inside Algorithm 1.
+TEST_F(CliPipeline, NonFiniteWorkloadFrequencyFailsCleanly) {
+  std::string output;
+  ASSERT_EQ(RunCli("build --csv " + csv_ + " --extents 4,4 --out " + store_,
+                   &output),
+            0)
+      << output;
+  for (const char* workload : {"1:nan,2:1", "1:inf,2:1", "1:1e308,2:1e308"}) {
+    EXPECT_EQ(RunCli("optimize --store " + store_ + " --out " + tuned_ +
+                         " --workload " + workload,
+                     &output),
+              1)
+        << workload << ": " << output;
+    EXPECT_NE(output.find("InvalidArgument"), std::string::npos)
+        << workload << ": " << output;
+  }
+}
+
 TEST_F(CliPipeline, FsckReportsHealthCorruptionAndRepair) {
   std::string output;
   ASSERT_EQ(RunCli("build --csv " + csv_ + " --extents 4,4 --out " + store_,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/graph.h"
 
 namespace vecube {
@@ -30,6 +32,37 @@ TEST(PopulationTest, MakeRejectsEmptyAndNonPositive) {
   auto a = ElementId::AggregatedView(1, shape);
   EXPECT_FALSE(QueryPopulation::Make({QuerySpec{*a, 0.0}}, shape).ok());
   EXPECT_FALSE(QueryPopulation::Make({QuerySpec{*a, -1.0}}, shape).ok());
+}
+
+// NaN slips past a `<= 0` check, and +inf or an overflowing total would
+// normalize every frequency to NaN or 0; Algorithm 1 then aborted on its
+// memo. Make must turn all three into InvalidArgument.
+TEST(PopulationTest, MakeRejectsNonFiniteFrequencies) {
+  const CubeShape shape = Shape44();
+  auto a = ElementId::AggregatedView(1, shape);
+  auto b = ElementId::AggregatedView(2, shape);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto pop = QueryPopulation::Make(
+        {QuerySpec{*a, bad}, QuerySpec{*b, 1.0}}, shape);
+    ASSERT_FALSE(pop.ok()) << bad;
+    EXPECT_TRUE(pop.status().IsInvalidArgument()) << bad;
+  }
+}
+
+TEST(PopulationTest, MakeRejectsOverflowingTotal) {
+  const CubeShape shape = Shape44();
+  auto a = ElementId::AggregatedView(1, shape);
+  auto b = ElementId::AggregatedView(2, shape);
+  auto pop = QueryPopulation::Make(
+      {QuerySpec{*a, 1e308}, QuerySpec{*b, 1e308}}, shape);
+  ASSERT_FALSE(pop.ok());
+  EXPECT_TRUE(pop.status().IsInvalidArgument());
+  // The largest finite frequencies still normalize when their sum fits.
+  auto ok = QueryPopulation::Make(
+      {QuerySpec{*a, 8e307}, QuerySpec{*b, 8e307}}, shape);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ((*ok)[0].frequency, 0.5);
 }
 
 TEST(PopulationTest, MakeValidatesIds) {

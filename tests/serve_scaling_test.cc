@@ -19,7 +19,10 @@
 #include "serve/view_cache.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -74,17 +77,30 @@ void Populate(ViewCache* cache, const std::vector<ElementId>& ids,
   }
 }
 
+// Binds the calling thread to one CPU.
+void PinToCpu(uint32_t cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
 // Runs `threads` workers, each performing `rounds` pinned hits over
 // `ids`, and returns the wall time of the hammer region (spawn excluded
-// via a start latch).
+// via a start latch). Worker w runs on CPU w % hardware_concurrency: left
+// to the scheduler, new threads can share one CPU for the first few
+// milliseconds, and the wall then measures that placement, not the cache.
 double HammerMs(ViewCache* cache, const std::vector<ElementId>& ids,
                 uint32_t threads, uint32_t rounds) {
+  const uint32_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
   std::atomic<uint32_t> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (uint32_t w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
+      PinToCpu(w % hardware);
       ready.fetch_add(1, std::memory_order_acq_rel);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       double sink = 0.0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "core/computer.h"
 #include "cube/synthetic.h"
 #include "util/rng.h"
@@ -54,6 +57,32 @@ TEST(SessionTest, OptimizeNeedsWorkloadInfo) {
   auto session = OlapSession::FromCube(f.shape, f.cube, options);
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE((*session)->Optimize().IsFailedPrecondition());
+}
+
+// A workload with a NaN, infinite or overflowing frequency used to reach
+// Optimize and abort the process inside Algorithm 1. It is now rejected as
+// InvalidArgument before DeclareWorkload, and the session stays usable.
+TEST(SessionTest, NonFiniteWorkloadIsRejectedNotFatal) {
+  Fixture f = MakeFixture({4, 4}, 5);
+  OlapSession::Options options;
+  options.track_accesses = false;
+  auto session = OlapSession::FromCube(f.shape, f.cube, options);
+  ASSERT_TRUE(session.ok());
+  auto a = ElementId::AggregatedView(1, f.shape);
+  auto b = ElementId::AggregatedView(2, f.shape);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [fa, fb] : {std::pair{nan, 1.0}, std::pair{inf, 1.0},
+                               std::pair{1e308, 1e308}}) {
+    auto pop = FixedPopulation({{*a, fa}, {*b, fb}}, f.shape);
+    ASSERT_FALSE(pop.ok()) << fa << " " << fb;
+    EXPECT_TRUE(pop.status().IsInvalidArgument()) << fa << " " << fb;
+  }
+  EXPECT_TRUE((*session)->Optimize().IsFailedPrecondition());
+  auto pop = FixedPopulation({{*a, 1.0}, {*b, 1.0}}, f.shape);
+  ASSERT_TRUE(pop.ok());
+  ASSERT_TRUE((*session)->DeclareWorkload(*pop).ok());
+  EXPECT_TRUE((*session)->Optimize().ok());
 }
 
 TEST(SessionTest, DeclaredWorkloadDrivesOptimize) {
