@@ -5,6 +5,7 @@
 // for the analytic costs that Figures 8 and 9 report.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include "core/assembly.h"
 #include "core/basis.h"
@@ -135,6 +136,54 @@ void BM_AssemblePyramidBatched(benchmark::State& state) {
       static_cast<double>(total_ops), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_AssemblePyramidBatched);
+
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// The full cube of a 32^4 cube (8 MiB) from three stored dim-1 elements,
+// synthesized in two stages: the store and the heaviest query of
+// perfbench's cold_assembly workload. Stored leaves are read in place, so
+// the only memory a query touches beyond the kernels' is its answer and
+// one 4 MiB child; minor_faults_per_query (getrusage) exposes any copy or
+// fresh mapping outside the Procedure-3 cost model.
+void BM_AssembleFullCubeFromDim1Store(benchmark::State& state) {
+  auto shape = vecube::CubeShape::MakeSquare(4, 32);
+  vecube::Rng rng(7);
+  auto cube = vecube::UniformIntegerCube(*shape, &rng);
+  std::vector<vecube::ElementId> set;
+  for (const vecube::DimCode code :
+       {vecube::DimCode{1, 1}, vecube::DimCode{2, 0}, vecube::DimCode{2, 1}}) {
+    set.push_back(
+        *vecube::ElementId::Make({{0, 0}, code, {0, 0}, {0, 0}}, *shape));
+  }
+  vecube::ElementComputer computer(*shape, &*cube);
+  auto store = computer.Materialize(set);
+  if (!store.ok()) {
+    state.SkipWithError("materialization failed");
+    return;
+  }
+  vecube::AssemblyEngine engine(&*store);
+  const vecube::ElementId full = vecube::ElementId::Root(4);
+  // Plan and first-touch the answer's pages outside the loop.
+  benchmark::DoNotOptimize(engine.Assemble(full)->raw());
+  uint64_t total_ops = 0;
+  const int64_t faults_before = MinorFaults();
+  for (auto _ : state) {
+    vecube::OpCounter ops;
+    auto out = engine.Assemble(full, &ops);
+    benchmark::DoNotOptimize(out->raw());
+    total_ops += ops.adds;
+  }
+  state.counters["adds_per_query"] = benchmark::Counter(
+      static_cast<double>(total_ops), benchmark::Counter::kAvgIterations);
+  state.counters["minor_faults_per_query"] = benchmark::Counter(
+      static_cast<double>(MinorFaults() - faults_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_AssembleFullCubeFromDim1Store)->Unit(benchmark::kMicrosecond);
 
 void BM_PlanningOverhead(benchmark::State& state) {
   // Cost of the Procedure-3 planning pass alone (memoized afterwards).

@@ -61,11 +61,17 @@ struct AssemblyEngine::BatchCache {
     bool ready VECUBE_GUARDED_BY(mu) = false;
     // non-OK when the owning computation failed
     Status status VECUBE_GUARDED_BY(mu);
-    Tensor tensor VECUBE_GUARDED_BY(mu);
+    // The node's result, read in place: a stored element or `tensor`.
+    const Tensor* result VECUBE_GUARDED_BY(mu) = nullptr;
+    // Written by the owning thread before it sets `ready` and read only
+    // after `ready` is seen, so `mu` orders every access.
+    Tensor tensor;
   };
   Mutex mu;
   std::unordered_map<uint64_t, std::shared_ptr<Entry>> map
       VECUBE_GUARDED_BY(mu);
+  // Kernel ops of the computed nodes, each booked once by its owner.
+  std::atomic<uint64_t> adds{0};
 };
 
 AssemblyEngine::AssemblyEngine(const ElementStore* store, ThreadPool* pool,
@@ -302,9 +308,10 @@ uint64_t AssemblyEngine::PlanCost(const ElementId& target) {
   return PlanRaw(codes.data()).cost;
 }
 
-Result<Tensor> AssemblyEngine::ExecuteSolo(const ElementId& target,
-                                           OpCounter* ops,
-                                           const QueryContext* ctx) {
+Result<const Tensor*> AssemblyEngine::Execute(const ElementId& target,
+                                              Tensor* slot, BatchCache* cache,
+                                              OpCounter* ops,
+                                              const QueryContext* ctx) {
   if (ctx != nullptr) VECUBE_RETURN_NOT_OK(ctx->Check());
   // Chaos hook: lets latency tests stall every plan node (kDelay) or fail
   // the assembly mid-plan (kError). Unarmed cost: one relaxed load.
@@ -316,88 +323,57 @@ Result<Tensor> AssemblyEngine::ExecuteSolo(const ElementId& target,
   }
   std::array<DimCode, kMaxAssemblyDims> codes{};
   std::copy(target.codes().begin(), target.codes().end(), codes.begin());
-  const PlanNode node = PlanRaw(codes.data());
-  switch (node.choice) {
-    case Choice::kAggregate: {
-      const ElementId source =
-          indexer_.Decode(SourceOf(EncodeRaw(codes.data())));
-      const Tensor* data;
-      VECUBE_ASSIGN_OR_RETURN(data, store_->Get(source));
-      if (source == target) return *data;
-      return RunCascade(*data, DescentSteps(source, target), ops, ctx);
-    }
-    case Choice::kSynthesize: {
-      ElementId p_id, r_id;
-      VECUBE_ASSIGN_OR_RETURN(
-          p_id, target.Child(node.split_dim, StepKind::kPartial, shape_));
-      VECUBE_ASSIGN_OR_RETURN(
-          r_id, target.Child(node.split_dim, StepKind::kResidual, shape_));
-      Tensor p, r;
-      VECUBE_ASSIGN_OR_RETURN(p, ExecuteSolo(p_id, ops, ctx));
-      VECUBE_ASSIGN_OR_RETURN(r, ExecuteSolo(r_id, ops, ctx));
-      Tensor out;
-      VECUBE_ASSIGN_OR_RETURN(
-          out, SynthesizePair(p, r, node.split_dim, ops, pool_));
-      return out;
-    }
-    case Choice::kNone:
-      break;
-  }
-  return Status::Incomplete("stored element set cannot reconstruct " +
-                            target.ToString());
-}
-
-Result<Tensor> AssemblyEngine::ExecuteShared(const ElementId& target,
-                                             BatchCache* cache,
-                                             std::atomic<uint64_t>* adds,
-                                             const QueryContext* ctx) {
-  if (ctx != nullptr) VECUBE_RETURN_NOT_OK(ctx->Check());
-  std::array<DimCode, kMaxAssemblyDims> codes{};
-  std::copy(target.codes().begin(), target.codes().end(), codes.begin());
-  const uint64_t target_index = EncodeRaw(codes.data());
+  const uint64_t index = EncodeRaw(codes.data());
 
   std::shared_ptr<BatchCache::Entry> entry;
-  bool owner = false;
-  {
-    MutexLock lock(cache->mu);
-    auto [it, inserted] = cache->map.try_emplace(target_index, nullptr);
-    if (inserted) {
-      it->second = std::make_shared<BatchCache::Entry>();
-      owner = true;
-    }
-    entry = it->second;
-  }
-  if (!owner) {
-    // Another thread owns this node. Waits follow child edges of the plan
-    // DAG only, and owners are always running threads, so this terminates;
-    // the timed slices bound each wait (no-unbounded-wait) and let an
-    // expired context unwind instead of riding out a slow owner.
-    MutexLock lock(entry->mu);
-    while (!entry->ready) {
-      if (ctx != nullptr) {
-        Status live = ctx->Check();
-        if (!live.ok()) return live;
+  OpCounter local;
+  if (cache != nullptr) {
+    bool owner = false;
+    {
+      MutexLock lock(cache->mu);
+      auto [it, inserted] = cache->map.try_emplace(index, nullptr);
+      if (inserted) {
+        it->second = std::make_shared<BatchCache::Entry>();
+        owner = true;
       }
-      entry->cv.WaitFor(entry->mu, std::chrono::milliseconds(100));
+      entry = it->second;
     }
-    if (!entry->status.ok()) return entry->status;
-    return entry->tensor;
+    if (!owner) {
+      // Another thread owns this node. Waits follow child edges of the plan
+      // DAG only, and owners are always running threads, so this
+      // terminates; the timed slices bound each wait (no-unbounded-wait)
+      // and let an expired context unwind instead of riding out a slow
+      // owner.
+      MutexLock lock(entry->mu);
+      while (!entry->ready) {
+        if (ctx != nullptr) {
+          Status live = ctx->Check();
+          if (!live.ok()) return live;
+        }
+        entry->cv.WaitFor(entry->mu, std::chrono::milliseconds(100));
+      }
+      if (!entry->status.ok()) return entry->status;
+      return entry->result;
+    }
+    // The entry owns this node's result, and its kernel work lands in a
+    // local counter published once, keeping the batch total an
+    // order-independent sum of per-node costs at every thread count.
+    slot = &entry->tensor;
+    ops = &local;
   }
 
-  // This node's kernel work lands in a local counter and is published
-  // once, keeping the batch total an order-independent sum of per-node
-  // costs — identical at every thread count.
-  OpCounter local;
-  Result<Tensor> result = [&]() -> Result<Tensor> {
-    // Plans were warmed serially by AssembleBatch; this is a memo read.
+  Result<const Tensor*> result = [&]() -> Result<const Tensor*> {
+    // Batch plans were warmed serially by AssembleBatch: a memo read.
     const PlanNode node = PlanRaw(codes.data());
     switch (node.choice) {
       case Choice::kAggregate: {
-        const ElementId source = indexer_.Decode(SourceOf(target_index));
+        const ElementId source = indexer_.Decode(SourceOf(index));
         const Tensor* data;
         VECUBE_ASSIGN_OR_RETURN(data, store_->Get(source));
-        if (source == target) return *data;
-        return RunCascade(*data, DescentSteps(source, target), &local, ctx);
+        if (source == target) return data;
+        VECUBE_ASSIGN_OR_RETURN(
+            *slot, RunCascade(*data, DescentSteps(source, target), ops, ctx));
+        return slot;
       }
       case Choice::kSynthesize: {
         ElementId p_id, r_id;
@@ -405,13 +381,15 @@ Result<Tensor> AssemblyEngine::ExecuteShared(const ElementId& target,
             p_id, target.Child(node.split_dim, StepKind::kPartial, shape_));
         VECUBE_ASSIGN_OR_RETURN(
             r_id, target.Child(node.split_dim, StepKind::kResidual, shape_));
-        Tensor p, r;
-        VECUBE_ASSIGN_OR_RETURN(p, ExecuteShared(p_id, cache, adds, ctx));
-        VECUBE_ASSIGN_OR_RETURN(r, ExecuteShared(r_id, cache, adds, ctx));
-        Tensor out;
+        // Computed children live only as long as this frame.
+        Tensor p_slot, r_slot;
+        const Tensor* p;
+        const Tensor* r;
+        VECUBE_ASSIGN_OR_RETURN(p, Execute(p_id, &p_slot, cache, ops, ctx));
+        VECUBE_ASSIGN_OR_RETURN(r, Execute(r_id, &r_slot, cache, ops, ctx));
         VECUBE_ASSIGN_OR_RETURN(
-            out, SynthesizePair(p, r, node.split_dim, &local, pool_));
-        return out;
+            *slot, SynthesizePair(*p, *r, node.split_dim, ops, pool_));
+        return slot;
       }
       case Choice::kNone:
         break;
@@ -419,14 +397,15 @@ Result<Tensor> AssemblyEngine::ExecuteShared(const ElementId& target,
     return Status::Incomplete("stored element set cannot reconstruct " +
                               target.ToString());
   }();
+  if (entry == nullptr) return result;
+
   // order: relaxed — pure op accounting; the total is read only after
   // ParallelFor's completion barrier has ordered all chunk writes.
-  adds->fetch_add(local.adds, std::memory_order_relaxed);
-
+  cache->adds.fetch_add(local.adds, std::memory_order_relaxed);
   {
     MutexLock lock(entry->mu);
     if (result.ok()) {
-      entry->tensor = *result;
+      entry->result = *result;
     } else {
       entry->status = result.status();
     }
@@ -441,7 +420,12 @@ Result<Tensor> AssemblyEngine::Assemble(const ElementId& target,
                                         const QueryContext* ctx) {
   if (shape_.ndim() > kMaxAssemblyDims) return TooManyDims();
   VECUBE_RETURN_NOT_OK(target.Validate(shape_));
-  return ExecuteSolo(target, ops, ctx);
+  Tensor answer;
+  const Tensor* result;
+  VECUBE_ASSIGN_OR_RETURN(result, Execute(target, &answer, nullptr, ops, ctx));
+  // Only a stored target comes back borrowed; the caller gets a copy.
+  if (result != &answer) return *result;
+  return answer;
 }
 
 Result<std::vector<Tensor>> AssemblyEngine::AssembleBatch(
@@ -466,9 +450,8 @@ Result<std::vector<Tensor>> AssemblyEngine::AssembleBatch(
   // available. The latched cache makes every distinct sub-element compute
   // exactly once regardless of scheduling.
   BatchCache cache;
-  std::atomic<uint64_t> adds{0};
   const uint64_t count = targets.size();
-  std::vector<std::optional<Result<Tensor>>> results(count);
+  std::vector<std::optional<Result<const Tensor*>>> results(count);
 
   // Cost-weighted scheduling: fan targets out largest-Procedure-3-cost
   // first (plans are already memoized, so PlanCost is a table read). The
@@ -490,7 +473,7 @@ Result<std::vector<Tensor>> AssemblyEngine::AssembleBatch(
   auto run_targets = [&](uint64_t begin, uint64_t end) {
     for (uint64_t i = begin; i < end; ++i) {
       const uint64_t t = order[i];
-      results[t] = ExecuteShared(targets[t], &cache, &adds, ctx);
+      results[t] = Execute(targets[t], nullptr, &cache, nullptr, ctx);
     }
   };
   if (fan_out) {
@@ -499,15 +482,29 @@ Result<std::vector<Tensor>> AssemblyEngine::AssembleBatch(
     run_targets(0, count);
   }
 
+  // A computed answer moves out of its entry; a stored target, or a
+  // repeat of an earlier target, is copied.
   std::vector<Tensor> out;
   out.reserve(count);
+  std::unordered_map<uint64_t, uint64_t> first;  // element index -> i
+  MutexLock lock(cache.mu);
   for (uint64_t i = 0; i < count; ++i) {
     if (!results[i]->ok()) return results[i]->status();
-    out.push_back(std::move(**results[i]));
+    const Tensor* result = **results[i];
+    const uint64_t index = indexer_.Encode(targets[i]);
+    const auto [it, fresh] = first.try_emplace(index, i);
+    Tensor& owned = cache.map.at(index)->tensor;
+    if (!fresh) {
+      out.push_back(out[it->second]);
+    } else if (result == &owned) {
+      out.push_back(std::move(owned));
+    } else {
+      out.push_back(*result);
+    }
   }
   // order: relaxed — every contributor finished inside ParallelFor's
   // acq_rel completion barrier, which ordered their fetch_adds here.
-  if (ops != nullptr) ops->adds += adds.load(std::memory_order_relaxed);
+  if (ops != nullptr) ops->adds += cache.adds.load(std::memory_order_relaxed);
   return out;
 }
 

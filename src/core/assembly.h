@@ -15,6 +15,13 @@
 // counts operations, so the analytic cost and the measured cost are the
 // same quantity — a tested invariant of this reproduction.
 //
+// Ownership during execution: a plan node that is a stored element is
+// read in place from the ElementStore (borrowed, never copied); a computed
+// child lives only as long as the frame that synthesizes it (in
+// AssembleBatch, as long as the batch, in its latched cache entry); the
+// only owned tensor is the answer, copied from the store only when the
+// target is itself stored. Copies are work outside the cost model.
+//
 // Implementation note: planning recursions run on raw per-dimension code
 // buffers with memo tables keyed by the element's mixed-radix index
 // (ElementIndexer): one word per graph node, 0 meaning "not yet planned".
@@ -194,16 +201,17 @@ class AssemblyEngine {
   // Memoizes the plan of every node the execution of `codes` will visit
   // (serially), so concurrent batch execution only reads the memo tables.
   void WarmPlanRaw(DimCode* codes, std::unordered_set<uint64_t>* visited);
-  // Single-target execution; no sub-result caching, so the measured ops
-  // equal the analytic PlanCost (which also counts shared descendants of a
-  // single plan once per use).
-  Result<Tensor> ExecuteSolo(const ElementId& target, OpCounter* ops,
-                             const QueryContext* ctx);
-  // Batch execution against the latched cache. `adds` accrues each
-  // computed node's kernel ops exactly once, at the computing thread.
-  Result<Tensor> ExecuteShared(const ElementId& target, BatchCache* cache,
-                               std::atomic<uint64_t>* adds,
-                               const QueryContext* ctx);
+  // Runs the plan of `target` over borrowed inputs and returns where its
+  // result lives: a stored target is the store's own tensor; any other
+  // result is computed into `*slot`, which the caller's frame owns. With a
+  // `cache` (AssembleBatch) the node's latched entry owns the result
+  // instead, `slot` is unused, and each computed node books its kernel ops
+  // into `cache` exactly once; without one every use is booked into `ops`,
+  // so the measured ops equal the analytic PlanCost (which also counts
+  // shared descendants of a single plan once per use).
+  Result<const Tensor*> Execute(const ElementId& target, Tensor* slot,
+                                BatchCache* cache, OpCounter* ops,
+                                const QueryContext* ctx);
   // Aggregate-descent cascade: shard-decomposed when the shard budget and
   // source size allow, otherwise the pooled fused path. Bit-identical
   // either way, with identical analytic booking into `ops`.

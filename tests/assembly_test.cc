@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/basis.h"
 #include "core/computer.h"
 #include "core/graph.h"
 #include "cube/synthetic.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace vecube {
 namespace {
@@ -253,6 +256,70 @@ TEST(AssemblyTest, ExactValuesThroughDeepSynthesis) {
   auto out = engine.Assemble(ElementId::Root(2));
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->ApproxEquals(f.cube, 0.0));
+}
+
+// The store shape of perfbench's cold_assembly set-up: three dim-1
+// elements of an otherwise untouched 4-D cube. Every coarser dim-1 code is
+// synthesized from them, the cube itself in two stages.
+std::vector<ElementId> ColdAssemblySet(const CubeShape& shape) {
+  std::vector<ElementId> set;
+  for (const DimCode code : {DimCode{1, 1}, DimCode{2, 0}, DimCode{2, 1}}) {
+    auto id = ElementId::Make({{0, 0}, code, {0, 0}, {0, 0}}, shape);
+    EXPECT_TRUE(id.ok());
+    set.push_back(*id);
+  }
+  return set;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.extents() == b.extents() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(double)) == 0;
+}
+
+// Assembles every element of an 8^4 cube from the cold_assembly store:
+// the bits equal the ElementComputer's and the ops equal PlanCost, and a
+// stored target's answer is the caller's own copy, never the store's
+// tensor (stored elements are borrowed only inside the engine).
+void ExpectBorrowedInputsAssembleExactly(ThreadPool* pool,
+                                         uint32_t num_shards) {
+  Fixture f = MakeFixture({8, 8, 8, 8}, 17);
+  ElementStore store = MaterializeSet(&f, ColdAssemblySet(f.shape));
+  AssemblyEngine engine(&store, pool, nullptr, num_shards);
+  ElementComputer computer(f.shape, &f.cube);
+  const ElementIndexer indexer(f.shape);
+  uint64_t stored_targets = 0;
+  for (uint64_t i = 0; i < indexer.size(); ++i) {
+    const ElementId id = indexer.Decode(i);
+    auto expected = computer.Compute(id);
+    ASSERT_TRUE(expected.ok());
+    OpCounter ops;
+    auto out = engine.Assemble(id, &ops);
+    ASSERT_TRUE(out.ok()) << id.ToString();
+    ASSERT_TRUE(SameBits(*out, *expected)) << id.ToString();
+    ASSERT_EQ(ops.adds, engine.PlanCost(id)) << id.ToString();
+    if (!store.Contains(id)) continue;
+    ++stored_targets;
+    const Tensor* stored = *store.Get(id);
+    const Tensor before = *stored;
+    EXPECT_NE(out->raw(), stored->raw()) << id.ToString();
+    out->raw()[0] += 1.0;
+    EXPECT_TRUE(SameBits(**store.Get(id), before)) << id.ToString();
+  }
+  EXPECT_EQ(stored_targets, 3u);
+}
+
+TEST(AssemblyTest, BorrowedInputsAssembleEveryElementExactly) {
+  ExpectBorrowedInputsAssembleExactly(nullptr, 1);
+}
+
+TEST(AssemblyTest, ParallelBorrowedInputsAssembleEveryElementExactly) {
+  ThreadPool pool(4);
+  ExpectBorrowedInputsAssembleExactly(&pool, 1);
+}
+
+TEST(AssemblyTest, ParallelShardedBorrowedInputsAssembleEveryElementExactly) {
+  ThreadPool pool(4);
+  ExpectBorrowedInputsAssembleExactly(&pool, 4);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/assembly.h"
 #include "core/basis.h"
 #include "core/computer.h"
 #include "core/graph.h"
 #include "cube/synthetic.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace vecube {
 namespace {
@@ -101,6 +104,99 @@ TEST(BatchAssemblyTest, ErrorsPropagate) {
   ASSERT_FALSE(batch.ok());
   EXPECT_TRUE(batch.status().IsIncomplete());
   EXPECT_FALSE(engine.AssembleBatch({ElementId::Root(3)}).ok());
+}
+
+// The store shape of perfbench's cold_assembly set-up on an 8^4 cube:
+// three dim-1 elements from which every view keeping dimension 1 is
+// synthesized, the cube itself in two stages. `complete = false` drops
+// (0@0, 2@1, 0@0, 0@0), so those views become unreachable.
+Fixture MakeColdAssemblyFixture(bool complete) {
+  auto shape = CubeShape::MakeSquare(4, 8);
+  EXPECT_TRUE(shape.ok());
+  std::vector<ElementId> set;
+  for (const DimCode code : {DimCode{1, 1}, DimCode{2, 0}, DimCode{2, 1}}) {
+    auto id = ElementId::Make({{0, 0}, code, {0, 0}, {0, 0}}, *shape);
+    EXPECT_TRUE(id.ok());
+    set.push_back(*id);
+  }
+  if (!complete) set.pop_back();
+  Rng rng(21);
+  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
+  EXPECT_TRUE(cube.ok());
+  ElementComputer computer(*shape, &*cube);
+  auto store = computer.Materialize(set);
+  EXPECT_TRUE(store.ok());
+  return Fixture{*shape, std::move(cube).value(), std::move(store).value()};
+}
+
+// All 16 aggregated views, then all of them again in reverse order, then
+// the dim-1 P-child of each view that keeps dimension 1. Those children
+// are synthesized sub-results of the views before them, so as targets
+// they are read back from entries other targets computed.
+std::vector<ElementId> ViewsWithDuplicates(const CubeShape& shape) {
+  const std::vector<ElementId> views =
+      ViewElementGraph(shape).AggregatedViews();
+  std::vector<ElementId> targets = views;
+  targets.insert(targets.end(), views.rbegin(), views.rend());
+  for (const ElementId& view : views) {
+    if (view.dim(1).level != 0) continue;
+    auto child = view.Child(1, StepKind::kPartial, shape);
+    EXPECT_TRUE(child.ok());
+    targets.push_back(*child);
+  }
+  return targets;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.extents() == b.extents() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(double)) == 0;
+}
+
+// Shared adds of the batch above: every distinct sub-element once.
+constexpr uint64_t kColdAssemblyBatchAdds = 43147;
+
+TEST(BatchAssemblyTest, PooledBatchMatchesSerialAssembleBitForBit) {
+  Fixture f = MakeColdAssemblyFixture(true);
+  const std::vector<ElementId> targets = ViewsWithDuplicates(f.shape);
+  ASSERT_EQ(targets.size(), 40u);
+  AssemblyEngine serial(&f.store);
+  OpCounter serial_ops;
+  auto serial_batch = serial.AssembleBatch(targets, &serial_ops);
+  ASSERT_TRUE(serial_batch.ok());
+  EXPECT_EQ(serial_ops.adds, kColdAssemblyBatchAdds);
+
+  ThreadPool pool(4);
+  for (const uint32_t shards : {1u, 4u}) {
+    AssemblyEngine pooled(&f.store, &pool, nullptr, shards);
+    OpCounter ops;
+    auto batch = pooled.AssembleBatch(targets, &ops);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), targets.size());
+    EXPECT_EQ(ops.adds, serial_ops.adds) << "shards=" << shards;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      auto single = serial.Assemble(targets[i]);
+      ASSERT_TRUE(single.ok());
+      EXPECT_TRUE(SameBits((*batch)[i], *single))
+          << "shards=" << shards << " " << targets[i].ToString();
+      EXPECT_TRUE(SameBits((*batch)[i], (*serial_batch)[i]));
+    }
+  }
+}
+
+TEST(BatchAssemblyTest, PooledIncompleteStorePropagatesIncomplete) {
+  // Views that aggregate dimension 1 still aggregate down from a stored
+  // element; the others fail mid-batch while their siblings' borrowed
+  // and entry-owned results are live.
+  Fixture f = MakeColdAssemblyFixture(false);
+  const std::vector<ElementId> targets = ViewsWithDuplicates(f.shape);
+  ThreadPool pool(4);
+  for (const uint32_t shards : {1u, 4u}) {
+    AssemblyEngine pooled(&f.store, &pool, nullptr, shards);
+    OpCounter ops;
+    auto batch = pooled.AssembleBatch(targets, &ops);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_TRUE(batch.status().IsIncomplete()) << batch.status().ToString();
+  }
 }
 
 }  // namespace
