@@ -12,7 +12,6 @@
 #include "core/graph.h"
 #include "select/algorithm1.h"
 #include "select/algorithm2.h"
-#include "select/procedure3.h"
 #include "util/rng.h"
 #include "workload/population.h"
 
@@ -50,8 +49,8 @@ void BM_Procedure3Evaluation(benchmark::State& state) {
   std::vector<vecube::ElementId> set = selection->basis;
   set.push_back(vecube::ElementId::Root(4));
   for (auto _ : state) {
-    auto calc = vecube::Procedure3Calculator::Make(*shape, set);
-    benchmark::DoNotOptimize(calc->TotalCost(*population));
+    auto total = vecube::TotalProcessingCost(*shape, set, *population);
+    benchmark::DoNotOptimize(*total);
   }
 }
 BENCHMARK(BM_Procedure3Evaluation);

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "core/basis.h"
+#include "core/planner.h"
 #include "select/algorithm1.h"
 #include "select/pair_cost.h"
-#include "select/procedure3.h"
 #include "workload/population.h"
 
 using vecube::ElementId;
@@ -79,10 +79,10 @@ int main() {
     const bool redundant = !vecube::IsNonRedundant(set, shape);
     const uint64_t storage = vecube::StorageVolume(set, shape);
 
-    auto calc = vecube::Procedure3Calculator::Make(shape, set);
-    if (!calc.ok()) return 1;
-    const uint64_t c1 = calc->Cost(v[1]);
-    const uint64_t c7 = calc->Cost(v[7]);
+    auto planner = vecube::Procedure3Planner::Make(shape, set);
+    if (!planner.ok()) return 1;
+    const uint64_t c1 = planner->Cost(v[1]);
+    const uint64_t c7 = planner->Cost(v[7]);
     const uint64_t processing = c1 + c7;
 
     const bool matches = complete == row.paper_basis &&

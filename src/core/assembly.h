@@ -4,8 +4,8 @@
 // produced from a stored set either by *aggregating* a stored ancestor
 // down (forward dependency) or by *synthesizing* it from its P/R children
 // (reverse dependency, via perfect reconstruction), recursively. The
-// planner chooses the cheapest option per node — exactly the recursion of
-// Procedure 3:
+// engine's Procedure3Planner (core/planner.h) chooses the cheapest option
+// per node — exactly the recursion of Procedure 3:
 //
 //   F_n = min over stored ancestors s of (Vol(s) − Vol(n))
 //   R_n = Vol(n) + min_m (T_p^m + T_r^m)
@@ -22,17 +22,9 @@
 // only owned tensor is the answer, copied from the store only when the
 // target is itself stored. Copies are work outside the cost model.
 //
-// Implementation note: planning recursions run on raw per-dimension code
-// buffers with memo tables keyed by the element's mixed-radix index
-// (ElementIndexer): one word per graph node, 0 meaning "not yet planned".
-// Up to kDenseMemoLimit nodes the tables are flat arrays calloc'd on the
-// first plan, so pages the planner never touches stay unbacked zero pages;
-// above it they are hash maps over the visited nodes. A node is expanded
-// into its synthesis cones only when some stored element is finer than it
-// and comparable with it (DESIGN.md §1, Procedure 3), so a plan visits the
-// nodes near its target rather than the whole graph.
-// The raw buffers are fixed kMaxDims arrays; every public entry point
-// rejects stores of higher arity up front (CubeShape admits up to 24
+// The planner is built over the store's element ids and rebuilt by
+// Invalidate(); it rejects stores above kMaxAssemblyDims dimensions, and
+// every public entry point then fails cleanly (CubeShape admits up to 24
 // dimensions, so the check is load-bearing, not decorative).
 //
 // Threading model: planning is always serial (memo tables are unlocked).
@@ -47,15 +39,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <limits>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/element_id.h"
 #include "core/graph.h"
+#include "core/planner.h"
 #include "core/shard_plan.h"
 #include "core/store.h"
 #include "cube/shape.h"
@@ -67,13 +56,6 @@
 #include "util/thread_pool.h"
 
 namespace vecube {
-
-/// Cost value for unreachable targets.
-inline constexpr uint64_t kInfiniteCost =
-    std::numeric_limits<uint64_t>::max();
-
-/// Highest store arity the engine's fixed planning buffers support.
-inline constexpr uint32_t kMaxAssemblyDims = 16;
 
 /// Plans and executes assemblies of view elements over an ElementStore.
 /// The planner memo is tied to the store's contents; call Invalidate()
@@ -132,75 +114,12 @@ class AssemblyEngine {
   [[nodiscard]] uint32_t num_shards() const { return num_shards_; }
 
  private:
-  enum class Choice : uint8_t { kAggregate, kSynthesize, kNone };
-
-  // One node's plan, unpacked from its plan-memo word. The aggregate
-  // source is not part of it: it is the node's ancestor-memo entry.
-  struct PlanNode {
-    uint64_t cost = kInfiniteCost;
-    Choice choice = Choice::kNone;
-    uint32_t split_dim = 0;  // kSynthesize
-  };
-
-  // A stored element as the ancestor memo refers to it.
-  struct StoredRef {
-    uint64_t index;   // encoded element index
-    uint64_t volume;  // kInfiniteCost for the "no ancestor" sentinel
-  };
-
-  // One word per graph node, 0 meaning "not yet visited". Dense tables are
-  // calloc'd on the first Set(), so an engine that never plans allocates
-  // nothing and untouched pages are never backed.
-  template <typename Word>
-  class WordMemo {
-   public:
-    void Reset(uint64_t universe, bool dense) {
-      universe_ = universe;
-      dense_ = dense;
-      words_.reset();
-      map_.clear();
-    }
-    [[nodiscard]] Word Get(uint64_t index) const {
-      if (dense_) return words_ != nullptr ? words_[index] : Word{0};
-      auto it = map_.find(index);
-      return it == map_.end() ? Word{0} : it->second;
-    }
-    void Set(uint64_t index, Word word);
-
-   private:
-    struct FreeDeleter {
-      void operator()(Word* words) const { std::free(words); }
-    };
-    uint64_t universe_ = 0;
-    bool dense_ = false;
-    std::unique_ptr<Word[], FreeDeleter> words_;
-    std::unordered_map<uint64_t, Word> map_;
-  };
-
   // Cross-target cache of sub-results for AssembleBatch. Each entry is a
   // latch: the first thread to insert it owns the computation; later
   // arrivals block on `cv` until `ready`. Sub-element dependencies form a
   // DAG (children are strictly deeper), so waits cannot cycle.
   struct BatchCache;
 
-  uint64_t EncodeRaw(const DimCode* codes) const;
-  uint64_t VolumeRaw(const DimCode* codes) const;
-  // The smallest stored ancestor-or-self, as an ancestor-memo word: 1 + its
-  // position in stored_ (position 0 is the "none" sentinel).
-  uint32_t MinAncestorRaw(DimCode* codes);
-  PlanNode PlanRaw(DimCode* codes);
-  // True when some stored element is comparable with `codes` in every
-  // dimension (one code a dyadic prefix of the other) and strictly finer in
-  // at least one: a "finer relative". Without one, synthesis cannot beat
-  // aggregation (DESIGN.md §1, Procedure 3).
-  [[nodiscard]] bool HasFinerRelativeRaw(const DimCode* codes) const;
-  // Encoded index of the stored element a kAggregate node reads from.
-  [[nodiscard]] uint64_t SourceOf(uint64_t index) const {
-    return stored_[ancestor_memo_.Get(index) - 1].index;
-  }
-  // Memoizes the plan of every node the execution of `codes` will visit
-  // (serially), so concurrent batch execution only reads the memo tables.
-  void WarmPlanRaw(DimCode* codes, std::unordered_set<uint64_t>* visited);
   // Runs the plan of `target` over borrowed inputs and returns where its
   // result lives: a stored target is the store's own tensor; any other
   // result is computed into `*slot`, which the caller's frame owns. With a
@@ -226,15 +145,9 @@ class AssemblyEngine {
   std::unique_ptr<ThreadedShardExecutor> shard_exec_;
   CubeShape shape_;
   ElementIndexer indexer_;
-  bool dense_memos_ = false;
-  // Stored elements: encoded index -> position in stored_, and stored_
-  // itself, behind the "none" sentinel at position 0.
-  std::unordered_map<uint64_t, uint32_t> stored_slot_;
-  std::vector<StoredRef> stored_;
-  // The codes of stored_[j + 1], ndim() per element, for the prune's scan.
-  std::vector<DimCode> stored_codes_;
-  WordMemo<uint32_t> ancestor_memo_;
-  WordMemo<uint64_t> plan_memo_;
+  // Plans over the store's current ids; an error for stores the planner
+  // rejects.
+  Result<Procedure3Planner> planner_;
 };
 
 }  // namespace vecube

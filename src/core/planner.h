@@ -1,0 +1,162 @@
+// Procedure3Planner: the Procedure-3 recursion (Section 5.3, Eqs. 32-34)
+// over a set of stored view elements, without their data.
+//
+//   F_n = min over stored ancestors s of (Vol(s) − Vol(n))   [aggregation]
+//   R_n = Vol(n) + min_m (T_p^m + T_r^m)                     [synthesis]
+//   T_n = min(F_n, R_n)
+//
+// It is the one planner of the tree. AssemblyEngine executes the plans it
+// records over its store; Algorithm 2 and the configuration advisor score
+// hypothetical element sets with it, and the Section 7.2.2 refinement
+// keeps only the elements the recorded plans read (UsedElements).
+//
+// Implementation note: the recursions run on raw per-dimension code
+// buffers with memo tables keyed by the element's mixed-radix index
+// (ElementIndexer): one word per graph node, 0 meaning "not yet planned".
+// Up to kDenseMemoLimit nodes the tables are flat arrays calloc'd on the
+// first plan, so pages the planner never touches stay unbacked zero pages;
+// above it they are hash maps over the visited nodes. A node is expanded
+// into its synthesis cones only when some stored element is finer than it
+// and comparable with it (DESIGN.md §1, Procedure 3), so a plan visits the
+// nodes near its target rather than the whole graph. The raw buffers are
+// fixed kMaxAssemblyDims arrays; Make rejects shapes of higher arity
+// (CubeShape admits up to 24 dimensions, so the check is load-bearing).
+//
+// Planning is serial: the memo tables are unlocked. Once Warm() has
+// planned every node a target's execution visits, Plan and SourceOf on
+// those nodes only read the memo and may run concurrently.
+
+#ifndef VECUBE_CORE_PLANNER_H_
+#define VECUBE_CORE_PLANNER_H_
+
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <memory>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "core/element_id.h"
+#include "core/graph.h"
+#include "cube/shape.h"
+#include "util/result.h"
+
+namespace vecube {
+
+/// Cost value for unreachable targets.
+inline constexpr uint64_t kInfiniteCost =
+    std::numeric_limits<uint64_t>::max();
+
+/// Highest store arity the planner's fixed code buffers support.
+inline constexpr uint32_t kMaxAssemblyDims = 16;
+
+/// Plans the cheapest assembly of any view element from a fixed set of
+/// stored elements. Plans are memoized across calls.
+class Procedure3Planner {
+ public:
+  enum class Choice : uint8_t { kAggregate, kSynthesize, kNone };
+
+  /// One node's plan. A kAggregate node reads SourceOf(node).
+  struct Node {
+    uint64_t cost = kInfiniteCost;
+    Choice choice = Choice::kNone;
+    uint32_t split_dim = 0;  // kSynthesize
+  };
+
+  /// InvalidArgument if the shape has more than kMaxAssemblyDims
+  /// dimensions or an id does not fit it.
+  static Result<Procedure3Planner> Make(const CubeShape& shape,
+                                        const std::vector<ElementId>& ids);
+
+  /// T_n for one target; kInfiniteCost when the set cannot reconstruct it
+  /// or `target` does not fit the shape.
+  uint64_t Cost(const ElementId& target);
+
+  /// The plan of `target`, which must fit the shape.
+  Node Plan(const ElementId& target);
+
+  /// The stored element a kAggregate node aggregates down from: its
+  /// smallest stored ancestor-or-self. Valid once `target` is planned.
+  [[nodiscard]] ElementId SourceOf(const ElementId& target) const;
+
+  /// Plans every node the execution of `target` (which must fit the
+  /// shape) visits, adding their encoded indices to `visited`; nodes
+  /// already in it are skipped. Afterwards Plan and SourceOf on them are
+  /// memo reads.
+  void Warm(const ElementId& target, std::unordered_set<uint64_t>* visited);
+
+  /// The stored elements the recorded plans of `targets` read, i.e. the
+  /// sources of their aggregate leaves, in store order. Every other
+  /// stored element is obsolete for these targets: removing it changes
+  /// no recorded plan and hence no cost (Section 7.2.2). Incomplete if a
+  /// target is unreachable.
+  Result<std::vector<ElementId>> UsedElements(
+      const std::vector<ElementId>& targets);
+
+ private:
+  // A stored element as the ancestor memo refers to it.
+  struct StoredRef {
+    uint64_t index;   // encoded element index
+    uint64_t volume;  // kInfiniteCost for the "no ancestor" sentinel
+  };
+
+  // One word per graph node, 0 meaning "not yet visited". Dense tables are
+  // calloc'd on the first Set(), so a planner that never plans allocates
+  // nothing and untouched pages are never backed.
+  template <typename Word>
+  class WordMemo {
+   public:
+    void Reset(uint64_t universe, bool dense) {
+      universe_ = universe;
+      dense_ = dense;
+      words_.reset();
+      map_.clear();
+    }
+    [[nodiscard]] Word Get(uint64_t index) const {
+      if (dense_) return words_ != nullptr ? words_[index] : Word{0};
+      auto it = map_.find(index);
+      return it == map_.end() ? Word{0} : it->second;
+    }
+    void Set(uint64_t index, Word word);
+
+   private:
+    struct FreeDeleter {
+      void operator()(Word* words) const { std::free(words); }
+    };
+    uint64_t universe_ = 0;
+    bool dense_ = false;
+    std::unique_ptr<Word[], FreeDeleter> words_;
+    std::unordered_map<uint64_t, Word> map_;
+  };
+
+  explicit Procedure3Planner(const CubeShape& shape);
+
+  uint64_t EncodeRaw(const DimCode* codes) const;
+  uint64_t VolumeRaw(const DimCode* codes) const;
+  // The smallest stored ancestor-or-self, as an ancestor-memo word: 1 + its
+  // position in stored_ (position 0 is the "none" sentinel).
+  uint32_t MinAncestorRaw(DimCode* codes);
+  Node PlanRaw(DimCode* codes);
+  // True when some stored element is comparable with `codes` in every
+  // dimension (one code a dyadic prefix of the other) and strictly finer in
+  // at least one: a "finer relative". Without one, synthesis cannot beat
+  // aggregation (DESIGN.md §1, Procedure 3).
+  [[nodiscard]] bool HasFinerRelativeRaw(const DimCode* codes) const;
+  void WarmPlanRaw(DimCode* codes, std::unordered_set<uint64_t>* visited);
+
+  CubeShape shape_;
+  ElementIndexer indexer_;
+  // Stored elements: encoded index -> position in stored_, and stored_
+  // itself, behind the "none" sentinel at position 0.
+  std::unordered_map<uint64_t, uint32_t> stored_slot_;
+  std::vector<StoredRef> stored_;
+  // The codes of stored_[j + 1], ndim() per element, for the prune's scan.
+  std::vector<DimCode> stored_codes_;
+  WordMemo<uint32_t> ancestor_memo_;
+  WordMemo<uint64_t> plan_memo_;
+};
+
+}  // namespace vecube
+
+#endif  // VECUBE_CORE_PLANNER_H_

@@ -7,21 +7,8 @@
 #include "select/algorithm1.h"
 #include "select/algorithm2.h"
 #include "select/pair_cost.h"
-#include "select/procedure3.h"
 
 namespace vecube {
-
-namespace {
-
-Result<double> Procedure3Total(const CubeShape& shape,
-                               const std::vector<ElementId>& set,
-                               const QueryPopulation& population) {
-  auto calc = Procedure3Calculator::Make(shape, set);
-  if (!calc.ok()) return calc.status();
-  return calc->TotalCost(population);
-}
-
-}  // namespace
 
 std::string AdvisorReport::ToString() const {
   std::string out;
@@ -66,13 +53,13 @@ Result<AdvisorReport> AdviseConfiguration(const CubeShape& shape,
   // Comparators.
   VECUBE_ASSIGN_OR_RETURN(
       report.cube_only_cost,
-      Procedure3Total(shape, CubeOnlySet(shape), population));
+      TotalProcessingCost(shape, CubeOnlySet(shape), population));
   VECUBE_ASSIGN_OR_RETURN(
       report.wavelet_cost,
-      Procedure3Total(shape, WaveletBasisSet(shape), population));
+      TotalProcessingCost(shape, WaveletBasisSet(shape), population));
   const auto hierarchy = ViewHierarchySet(shape);
   VECUBE_ASSIGN_OR_RETURN(report.view_hierarchy_cost,
-                          Procedure3Total(shape, hierarchy, population));
+                          TotalProcessingCost(shape, hierarchy, population));
   report.view_hierarchy_storage = StorageVolume(hierarchy, shape);
 
   // The non-expansive optimum.
@@ -84,7 +71,7 @@ Result<AdvisorReport> AdviseConfiguration(const CubeShape& shape,
       static_cast<double>(report.basis.storage_cells) / vol;
   VECUBE_ASSIGN_OR_RETURN(
       report.basis.processing_cost,
-      Procedure3Total(shape, selection.basis, population));
+      TotalProcessingCost(shape, selection.basis, population));
   if (report.basis.processing_cost == 0.0) {
     report.zero_cost_storage = report.basis.storage_cells;
   }

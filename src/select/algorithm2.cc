@@ -5,7 +5,7 @@
 
 #include "core/basis.h"
 #include "core/graph.h"
-#include "select/procedure3.h"
+#include "core/planner.h"
 #include "util/logging.h"
 
 namespace vecube {
@@ -14,26 +14,35 @@ namespace {
 
 constexpr uint64_t kMaxCandidates = uint64_t{1} << 20;
 
-Result<double> EvaluateCost(const CubeShape& shape,
-                            const std::vector<ElementId>& selected,
-                            const QueryPopulation& population) {
-  auto calc = Procedure3Calculator::Make(shape, selected);
-  if (!calc.ok()) return calc.status();
-  return calc->TotalCost(population);
-}
-
-// The Section 7.2.2 refinement: drop selected elements that no optimal
-// plan references. Removing an unused element changes no plan, so the
-// total processing cost is exactly preserved while storage shrinks.
+// The Section 7.2.2 refinement: drop selected elements that no recorded
+// plan reads. Removing an unused element changes no plan, so the total
+// processing cost is exactly preserved while storage shrinks.
 Result<std::vector<ElementId>> RemoveObsolete(
     const CubeShape& shape, const std::vector<ElementId>& selected,
     const QueryPopulation& population) {
-  auto calc = Procedure3Calculator::Make(shape, selected);
-  if (!calc.ok()) return calc.status();
-  return calc->UsedElements(population);
+  auto planner = Procedure3Planner::Make(shape, selected);
+  if (!planner.ok()) return planner.status();
+  std::vector<ElementId> queries;
+  queries.reserve(population.queries().size());
+  for (const QuerySpec& q : population.queries()) queries.push_back(q.view);
+  return planner->UsedElements(queries);
 }
 
 }  // namespace
+
+Result<double> TotalProcessingCost(const CubeShape& shape,
+                                   const std::vector<ElementId>& selected,
+                                   const QueryPopulation& population) {
+  auto planner = Procedure3Planner::Make(shape, selected);
+  if (!planner.ok()) return planner.status();
+  double total = 0.0;
+  for (const QuerySpec& q : population.queries()) {
+    const uint64_t t = planner->Cost(q.view);
+    if (t == kInfiniteCost) return static_cast<double>(kInfiniteCost);
+    total += q.frequency * static_cast<double>(t);
+  }
+  return total;
+}
 
 Result<std::vector<GreedyStep>> GreedySelect(const CubeShape& shape,
                                              const QueryPopulation& population,
@@ -63,7 +72,7 @@ Result<std::vector<GreedyStep>> GreedySelect(const CubeShape& shape,
   step0.storage_cells = StorageVolume(initial, shape);
   {
     double cost;
-    VECUBE_ASSIGN_OR_RETURN(cost, EvaluateCost(shape, initial, population));
+    VECUBE_ASSIGN_OR_RETURN(cost, TotalProcessingCost(shape, initial, population));
     if (cost >= static_cast<double>(kInfiniteCost)) {
       return Status::FailedPrecondition(
           "initial set is not complete for the query population");
@@ -97,7 +106,7 @@ Result<std::vector<GreedyStep>> GreedySelect(const CubeShape& shape,
       selected.push_back(candidate);
       double new_cost;
       VECUBE_ASSIGN_OR_RETURN(new_cost,
-                              EvaluateCost(shape, selected, population));
+                              TotalProcessingCost(shape, selected, population));
       selected.pop_back();
       if (new_cost < cost) {
         improvements.push_back(Improvement{new_cost, &candidate});

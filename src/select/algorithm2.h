@@ -51,6 +51,13 @@ struct GreedyStep {
   std::vector<ElementId> selected;
 };
 
+/// Procedure-3 total processing cost T = Σ_k f_k T_k of `selected` (Eqs.
+/// 32-34), planned by a Procedure3Planner; kInfiniteCost as a double when
+/// a query is unreachable. Errors if the planner rejects the set.
+Result<double> TotalProcessingCost(const CubeShape& shape,
+                                   const std::vector<ElementId>& selected,
+                                   const QueryPopulation& population);
+
 /// Runs the greedy loop from `initial` until the target storage is
 /// reached, the cost hits zero, or no candidate improves the cost.
 /// Returns the frontier including step 0. `initial` must be complete

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/basis.h"
+#include "oracle/procedure3.h"
 #include "select/algorithm1.h"
-#include "select/procedure3.h"
 #include "util/rng.h"
 
 namespace vecube {

@@ -10,6 +10,7 @@
 #include "core/computer.h"
 #include "core/freq_rect.h"
 #include "core/graph.h"
+#include "core/planner.h"
 #include "cube/synthetic.h"
 #include "util/rng.h"
 
@@ -149,8 +150,8 @@ TEST_F(HighDimFixture, WaveletBasisNonExpansive) {
 
 // Regression: the assembly planner runs on fixed 16-slot code buffers. A
 // 17-dimensional store used to overflow them silently (stack smash at
-// PlanCost/Execute's std::array copy); the engine must reject such shapes
-// cleanly instead, mirroring Procedure3Calculator::Make.
+// PlanCost/Execute's std::array copy); Procedure3Planner::Make rejects such
+// shapes, and every engine entry point fails cleanly instead.
 TEST(DimensionLimitTest, SeventeenDimStoreRejectedByAssemblyEngine) {
   auto shape = CubeShape::Make(std::vector<uint32_t>(17, 2));
   ASSERT_TRUE(shape.ok());  // representable: the shape cap is 24
@@ -176,6 +177,10 @@ TEST(DimensionLimitTest, SeventeenDimStoreRejectedByAssemblyEngine) {
   auto view = engine.AssembleView((1u << 17) - 1);
   ASSERT_FALSE(view.ok());
   EXPECT_TRUE(view.status().IsInvalidArgument());
+
+  EXPECT_TRUE(Procedure3Planner::Make(*shape, CubeOnlySet(*shape))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(DimensionLimitTest, TwentyFiveDimsRejectedByShape) {

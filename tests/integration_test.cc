@@ -10,12 +10,12 @@
 #include "cube/cube_builder.h"
 #include "cube/sparse_cube.h"
 #include "cube/synthetic.h"
+#include "oracle/procedure3.h"
 #include "range/prefix_baseline.h"
 #include "range/range_engine.h"
 #include "select/algorithm1.h"
 #include "select/algorithm2.h"
 #include "select/dynamic.h"
-#include "select/procedure3.h"
 #include "util/rng.h"
 
 namespace vecube {

@@ -15,9 +15,9 @@
 #include "core/computer.h"
 #include "core/graph.h"
 #include "cube/synthetic.h"
+#include "oracle/procedure3.h"
 #include "select/algorithm1.h"
 #include "select/pair_cost.h"
-#include "select/procedure3.h"
 #include "util/rng.h"
 
 namespace vecube {

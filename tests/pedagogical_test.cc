@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "core/basis.h"
+#include "oracle/procedure3.h"
 #include "select/algorithm1.h"
 #include "select/pair_cost.h"
-#include "select/procedure3.h"
 #include "workload/population.h"
 
 namespace vecube {

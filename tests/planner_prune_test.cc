@@ -1,9 +1,10 @@
-// Oracle tests for the planner's prune: AssemblyEngine expands a node's
+// Oracle tests for the planner's prune: Procedure3Planner expands a node's
 // synthesis cones only when a stored element is finer than the node and
-// comparable with it. The untouched, exhaustive Procedure3Calculator is the
-// oracle: on random redundant stores every node's PlanCost must equal its
-// Procedure-3 cost, Assemble must book exactly that many adds, and the
-// result must be bit-identical to the direct cascade.
+// comparable with it. The exhaustive Procedure3Calculator (tests/oracle) is
+// the oracle: on random redundant stores every node's PlanCost must equal
+// its Procedure-3 cost, Assemble must book exactly that many adds, the
+// result must be bit-identical to the direct cascade, and the elements the
+// recorded plan reads must reach the same cost on their own.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,9 @@
 #include "core/assembly.h"
 #include "core/computer.h"
 #include "core/graph.h"
+#include "core/planner.h"
 #include "cube/synthetic.h"
-#include "select/procedure3.h"
+#include "oracle/procedure3.h"
 #include "util/rng.h"
 
 namespace vecube {
@@ -84,6 +86,8 @@ TEST_P(PlannerPruneOracle, EveryNodeMatchesProcedure3OnRedundantStores) {
     AssemblyEngine engine(&*store);
     auto oracle = Procedure3Calculator::Make(shape, set);
     ASSERT_TRUE(oracle.ok());
+    auto planner = Procedure3Planner::Make(shape, set);
+    ASSERT_TRUE(planner.ok());
     for (const auto& [id, data] : expected) {
       const uint64_t cost = oracle->Cost(id);
       ASSERT_EQ(engine.PlanCost(id), cost)
@@ -94,6 +98,18 @@ TEST_P(PlannerPruneOracle, EveryNodeMatchesProcedure3OnRedundantStores) {
       ASSERT_TRUE(got.ok()) << id.ToString();
       EXPECT_EQ(ops.adds, cost) << "trial " << trial << " " << id.ToString();
       EXPECT_TRUE(got->ApproxEquals(data, 0.0))
+          << "trial " << trial << " " << id.ToString();
+      // The used set is part of the store and, alone, just as cheap. (Ties
+      // may pick a different used set than the oracle's, so compare costs.)
+      auto used = planner->UsedElements({id});
+      ASSERT_TRUE(used.ok()) << id.ToString();
+      for (const ElementId& u : *used) {
+        ASSERT_TRUE(std::binary_search(set.begin(), set.end(), u))
+            << "trial " << trial << " " << u.ToString();
+      }
+      auto reduced = Procedure3Planner::Make(shape, *used);
+      ASSERT_TRUE(reduced.ok());
+      EXPECT_EQ(reduced->Cost(id), cost)
           << "trial " << trial << " " << id.ToString();
     }
   }

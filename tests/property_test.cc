@@ -11,9 +11,9 @@
 #include "core/graph.h"
 #include "cube/synthetic.h"
 #include "haar/cascade.h"
+#include "oracle/procedure3.h"
 #include "select/algorithm1.h"
 #include "select/pair_cost.h"
-#include "select/procedure3.h"
 #include "util/rng.h"
 #include "workload/population.h"
 

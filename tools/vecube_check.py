@@ -49,7 +49,7 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          shard tier is the innermost lock level; see
                          DESIGN.md §12).
   no-unbounded-wait      No bare ``CondVar::Wait`` may be *reachable*
-                         from the serving path (WaitFill, ExecuteShared,
+                         from the serving path (WaitFill, AssembleBatch,
                          Admit, the session/dynamic/range query entry
                          points, ParallelFor): every wait a query can
                          block on must be a bounded ``WaitFor`` slice so
@@ -98,6 +98,11 @@ as and the rule(s) it must trip:
 
 The run fails unless every canary trips every expected rule — proof the
 checker still has teeth.
+
+A whole-tree run (no explicit paths) also fails when a root of a
+call-graph rule (hit-path-no-locks, no-shared-scratch-on-shard-path,
+no-unbounded-wait) names no function in the tree: a rename must move the
+root, never quietly retire the rule.
 
 Exits 0 when clean (or all canaries trip), 1 on findings (or a silent
 canary), 2 on usage errors.
@@ -163,7 +168,7 @@ SHARD_SCRATCH_BAN_RE = re.compile(
 # (re-checking the QueryContext each wake) are allowed (DESIGN.md §13).
 SERVING_WAIT_ROOTS = (
     "ViewCache::WaitFill",
-    "AssemblyEngine::ExecuteShared",
+    "AssemblyEngine::AssembleBatch",
     "AdmissionController::Admit",
     "AdmissionController::Drain",
     "OlapSession::Element",
@@ -407,8 +412,29 @@ FUNC_HEAD_RE = re.compile(
     r"((?:[A-Za-z_]\w*::)*~?[A-Za-z_]\w*)\s*\(")
 
 
+NAMESPACE_RE = re.compile(r"\bnamespace\s+([A-Za-z_]\w*(?:::[A-Za-z_]\w*)*)\s*\{")
+
+
+def namespace_spans(text: str) -> list:
+    """(body start, body end, name) of every named namespace block, in
+    source order, so enclosing spans come before nested ones."""
+    spans = []
+    for m in NAMESPACE_RE.finditer(text):
+        pos = m.end()
+        depth = 1
+        while pos < len(text) and depth > 0:
+            if text[pos] == "{":
+                depth += 1
+            elif text[pos] == "}":
+                depth -= 1
+            pos += 1
+        spans.append((m.end(), pos, m.group(1)))
+    return spans
+
+
 def index_file_lexer(src: SourceFile, index: FunctionIndex):
     text = "\n".join(src.code_lines)
+    namespaces = namespace_spans(text)
     for m in FUNC_HEAD_RE.finditer(text):
         name = m.group(1)
         base = name.rsplit("::", 1)[-1].lstrip("~")
@@ -458,7 +484,11 @@ def index_file_lexer(src: SourceFile, index: FunctionIndex):
             continue
         start_line = text.count("\n", 0, body_start) + 1
         end_line = text.count("\n", 0, pos) + 1
-        index.add(Function(name, src.rel, start_line, end_line,
+        # Qualify with the enclosing named namespaces, as the AST backend
+        # does, so a root such as internal::ExecuteCascadeSerial resolves.
+        qualname = "::".join([ns for begin, end, ns in namespaces
+                              if begin <= body_start < end] + [name])
+        index.add(Function(qualname, src.rel, start_line, end_line,
                            text[body_start:pos]))
 
 
@@ -538,6 +568,32 @@ def index_with_ast(cindex, root: Path, compile_commands: Path,
 # ----------------------------------------------------------------------
 # Rules.
 # ----------------------------------------------------------------------
+
+GRAPH_RULE_ROOTS = (
+    ("hit-path-no-locks", HIT_PATH_ROOTS),
+    ("no-shared-scratch-on-shard-path", SHARD_SCRATCH_ROOTS),
+    ("no-unbounded-wait", SERVING_WAIT_ROOTS),
+)
+
+
+def check_roots_resolve(index: FunctionIndex, findings: list):
+    """Every root of a call-graph rule must name a function in the tree.
+    reachable() skips an unknown root, so a renamed or deleted root would
+    otherwise retire its share of the rule without a word."""
+    script = Path(__file__).resolve()
+    lines = script.read_text().splitlines()
+    for rule, roots in GRAPH_RULE_ROOTS:
+        for q in roots:
+            if index.by_qual.get(q):
+                continue
+            lineno = next((i for i, text in enumerate(lines, start=1)
+                           if f'"{q}"' in text), 1)
+            findings.append(Finding(
+                "tools/vecube_check.py", lineno, rule,
+                f"root {q} resolves to no function in the tree, so the "
+                "rule checks nothing from it; point the root list at the "
+                "function that now holds that path"))
+
 
 def check_hit_path(index: FunctionIndex, sources: dict, findings: list):
     for fn in index.reachable(HIT_PATH_ROOTS):
@@ -770,7 +826,8 @@ def collect_sources(root: Path, paths: list) -> dict:
 
 
 def run_rules(root: Path, sources: dict, backend: str,
-              compile_commands: Path | None) -> list:
+              compile_commands: Path | None,
+              require_roots: bool = False) -> list:
     index = None
     if backend in ("auto", "ast"):
         cindex = try_load_cindex()
@@ -795,6 +852,8 @@ def run_rules(root: Path, sources: dict, backend: str,
         index.link()
 
     findings: list = []
+    if require_roots:
+        check_roots_resolve(index, findings)
     check_hit_path(index, sources, findings)
     check_shard_scratch(index, sources, findings)
     check_unbounded_wait(index, sources, findings)
@@ -880,7 +939,10 @@ def main() -> int:
 
     sources = collect_sources(root, args.paths)
     cc = Path(args.compile_commands) if args.compile_commands else None
-    findings = run_rules(root, sources, args.backend, cc)
+    # Only a whole-tree run must see every root; explicit paths and the
+    # canaries check a slice of it.
+    findings = run_rules(root, sources, args.backend, cc,
+                         require_roots=not args.paths)
     for finding in sorted(findings, key=lambda f: (f.path, f.line)):
         print(finding)
     if findings:
