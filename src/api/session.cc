@@ -599,7 +599,8 @@ Result<Tensor> OlapSession::Element(const ElementId& id,
   ++stats_.queries;
   stats_.assembly_ops += answer.ops;
   if (options_.track_accesses) access_log_.Record(id);
-  return std::move(answer.data);
+  // One copy per hit (a shared answer), none per uncached fill.
+  return std::move(answer.data).Take();
 }
 
 Result<QueryAnswer> OlapSession::Query(const ElementId& id,

@@ -13,10 +13,21 @@
 // already-queued waiters keep their place and are admitted as slots
 // free, so an operator-initiated drain (vecube_cli serve on SIGINT)
 // finishes the work it already accepted.
+//
+// The fast path takes no lock (DESIGN.md §12): the occupied-slot count
+// is one atomic word, an arrival takes a slot with a CAS while the count
+// is below `max_inflight`, and a release is an atomic decrement. The
+// mutex and condvar serve only queueing (with `max_queue` shedding and
+// the timed slices), Drain and Shutdown. A waiter or drainer registers
+// in `sleepers_` under the mutex before it re-checks the count, and a
+// release that sees a registration takes the mutex and notifies, so no
+// wake-up is lost; a release with nobody registered touches only the
+// count.
 
 #ifndef VECUBE_SERVE_ADMISSION_H_
 #define VECUBE_SERVE_ADMISSION_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <utility>
@@ -55,7 +66,8 @@ class AdmissionController {
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  /// RAII slot: releases on destruction, waking one queued waiter.
+  /// RAII slot: releases on destruction, waking the queued waiters and
+  /// drainers if any are registered.
   class Permit {
    public:
     Permit() noexcept = default;
@@ -94,7 +106,8 @@ class AdmissionController {
   Result<Permit> Admit(const QueryContext& ctx = QueryContext());
 
   /// Stops admitting new queries (kUnavailable). Queued waiters keep
-  /// their place and drain normally.
+  /// their place and drain normally. An arrival racing Shutdown() is
+  /// either refused or holds a slot that Drain() waits for.
   void Shutdown();
 
   /// Blocks (in bounded slices) until no permits are outstanding and the
@@ -105,18 +118,30 @@ class AdmissionController {
   [[nodiscard]] AdmissionMetrics Metrics() const;
 
  private:
-  void ReleaseSlot();
+  /// Takes a slot if one is free (CAS on `inflight_`); false when all
+  /// `max_inflight` are occupied.
+  bool TryTakeSlot();
+  /// Admit's slow path: queues under `mu_` once every slot is taken.
+  Result<Permit> AdmitQueued(const QueryContext& ctx) VECUBE_EXCLUDES(mu_);
+  void ReleaseSlot() VECUBE_EXCLUDES(mu_);
 
   AdmissionOptions options_;  ///< immutable after construction
+  // Lock-free state: the atomics' contracts are their `// order:`
+  // comments in admission.cc.
+  std::atomic<uint32_t> inflight_{0};  ///< occupied slots
+  /// Queued waiters plus running Drain() calls. Changed only under mu_;
+  /// read lock-free by every release.
+  std::atomic<uint32_t> sleepers_{0};
+  /// Set once, under mu_; read lock-free after every fast-path CAS.
+  std::atomic<bool> shutdown_{false};
+  std::atomic<uint64_t> admitted_{0};
+  std::atomic<uint64_t> rejected_shutdown_{0};
+
   mutable Mutex mu_;
   CondVar cv_;
-  bool shutdown_ VECUBE_GUARDED_BY(mu_) = false;
-  uint32_t inflight_ VECUBE_GUARDED_BY(mu_) = 0;
   uint32_t queued_ VECUBE_GUARDED_BY(mu_) = 0;
-  uint64_t admitted_ VECUBE_GUARDED_BY(mu_) = 0;
   uint64_t shed_ VECUBE_GUARDED_BY(mu_) = 0;
   uint64_t deadline_exceeded_ VECUBE_GUARDED_BY(mu_) = 0;
-  uint64_t rejected_shutdown_ VECUBE_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace vecube

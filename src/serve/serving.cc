@@ -74,7 +74,7 @@ Result<QueryAnswer> ElementServer::Serve(const ElementId& id,
     ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(id);
     if (outcome.hit) {
       QueryAnswer answer;
-      answer.data = outcome.hit.CopyOut();
+      answer.data = outcome.hit.Value();
       return answer;
     }
     if (outcome.fill.leader()) {
@@ -83,7 +83,7 @@ Result<QueryAnswer> ElementServer::Serve(const ElementId& id,
     ViewCache::FillWait wait = cache_->WaitFill(outcome.fill, ctx);
     if (wait.status.ok()) {
       QueryAnswer answer;
-      answer.data = *wait.data;
+      answer.data = AnswerTensor(std::move(wait.data));
       return answer;
     }
     if (Status live = ctx.Check(); !live.ok()) {
@@ -156,7 +156,7 @@ Result<QueryAnswer> ElementServer::FillAsLeader(const ElementId& id,
   std::shared_ptr<const Tensor> served = cache_->CompleteFill(
       std::move(ticket), std::move(assembled).value(), cost);
   QueryAnswer answer;
-  answer.data = *served;
+  answer.data = AnswerTensor(std::move(served));
   answer.ops = ops.adds;
   return answer;
 }
@@ -176,11 +176,13 @@ Result<QueryAnswer> ElementServer::FillDirect(const ElementId& id,
         std::to_string(budget) + " for " + id.ToString()));
   }
   OpCounter ops;
-  QueryAnswer answer;
-  VECUBE_ASSIGN_OR_RETURN(answer.data, engine_->Assemble(id, &ops, &ctx));
+  Tensor assembled;
+  VECUBE_ASSIGN_OR_RETURN(assembled, engine_->Assemble(id, &ops, &ctx));
   if (options_.verify_fill) {
     VECUBE_RETURN_NOT_OK(options_.verify_fill(id, ops.adds));
   }
+  QueryAnswer answer;
+  answer.data = AnswerTensor(std::move(assembled));
   answer.ops = ops.adds;
   return answer;
 }
@@ -197,7 +199,7 @@ Result<QueryAnswer> ElementServer::Degrade(const ElementId& id,
   // truly approximate one counts as degraded.
   if (cache_ != nullptr && degraded->degraded) cache_->RecordDegraded();
   QueryAnswer answer;
-  answer.data = std::move(degraded->data);
+  answer.data = AnswerTensor(std::move(degraded->data));
   answer.degraded = degraded->degraded;
   answer.l2_bound = degraded->l2_bound;
   answer.ops = degraded->ops;

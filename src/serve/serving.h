@@ -27,6 +27,12 @@
 // Every query resolves to exactly one of: an exact answer, a degraded
 // answer (with its bound), or a non-OK Status — and every wait on the
 // way is a bounded timed slice.
+//
+// An exact answer served from the cache is not copied: an unpatched hit,
+// a follower's wait and a leader's fill answer with the cached tensor
+// itself, shared (AnswerTensor). Cached tensors are never written after
+// they are published, so such an answer is the snapshot taken at
+// lookup and stays valid after later writes, flushes and evictions.
 
 #ifndef VECUBE_SERVE_SERVING_H_
 #define VECUBE_SERVE_SERVING_H_
@@ -48,9 +54,13 @@
 namespace vecube {
 
 /// A served answer. Exact unless `degraded`; a degraded answer always
-/// carries its L2 error bound (||exact − data||₂ ≤ l2_bound).
+/// carries its L2 error bound (||exact − data||₂ ≤ l2_bound). `data`
+/// shares the cached tensor on an unpatched hit, a follower wait or a
+/// leader fill, and owns its tensor otherwise (a patched hit, a cacheless
+/// or degraded answer); std::move(answer.data).Take() yields a Tensor of
+/// the caller's own either way.
 struct QueryAnswer {
-  Tensor data;
+  AnswerTensor data;
   bool degraded = false;
   double l2_bound = 0.0;
   /// Assembly ops this query actually spent (0 for cache hits and

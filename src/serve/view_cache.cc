@@ -225,6 +225,10 @@ Tensor ViewCache::ReadHandle::CopyOut() const {
   return Patched(*entry_, num_patches_);
 }
 
+AnswerTensor ViewCache::ReadHandle::Value() const {
+  return CurrentValue(*entry_, num_patches_);
+}
+
 double ViewCache::ReadHandle::At(uint64_t flat) const {
   double value = (*entry_->data)[flat];
   // The cell's patches in log order: the same additions, in the same
@@ -249,9 +253,14 @@ Tensor ViewCache::Patched(const Entry& entry, uint32_t num_patches) {
   return out;
 }
 
-ViewCache::ReadHandle ViewCache::FindPinned(
-    const ElementId& id, bool count_miss,
-    std::shared_ptr<const Tensor>* out_shared) {
+AnswerTensor ViewCache::CurrentValue(const Entry& entry,
+                                     uint32_t num_patches) {
+  if (num_patches == 0) return AnswerTensor(entry.data);
+  return AnswerTensor(Patched(entry, num_patches));
+}
+
+ViewCache::ReadHandle ViewCache::FindPinned(const ElementId& id,
+                                            bool count_miss) {
   Shard& shard = ShardFor(id);
   EpochDomain::Pin pin = EpochDomain::Acquire();
   // order: acquire — pairs with the seq_cst publish in PublishLocked so
@@ -269,31 +278,24 @@ ViewCache::ReadHandle ViewCache::FindPinned(
   // compacted entry (ApplyPointDelta), so its contents are visible.
   Entry* entry = it->second.entry.load(std::memory_order_acquire);
   entry->CountHit();
-  ReadHandle handle(std::move(pin), entry);
-  if (out_shared != nullptr) {
-    *out_shared = handle.num_patches_ == 0
-                      ? entry->data
-                      : std::make_shared<const Tensor>(handle.CopyOut());
-  }
-  return handle;
+  return ReadHandle(std::move(pin), entry);
 }
 
 ViewCache::ReadHandle ViewCache::LookupPinned(const ElementId& id) {
-  return FindPinned(id, /*count_miss=*/true, nullptr);
+  return FindPinned(id, /*count_miss=*/true);
 }
 
 std::shared_ptr<const Tensor> ViewCache::Lookup(const ElementId& id) {
-  // The shared_ptr copy (or patched copy) happens under the probe's pin
-  // (the entry and its control block are alive), after which the handle
-  // itself can drop.
-  std::shared_ptr<const Tensor> shared;
-  FindPinned(id, /*count_miss=*/true, &shared);
-  return shared;
+  // The value is taken while the handle's pin keeps the entry and its
+  // tensor's control block alive; it outlives the handle.
+  const ReadHandle hit = FindPinned(id, /*count_miss=*/true);
+  if (!hit) return nullptr;
+  return hit.Value().Share();
 }
 
 ViewCache::LookupOutcome ViewCache::LookupOrBegin(const ElementId& id) {
   LookupOutcome out;
-  out.hit = FindPinned(id, /*count_miss=*/false, nullptr);
+  out.hit = FindPinned(id, /*count_miss=*/false);
   if (out.hit) return out;
 
   Shard& shard = ShardFor(id);
@@ -451,9 +453,9 @@ std::shared_ptr<const Tensor> ViewCache::InsertLocked(
     entry->folded_heat += 1.0;
     // order: relaxed — mu-serialized read; only ApplyPointDelta, under
     // the same mu, stores the count.
-    const uint32_t pending = entry->num_patches.load(std::memory_order_relaxed);
-    if (pending == 0) return entry->data;
-    return std::make_shared<const Tensor>(Patched(*entry, pending));
+    return CurrentValue(*entry,
+                        entry->num_patches.load(std::memory_order_relaxed))
+        .Share();
   }
   const uint64_t bytes = shared->size() * sizeof(double);
   if (bytes > shard_capacity_bytes_) {

@@ -65,6 +65,49 @@
 
 namespace vecube {
 
+/// An immutable answer tensor that either owns its Tensor (a fresh
+/// assembly, a degraded answer, a patched copy) or shares one a ViewCache
+/// holds. A cached tensor is never written once published — deltas go to
+/// its entry's patch log and compaction builds a new tensor — so a shared
+/// answer is the snapshot taken at lookup, and it stays valid after the
+/// entry is patched, invalidated or evicted. Take() hands the caller a
+/// Tensor of its own: a move when owned, a copy when shared.
+class AnswerTensor {
+ public:
+  AnswerTensor() = default;
+  explicit AnswerTensor(Tensor owned) noexcept : owned_(std::move(owned)) {}
+  explicit AnswerTensor(std::shared_ptr<const Tensor> shared) noexcept
+      : shared_(std::move(shared)) {}
+
+  [[nodiscard]] const Tensor& get() const {
+    return shared_ != nullptr ? *shared_ : owned_;
+  }
+  // Implicit, so an answer reads wherever a const Tensor& is expected.
+  operator const Tensor&() const { return get(); }  // NOLINT
+  [[nodiscard]] uint64_t size() const { return get().size(); }
+  [[nodiscard]] const TensorBuffer& data() const { return get().data(); }
+  double operator[](uint64_t flat) const { return get()[flat]; }
+  /// True when the tensor is shared with a cache rather than owned.
+  [[nodiscard]] bool shared() const { return shared_ != nullptr; }
+
+  /// The tensor as the caller's own: moved out when owned, copied when
+  /// shared.
+  [[nodiscard]] Tensor Take() && {
+    return shared_ != nullptr ? Tensor(*shared_) : std::move(owned_);
+  }
+  /// The tensor behind a shared pointer: the shared one itself, or the
+  /// owned one moved into a fresh allocation.
+  [[nodiscard]] std::shared_ptr<const Tensor> Share() && {
+    return shared_ != nullptr
+               ? std::move(shared_)
+               : std::make_shared<const Tensor>(std::move(owned_));
+  }
+
+ private:
+  std::shared_ptr<const Tensor> shared_;
+  Tensor owned_;
+};
+
 struct ViewCacheOptions {
   /// Consumed by the embedding layers (OlapSession, DynamicAssembler):
   /// when false they do not construct a cache at all. A directly
@@ -179,6 +222,10 @@ class ViewCache {
     explicit operator bool() const { return entry_ != nullptr; }
     /// The cached tensor with the observed patches applied.
     [[nodiscard]] Tensor CopyOut() const;
+    /// The same value without a copy when no patch was observed: the
+    /// cached tensor itself, shared (one refcount bump). Else the
+    /// patched copy, owned. May outlive the handle and the entry.
+    [[nodiscard]] AnswerTensor Value() const;
     /// One cell of CopyOut(), by flat index or coordinates, without the
     /// copy. Bit-identical to the same cell of CopyOut().
     [[nodiscard]] double At(uint64_t flat) const;
@@ -231,8 +278,8 @@ class ViewCache {
 
   /// Compatibility hit path: like LookupPinned but hands out a
   /// shared_ptr that may outlive the cache entry and be held
-  /// indefinitely. The resident tensor itself (one refcount bump) while
-  /// no patches are pending; a patched copy otherwise. Null on a miss.
+  /// indefinitely: ReadHandle::Value() as a shared pointer. Null on a
+  /// miss.
   std::shared_ptr<const Tensor> Lookup(const ElementId& id);
 
   /// Single-flight entry point: a hit returns a pinned handle; the first
@@ -338,15 +385,15 @@ class ViewCache {
   /// Fast-path probe shared by Lookup/LookupPinned/LookupOrBegin.
   /// `count_miss` controls whether a miss ticks the shard miss counter
   /// (LookupOrBegin counts the miss only when a leader is appointed).
-  /// When `out_shared` is non-null a hit also stores the entry's current
-  /// value into it: its owning pointer when no patches are pending, else
-  /// a patched copy (the compat Lookup path; done under the pin, so the
-  /// control block is alive).
-  ReadHandle FindPinned(const ElementId& id, bool count_miss,
-                        std::shared_ptr<const Tensor>* out_shared);
+  ReadHandle FindPinned(const ElementId& id, bool count_miss);
   /// `entry`'s tensor with its first `num_patches` patches applied in
   /// log order. Caller keeps the entry alive (pin or shard.mu).
   static Tensor Patched(const Entry& entry, uint32_t num_patches);
+  /// `entry`'s value with its first `num_patches` patches applied: its
+  /// tensor, shared, when that count is zero; else Patched(), owned. The
+  /// one place that makes this choice. Caller keeps the entry alive (pin
+  /// or shard.mu).
+  static AnswerTensor CurrentValue(const Entry& entry, uint32_t num_patches);
   /// Shared retain path for Insert and CompleteFill: dedup (first writer
   /// wins), oversized rejection, eviction, COW publish. Returns the
   /// tensor to serve (the retained one on dedup). Caller holds shard.mu.

@@ -443,6 +443,69 @@ TEST(ServeAdmissionTest, ShutdownRefusesNewArrivalsAndDrains) {
   EXPECT_EQ(admission.Metrics().queued, 0u);
 }
 
+// A release takes the admission mutex and notifies only when a waiter
+// or drainer has registered. The next two tests fail when a release
+// never notifies: each waiter then sleeps out its slice (here its whole
+// 50 ms deadline), and a drainer its 100 ms slice.
+
+TEST(ServeAdmissionTest, NoLostWakeupWithOneSlotAndFourThreads) {
+  constexpr uint32_t kThreads = 4;
+  const uint64_t cycles = 200 * SoakIters();
+  AdmissionOptions options;
+  options.max_inflight = 1;
+  options.max_queue = kThreads;  // every arrival can queue: none is shed
+  AdmissionController admission(options);
+
+  std::atomic<uint64_t> attempts{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (uint32_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&] {
+      for (uint64_t i = 0; i < cycles; ++i) {
+        attempts.fetch_add(1, std::memory_order_relaxed);  // order: stat
+        auto permit = admission.Admit(
+            QueryContext::WithTimeout(std::chrono::milliseconds(50)));
+        if (!permit.ok()) continue;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        permit->Release();
+        // A pause before the next arrival, so the woken waiters are not
+        // always beaten to the slot by this thread's fast path.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  const AdmissionMetrics metrics = admission.Metrics();
+  EXPECT_EQ(metrics.deadline_exceeded, 0u)
+      << "a waiter slept through the release of a free slot";
+  EXPECT_EQ(metrics.admitted, attempts.load());
+  EXPECT_EQ(metrics.shed, 0u);
+  EXPECT_EQ(metrics.inflight, 0u);
+  EXPECT_EQ(metrics.queued, 0u);
+}
+
+TEST(ServeAdmissionTest, DrainReturnsPromptlyAfterTheLastRelease) {
+  using Clock = QueryContext::Clock;
+  AdmissionController admission;
+  auto permit = admission.Admit();
+  ASSERT_TRUE(permit.ok());
+  bool drained = false;
+  Clock::time_point drained_at;
+  std::thread drainer([&] {
+    drained = admission.Drain(std::chrono::seconds(5));
+    drained_at = Clock::now();
+  });
+  // Let the drainer register and begin its first 100 ms slice.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const Clock::time_point released_at = Clock::now();
+  permit->Release();
+  drainer.join();
+  EXPECT_TRUE(drained);
+  EXPECT_LT(drained_at - released_at, std::chrono::milliseconds(50))
+      << "Drain slept out its slice instead of waking on the release";
+}
+
 TEST(ServeAdmissionStressTest, MetricsIdentityHoldsUnderContention) {
   const uint64_t rounds = 200 * SoakIters();
   constexpr uint32_t kThreads = 8;

@@ -24,6 +24,7 @@
 #include "cube/synthetic.h"
 #include "cube/tensor.h"
 #include "select/dynamic.h"
+#include "serve/admission.h"
 #include "serve/serving.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -943,6 +944,240 @@ TEST(ServeStressTest, AccountingIdentityHoldsAtEveryThreadCount) {
           << "misses not coalesced: assembled work grew with concurrency";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared answers: an unpatched hit, a follower wait and a leader fill
+// hand out the cached tensor itself instead of a copy. Cached tensors are
+// never written once published, so such an answer is the snapshot taken
+// at lookup, whatever happens to its entry afterwards.
+
+// An 8x8 integer cube stored as its root, and the same cube after
+// A[coords] += delta, with a reference engine over each.
+struct AnswerFixture {
+  CubeShape shape;
+  Tensor cube;
+  ElementStore store;
+
+  static AnswerFixture Make() {
+    auto shape = CubeShape::Make({8, 8});
+    EXPECT_TRUE(shape.ok());
+    Rng rng(0x5a4ed);
+    auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
+    EXPECT_TRUE(cube.ok());
+    AnswerFixture fixture{*shape, *cube, ElementStore(*shape)};
+    EXPECT_TRUE(
+        fixture.store.Put(ElementId::Root(shape->ndim()), *cube).ok());
+    return fixture;
+  }
+
+  [[nodiscard]] ElementId View(uint32_t mask) const {
+    auto id = ElementId::AggregatedView(mask, shape);
+    EXPECT_TRUE(id.ok());
+    return *id;
+  }
+
+  // `id` assembled from the cube after A[coords] += delta.
+  [[nodiscard]] Tensor AfterDelta(const ElementId& id,
+                                  const std::vector<uint32_t>& coords,
+                                  double delta) const {
+    Tensor updated = cube;
+    updated[updated.FlatIndex(coords)] += delta;
+    ElementStore after(shape);
+    EXPECT_TRUE(after.Put(ElementId::Root(shape.ndim()), updated).ok());
+    AssemblyEngine engine(&after);
+    auto assembled = engine.Assemble(id);
+    EXPECT_TRUE(assembled.ok());
+    return std::move(assembled).value();
+  }
+};
+
+TEST(ServeAnswerTest, SharedAnswerOutlivesEveryChangeToItsEntry) {
+  AnswerFixture fixture = AnswerFixture::Make();
+  const ElementId id = fixture.View(1);
+  const ElementId other = fixture.View(2);
+  AssemblyEngine reference(&fixture.store);
+  auto exact = reference.Assemble(id);
+  ASSERT_TRUE(exact.ok());
+  const uint64_t bytes = exact->size() * sizeof(double);
+
+  enum class Change { kInvalidate, kInvalidateAll, kEvict, kDeltas };
+  for (const Change change : {Change::kInvalidate, Change::kInvalidateAll,
+                              Change::kEvict, Change::kDeltas}) {
+    SCOPED_TRACE(static_cast<int>(change));
+    ViewCacheOptions options;
+    options.shards = 1;
+    options.capacity_bytes = bytes;  // room for exactly one such view
+    ViewCache cache(options);
+    AssemblyEngine engine(&fixture.store);
+    ElementServer server(&engine, &fixture.store, &cache);
+    auto filled = server.Serve(id);
+    auto hit = server.Serve(id);
+    ASSERT_TRUE(filled.ok() && hit.ok());
+    ASSERT_TRUE(filled->data.shared()) << "a leader fill shares its tensor";
+    ASSERT_TRUE(hit->data.shared()) << "an unpatched hit shares its tensor";
+    EXPECT_EQ(&filled->data.get(), &hit->data.get());
+
+    switch (change) {
+      case Change::kInvalidate:
+        cache.Invalidate(id);
+        break;
+      case Change::kInvalidateAll:
+        EXPECT_EQ(cache.InvalidateAll(), 1u);
+        break;
+      case Change::kEvict:
+        ASSERT_NE(cache.Insert(other, *exact, /*assembly_cost=*/1 << 20),
+                  nullptr);
+        EXPECT_EQ(cache.Metrics().evictions, 1u);
+        break;
+      case Change::kDeltas:
+        // Past the log's capacity, so the entry is compacted too.
+        for (uint32_t i = 0; i <= ViewCache::kPatchCapacity; ++i) {
+          ASSERT_TRUE(cache.ApplyPointDelta(fixture.shape, {i % 8, 3}, 1.0)
+                          .ok());
+        }
+        EXPECT_EQ(cache.Metrics().compactions, 1u);
+        break;
+    }
+    // Churn the cache so retired entries are reclaimed, then read.
+    for (int round = 0; round < 4; ++round) {
+      cache.Invalidate(other);
+      ASSERT_NE(cache.Insert(other, *exact, 1), nullptr);
+    }
+    EXPECT_EQ(filled->data.data(), exact->data());
+    EXPECT_EQ(hit->data.data(), exact->data());
+  }
+}
+
+TEST(ServeAnswerTest, HitOnPatchedEntryReturnsPatchedValues) {
+  AnswerFixture fixture = AnswerFixture::Make();
+  const ElementId id = fixture.View(1);
+  ViewCache cache;
+  AssemblyEngine engine(&fixture.store);
+  ElementServer server(&engine, &fixture.store, &cache);
+  auto before = server.Serve(id);
+  ASSERT_TRUE(before.ok());
+
+  ASSERT_TRUE(cache.ApplyPointDelta(fixture.shape, {5, 2}, 7.0).ok());
+  auto patched = server.Serve(id);
+  ASSERT_TRUE(patched.ok());
+  EXPECT_EQ(patched->ops, 0u) << "served from the patched entry";
+  EXPECT_FALSE(patched->data.shared()) << "a patched hit owns its copy";
+  EXPECT_EQ(patched->data.data(),
+            fixture.AfterDelta(id, {5, 2}, 7.0).data());
+  AssemblyEngine reference(&fixture.store);
+  EXPECT_EQ(before->data.data(), reference.Assemble(id)->data())
+      << "the earlier shared answer moved with the delta";
+}
+
+TEST(ServeAnswerTest, TakeMovesOwnedAndCopiesShared) {
+  Tensor owned = MakeTensor(16, 3.0);
+  const double* owned_cells = owned.raw();
+  AnswerTensor owned_answer(std::move(owned));
+  EXPECT_FALSE(owned_answer.shared());
+  const Tensor taken = std::move(owned_answer).Take();
+  EXPECT_EQ(taken.raw(), owned_cells) << "an owned tensor must be moved";
+
+  auto cached = std::make_shared<const Tensor>(MakeTensor(16, 5.0));
+  AnswerTensor shared_answer(cached);
+  EXPECT_TRUE(shared_answer.shared());
+  EXPECT_EQ(shared_answer.get().raw(), cached->raw());
+  const Tensor copy = std::move(shared_answer).Take();
+  EXPECT_NE(copy.raw(), cached->raw()) << "a shared tensor must be copied";
+  EXPECT_EQ(copy.data(), cached->data());
+  EXPECT_EQ(cached.use_count(), 2) << "the answer still holds its share";
+}
+
+// A cacheless fill owns its tensor (Take moves it out), and
+// OlapSession::Element hands every caller a tensor of its own: writing
+// to one leaves the cached answer untouched.
+TEST(ServeAnswerTest, ElementReturnsTheCallersOwnTensor) {
+  AnswerFixture fixture = AnswerFixture::Make();
+  const ElementId id = fixture.View(1);
+  AssemblyEngine engine(&fixture.store);
+  ElementServer direct(&engine, &fixture.store, /*cache=*/nullptr);
+  auto uncached = direct.Serve(id);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_FALSE(uncached->data.shared());
+
+  auto session = OlapSession::FromCube(fixture.shape, fixture.cube,
+                                       CachedOptions());
+  ASSERT_TRUE(session.ok());
+  auto first = (*session)->Element(id);
+  auto second = (*session)->Element(id);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_NE(first->raw(), second->raw()) << "hits must not alias";
+  EXPECT_EQ(first->data(), uncached->data.data());
+  EXPECT_EQ(second->data(), uncached->data.data());
+  (*second)[0] += 1.0;  // the caller's own copy: the cache is untouched
+  auto third = (*session)->Element(id);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->data(), uncached->data.data());
+}
+
+// Four workers serving hits through one AdmissionController and one
+// ViewCache, each answer shared with the cache: every Serve call is one
+// hit or one miss, and every call's plan cost is saved or spent exactly
+// once.
+TEST(ServeAnswerStressTest, SharedHitLoopKeepsAccountingIdentities) {
+  constexpr uint32_t kThreads = 4;
+  constexpr uint64_t kCallsPerThread = 2000;
+  AnswerFixture fixture = AnswerFixture::Make();
+  const std::vector<ElementId> views = {fixture.View(0), fixture.View(1),
+                                        fixture.View(2), fixture.View(3)};
+  std::vector<Tensor> expected;
+  AssemblyEngine reference(&fixture.store);
+  for (const ElementId& view : views) {
+    auto exact = reference.Assemble(view);
+    ASSERT_TRUE(exact.ok());
+    expected.push_back(std::move(exact).value());
+  }
+  ViewCache cache;
+  AdmissionOptions admission_options;
+  admission_options.max_inflight = 2;
+  admission_options.max_queue = kThreads;  // every arrival can queue
+  AdmissionController admission(admission_options);
+
+  std::vector<uint64_t> calls(kThreads, 0);
+  std::vector<uint64_t> plan_cost(kThreads, 0);
+  std::vector<uint64_t> wrong(kThreads, 0);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (uint32_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      AssemblyEngine engine(&fixture.store);
+      ElementServer server(&engine, &fixture.store, &cache);
+      for (uint64_t i = 0; i < kCallsPerThread; ++i) {
+        const size_t v = (w + i) % views.size();
+        auto permit = admission.Admit();
+        ASSERT_TRUE(permit.ok()) << permit.status().ToString();
+        auto answer = server.Serve(views[v]);
+        permit->Release();
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        ++calls[w];
+        plan_cost[w] += engine.PlanCost(views[v]);
+        if (answer->data.data() != expected[v].data()) ++wrong[w];
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  uint64_t total_calls = 0;
+  uint64_t total_cost = 0;
+  for (uint32_t w = 0; w < kThreads; ++w) {
+    total_calls += calls[w];
+    total_cost += plan_cost[w];
+    EXPECT_EQ(wrong[w], 0u) << "worker " << w << " read a wrong answer";
+  }
+  EXPECT_EQ(total_calls, kThreads * kCallsPerThread);
+  const ServeMetrics metrics = cache.Metrics();
+  EXPECT_EQ(metrics.hits + metrics.misses, total_calls);
+  EXPECT_EQ(metrics.assembly_ops_saved + metrics.assembly_ops_executed,
+            total_cost);
+  const AdmissionMetrics admitted = admission.Metrics();
+  EXPECT_EQ(admitted.admitted, total_calls);
+  EXPECT_EQ(admitted.inflight, 0u);
+  EXPECT_EQ(admitted.queued, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
   hit-path-no-locks      No mutex acquisition, condition wait, or fill
                          wait may be *reachable* from the ViewCache hit
                          path (ViewCache::FindPinned / LookupPinned /
-                         Lookup). Call-graph reachability, not a per-body
-                         regex: a helper that locks is flagged even if
-                         the root body looks clean. Replaces the old
+                         Lookup, and CurrentValue, through which every
+                         hit answer reads its entry). Call-graph
+                         reachability, not a per-body regex: a helper
+                         that locks is flagged even if the root body
+                         looks clean. Replaces the old
                          serve-lock-free-reads regex rule in vecube_lint.
   epoch-pin-raii         Epoch pins are RAII-only. EpochDomain::Acquire /
                          EpochDomain::Pin may appear only in
@@ -134,6 +136,7 @@ HIT_PATH_ROOTS = (
     "ViewCache::FindPinned",
     "ViewCache::LookupPinned",
     "ViewCache::Lookup",
+    "ViewCache::CurrentValue",
 )
 # Anything that acquires, waits, or blocks. The hit path may touch
 # atomics and epoch pins only.
