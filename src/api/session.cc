@@ -411,25 +411,19 @@ Result<RepairReport> OlapSession::Repair() {
 void OlapSession::RebuildEngines() {
   engine_ = std::make_unique<AssemblyEngine>(&store_, pool_.get(), &scratch_,
                                              options_.num_shards);
-  range_engine_ = std::make_unique<RangeEngine>(
-      &store_, MissingElementPolicy::kAssemble, pool_.get(), cache_.get(),
-      &scratch_, options_.num_shards);
   if (count_store_.has_value()) {
     count_engine_ = std::make_unique<AssemblyEngine>(
         &*count_store_, pool_.get(), &scratch_, options_.num_shards);
   }
-  ServeQueryOptions serve_options = options_.serving;
-  // Degradation is a per-query opt-in via QueryContext (Query() only);
-  // the server-level default stays exact.
-  serve_options.allow_degraded = false;
-  // Every fill runs under the session's op-count invariant regardless of
-  // what the caller put in Options::serving.
-  serve_options.verify_fill = [this](const ElementId& id,
-                                     uint64_t measured_ops) {
-    return VerifyOpCount(id, measured_ops);
-  };
-  server_ = std::make_unique<ElementServer>(engine_.get(), &store_,
-                                            cache_.get(), serve_options);
+  // Every fill, range intermediates included, runs under the session's
+  // op-count invariant.
+  server_ = std::make_unique<ElementServer>(
+      engine_.get(), &store_, cache_.get(),
+      [this](const ElementId& id, uint64_t measured_ops) {
+        return VerifyOpCount(id, measured_ops);
+      });
+  range_engine_ = std::make_unique<RangeEngine>(
+      &store_, MissingElementPolicy::kAssemble, server_.get());
 }
 
 Status OlapSession::DeclareWorkload(QueryPopulation population) {

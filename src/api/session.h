@@ -107,14 +107,6 @@ struct OlapSessionOptions {
   /// set changes). The COUNT side (AvgByMask) is never cached — its
   /// elements share ids with SUM ones.
   ViewCacheOptions view_cache = {};
-  /// Robustness knobs for the serving front end (serve/serving.h):
-  /// deadline → op-budget conversion rate and follower retry policy.
-  /// `verify_fill` is ignored — the session installs its own op-count
-  /// invariant hook. Degradation is opted into per query via
-  /// QueryContext::set_allow_degraded and surfaced only through Query()
-  /// (never through Element()/ViewByMask(), which have no channel for
-  /// an error bound).
-  ServeQueryOptions serving = {};
   /// Execution lanes for assembly (Haar kernels chunk their row loops,
   /// batch assembly fans out across targets). 0 = hardware concurrency;
   /// 1 = fully serial, bit- and count-identical to the single-threaded
@@ -223,7 +215,8 @@ class OlapSession {
                             const QueryContext& ctx = QueryContext());
 
   /// Range-aggregation (Section 6); missing intermediate elements are
-  /// assembled on demand and cached.
+  /// served through the session's ElementServer (cached when the view
+  /// cache is on). Always exact, like Element().
   Result<double> RangeSum(const RangeSpec& range,
                           const QueryContext& ctx = QueryContext());
 
@@ -292,10 +285,11 @@ class OlapSession {
   std::optional<ElementStore> count_store_;
   std::unique_ptr<AssemblyEngine> engine_;
   std::unique_ptr<AssemblyEngine> count_engine_;
-  std::unique_ptr<RangeEngine> range_engine_;
   std::unique_ptr<ViewCache> cache_;  // null unless view_cache.enabled
-  /// Serving front end for Element()/Query(); rebuilt with the engines.
+  /// Serving front end for Element()/Query() and range_engine_'s missing
+  /// intermediates; rebuilt with the engines.
   std::unique_ptr<ElementServer> server_;
+  std::unique_ptr<RangeEngine> range_engine_;  // borrows server_
   AccessTracker tracker_;
   /// Write-behind buffer in front of tracker_ keeping Record() off the
   /// serving hit path; declared after tracker_ so it drains cleanly

@@ -1,30 +1,19 @@
 #include "range/range_engine.h"
 
-#include <optional>
 #include <vector>
 
 #include "core/update.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace vecube {
 
-namespace {
-/// Follower retries after leader-local aborts before the abort cause
-/// surfaces (prevents retry livelock on a repeatedly failing leader).
-constexpr uint32_t kMaxFollowerRetries = 3;
-}  // namespace
-
 RangeEngine::RangeEngine(const ElementStore* store,
-                         MissingElementPolicy policy, ThreadPool* pool,
-                         ViewCache* cache, ScratchArena* arena,
-                         uint32_t num_shards)
+                         MissingElementPolicy policy, ElementServer* server)
     : store_(store),
-      policy_(policy),
-      engine_(store, pool, arena, num_shards),
-      cache_(cache),
+      server_(policy == MissingElementPolicy::kAssemble ? server : nullptr),
       assembled_cache_(store->shape()) {
   VECUBE_CHECK(store != nullptr);
+  VECUBE_CHECK(policy == MissingElementPolicy::kError || server != nullptr);
 }
 
 Result<double> RangeEngine::RangeSum(const RangeSpec& range,
@@ -44,6 +33,10 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
     blocks[m] =
         DecomposeInterval(range.start[m], range.width[m], shape.log_extent(m));
   }
+  QueryContext exact = ctx;
+  exact.set_allow_degraded(false);
+  // Served intermediates live in the server's cache, or else here.
+  const bool memo = server_ != nullptr && !server_->caching();
 
   // Odometer over block combinations.
   std::vector<size_t> pick(d, 0);
@@ -51,9 +44,9 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
   std::vector<uint32_t> coords(d);
   double total = 0.0;
   uint64_t terms = 0;
-  uint32_t follower_retries = 0;
   for (;;) {
-    VECUBE_RETURN_NOT_OK(ctx.Check());
+    VECUBE_RETURN_NOT_OK(server_ != nullptr ? server_->Check(exact)
+                                            : exact.Check());
     for (uint32_t m = 0; m < d; ++m) {
       levels[m] = blocks[m][pick[m]].level;
       coords[m] = blocks[m][pick[m]].index;
@@ -62,80 +55,33 @@ Result<double> RangeEngine::RangeSum(const RangeSpec& range,
     VECUBE_ASSIGN_OR_RETURN(id, ElementId::Intermediate(levels, shape));
 
     const Tensor* element = nullptr;
-    std::shared_ptr<const Tensor> cached;      // keeps a filled answer alive
-    ViewCache::ReadHandle pinned;              // keeps a cache hit alive
+    ViewCache::ReadHandle hit;  // a cache hit, read in place
+    QueryAnswer served;         // keeps a served answer alive
     if (store_->Contains(id)) {
       VECUBE_ASSIGN_OR_RETURN(element, store_->Get(id));
-    } else if (cache_ != nullptr &&
-               policy_ == MissingElementPolicy::kAssemble) {
-      // Single-flight through the serving cache: a hit is a pinned,
-      // refcount-free read scoped to this odometer step; concurrent
-      // misses on the same intermediate assemble it exactly once.
-      while (element == nullptr) {
-        ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(id);
-        if (outcome.hit) {
-          pinned = std::move(outcome.hit);
-          break;
-        }
-        if (!outcome.fill.leader()) {
-          ViewCache::FillWait wait = cache_->WaitFill(outcome.fill, ctx);
-          if (wait.status.ok()) {
-            cached = std::move(wait.data);
-            element = cached.get();
-            break;
-          }
-          VECUBE_RETURN_NOT_OK(ctx.Check());  // our own budget ran out
-          // Leader-local aborts are retried a bounded number of times;
-          // the element's own failure — or exhausted retries — surfaces.
-          const bool leader_local = wait.status.IsDeadlineExceeded() ||
-                                    wait.status.IsCancelled() ||
-                                    wait.status.IsUnavailable();
-          if (!leader_local || follower_retries >= kMaxFollowerRetries) {
-            return wait.status;
-          }
-          ++follower_retries;
-          cache_->RecordFollowerRetry();
-          continue;
-        }
-        if (std::optional<FailpointAction> fp =
-                Failpoints::HitWithDelay("range.fill");
-            fp.has_value() && fp->kind == FailpointAction::Kind::kError) {
-          Status injected = Status::Internal(
-              "injected fill failure (failpoint range.fill)");
-          cache_->AbortFill(std::move(outcome.fill), injected);
-          return injected;
-        }
-        if (stats != nullptr) ++stats->elements_missing;
-        OpCounter ops;
-        Result<Tensor> data = engine_.Assemble(id, &ops, &ctx);
-        if (!data.ok()) {
-          cache_->AbortFill(std::move(outcome.fill), data.status());
-          return data.status();
-        }
-        if (stats != nullptr) stats->assembly_ops += ops.adds;
-        cached = cache_->CompleteFill(std::move(outcome.fill),
-                                      std::move(data).value(),
-                                      engine_.PlanCost(id));
-        element = cached.get();
-      }
-    } else if (assembled_cache_.Contains(id)) {
-      VECUBE_ASSIGN_OR_RETURN(element, assembled_cache_.Get(id));
-    } else if (policy_ == MissingElementPolicy::kAssemble) {
-      if (stats != nullptr) ++stats->elements_missing;
-      OpCounter ops;
-      Tensor data;
-      VECUBE_ASSIGN_OR_RETURN(data, engine_.Assemble(id, &ops, &ctx));
-      if (stats != nullptr) stats->assembly_ops += ops.adds;
-      VECUBE_RETURN_NOT_OK(assembled_cache_.Put(id, std::move(data)));
-      VECUBE_ASSIGN_OR_RETURN(element, assembled_cache_.Get(id));
-    } else {
+    } else if (server_ == nullptr) {
       return Status::NotFound("intermediate element " + id.ToString() +
                               " not materialized");
+    } else if (memo && assembled_cache_.Contains(id)) {
+      VECUBE_ASSIGN_OR_RETURN(element, assembled_cache_.Get(id));
+    } else {
+      VECUBE_ASSIGN_OR_RETURN(served, server_->Resolve(id, exact, &hit));
+      if (stats != nullptr && served.ops > 0) {
+        ++stats->elements_missing;
+        stats->assembly_ops += served.ops;
+      }
+      if (memo) {
+        VECUBE_RETURN_NOT_OK(
+            assembled_cache_.Put(id, std::move(served.data).Take()));
+        VECUBE_ASSIGN_OR_RETURN(element, assembled_cache_.Get(id));
+      } else if (!hit) {
+        element = &served.data.get();
+      }
     }
 
-    // A cache hit reads through the handle, which applies the entry's
-    // pending write patches to the cell.
-    total += pinned ? pinned.At(coords) : element->At(coords);
+    // A cache hit reads one cell through the handle, which applies the
+    // entry's pending write patches to it: no copy of the element.
+    total += hit ? hit.At(coords) : element->At(coords);
     ++terms;
     if (stats != nullptr) ++stats->cell_reads;
 

@@ -13,11 +13,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/assembly.h"
 #include "core/store.h"
 #include "cube/tensor.h"
 #include "range/range.h"
-#include "serve/view_cache.h"
+#include "serve/serving.h"
 #include "util/query_context.h"
 #include "util/result.h"
 
@@ -41,44 +40,37 @@ struct RangeQueryStats {
 
 class RangeEngine {
  public:
-  /// Borrows the store (and pool, cache, and arena, if given); the caller
-  /// keeps them all alive. The pool parallelizes on-demand assembly of
-  /// missing elements; `arena` recycles assembly kernel scratch. When
-  /// `cache` is non-null, missing intermediate elements are looked up /
-  /// retained there (sharing the serving layer's benefit-weighted
-  /// residency and metrics with view queries) instead of in the engine's
-  /// private unbounded store.
-  /// `num_shards` is forwarded to the embedded AssemblyEngine's dyadic
-  /// shard decomposition (0 = pool size); it never changes answers or
-  /// the plan costs this engine exposes.
-  explicit RangeEngine(const ElementStore* store,
-                       MissingElementPolicy policy =
-                           MissingElementPolicy::kAssemble,
-                       ThreadPool* pool = nullptr,
-                       ViewCache* cache = nullptr,
-                       ScratchArena* arena = nullptr,
-                       uint32_t num_shards = 0);
+  /// Borrows the store and `server`; the caller keeps both alive. Under
+  /// kAssemble, missing intermediate elements are served by `server`
+  /// (required): through its ViewCache when it has one — sharing the
+  /// serving layer's single-flight fills, benefit-weighted residency,
+  /// budget gate and metrics with view queries — and otherwise assembled
+  /// by it and kept in this engine's private unbounded store. Under
+  /// kError `server` is unused and may be null.
+  RangeEngine(const ElementStore* store, MissingElementPolicy policy,
+              ElementServer* server = nullptr);
 
   /// S(G(A)) of Eq. 36 via the dyadic decomposition. `stats` optional.
   /// `ctx` is polled at every odometer step (and threaded into on-demand
   /// assemblies and cache waits); expiry or cancellation unwinds the
-  /// query with kDeadlineExceeded / kCancelled.
+  /// query with kDeadlineExceeded / kCancelled, counted once in the
+  /// server's cache metrics. Degradation is stripped from `ctx`: a sum
+  /// has no channel for an error bound, so a budget shortfall fails
+  /// with kDeadlineExceeded.
   Result<double> RangeSum(const RangeSpec& range,
                           RangeQueryStats* stats = nullptr,
                           const QueryContext& ctx = QueryContext());
 
   /// Keeps the private store of on-demand assemblies exact under the
   /// cube write A[coords] += delta (core/update.h). The caller updates
-  /// the borrowed store and shared cache itself.
+  /// the borrowed store and the server's cache itself.
   Status ApplyPointDelta(const std::vector<uint32_t>& coords, double delta);
 
  private:
   const ElementStore* store_;
-  MissingElementPolicy policy_;
-  AssemblyEngine engine_;
-  ViewCache* cache_;  // shared serving cache; null = private store below
-  /// Elements assembled on demand under kAssemble when no shared cache
-  /// was supplied, kept across queries (unbounded).
+  ElementServer* server_;  // null under kError
+  /// Elements assembled on demand by a cacheless server, kept across
+  /// queries (unbounded).
   ElementStore assembled_cache_;
 };
 

@@ -1,7 +1,5 @@
 #include "select/dynamic.h"
 
-#include <optional>
-
 #include "core/basis.h"
 #include "select/algorithm1.h"
 #include "select/algorithm2.h"
@@ -10,12 +8,6 @@
 #include "workload/population.h"
 
 namespace vecube {
-
-namespace {
-/// Follower retries after leader-local aborts before the abort cause
-/// surfaces (prevents retry livelock on a repeatedly failing leader).
-constexpr uint32_t kMaxFollowerRetries = 3;
-}  // namespace
 
 Result<std::unique_ptr<DynamicAssembler>> DynamicAssembler::Make(
     const CubeShape& shape, const Tensor& cube, DynamicOptions options) {
@@ -26,11 +18,10 @@ Result<std::unique_ptr<DynamicAssembler>> DynamicAssembler::Make(
       new DynamicAssembler(shape, options));
   VECUBE_RETURN_NOT_OK(
       assembler->store_.Put(ElementId::Root(shape.ndim()), cube));
-  assembler->engine_ = std::make_unique<AssemblyEngine>(
-      &assembler->store_, nullptr, &assembler->arena_, options.num_shards);
   if (options.cache.enabled) {
     assembler->cache_ = std::make_unique<ViewCache>(options.cache);
   }
+  assembler->RebuildEngine();
   return assembler;
 }
 
@@ -40,65 +31,22 @@ DynamicAssembler::~DynamicAssembler() {
   access_log_.Drain();
 }
 
+void DynamicAssembler::RebuildEngine() {
+  engine_ = std::make_unique<AssemblyEngine>(&store_, nullptr, &arena_);
+  server_ = std::make_unique<ElementServer>(engine_.get(), &store_,
+                                            cache_.get());
+}
+
 Result<Tensor> DynamicAssembler::Query(const ElementId& view, OpCounter* ops,
                                        const QueryContext& ctx) {
   VECUBE_RETURN_NOT_OK(view.Validate(shape_));
-  VECUBE_RETURN_NOT_OK(ctx.Check());
-  Tensor answer;
-  if (cache_ == nullptr) {
-    VECUBE_ASSIGN_OR_RETURN(answer, engine_->Assemble(view, ops, &ctx));
-  } else {
-    uint32_t follower_retries = 0;
-    for (;;) {
-      ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(view);
-      if (outcome.hit) {
-        answer = outcome.hit.CopyOut();
-        break;
-      }
-      if (!outcome.fill.leader()) {
-        // Another caller is assembling this view; coalesce onto its
-        // result instead of duplicating the work.
-        ViewCache::FillWait wait = cache_->WaitFill(outcome.fill, ctx);
-        if (wait.status.ok()) {
-          answer = *wait.data;
-          break;
-        }
-        VECUBE_RETURN_NOT_OK(ctx.Check());  // our own budget ran out
-        // A leader-local abort (its deadline, its cancellation, an
-        // unspecified abort) is retried a bounded number of times; the
-        // element's own failure — or exhausted retries — propagates, so
-        // a repeatedly failing leader can never spin followers forever.
-        const bool leader_local = wait.status.IsDeadlineExceeded() ||
-                                  wait.status.IsCancelled() ||
-                                  wait.status.IsUnavailable();
-        if (!leader_local || follower_retries >= kMaxFollowerRetries) {
-          return wait.status;
-        }
-        ++follower_retries;
-        cache_->RecordFollowerRetry();
-        continue;
-      }
-      if (std::optional<FailpointAction> fp =
-              Failpoints::HitWithDelay("dynamic.fill");
-          fp.has_value() && fp->kind == FailpointAction::Kind::kError) {
-        Status injected = Status::Internal(
-            "injected fill failure (failpoint dynamic.fill)");
-        cache_->AbortFill(std::move(outcome.fill), injected);
-        return injected;
-      }
-      Result<Tensor> assembled = engine_->Assemble(view, ops, &ctx);
-      if (!assembled.ok()) {
-        cache_->AbortFill(std::move(outcome.fill), assembled.status());
-        return assembled.status();
-      }
-      // PlanCost is memoized from the assembly that just ran — a table
-      // lookup, and exactly the ops a future hit will save.
-      std::shared_ptr<const Tensor> served = cache_->CompleteFill(
-          std::move(outcome.fill), std::move(assembled).value(),
-          engine_->PlanCost(view));
-      answer = *served;
-      break;
-    }
+  QueryContext exact = ctx;
+  exact.set_allow_degraded(false);
+  QueryAnswer answer;
+  VECUBE_ASSIGN_OR_RETURN(answer, server_->Serve(view, exact));
+  if (ops != nullptr) {
+    ops->adds += answer.ops;
+    ops->muls += answer.muls;
   }
   access_log_.Record(view);
   ++queries_served_;
@@ -108,7 +56,8 @@ Result<Tensor> DynamicAssembler::Query(const ElementId& view, OpCounter* ops,
     last_reconfig_error_ = std::move(reconfig);
     ++reconfig_failures_;
   }
-  return answer;
+  // One copy per hit (a shared answer), none per uncached fill.
+  return std::move(answer.data).Take();
 }
 
 Status DynamicAssembler::MaybeReconfigure() {
@@ -171,8 +120,7 @@ Status DynamicAssembler::Reconfigure() {
     VECUBE_RETURN_NOT_OK(next.Put(id, std::move(data)));
   }
   store_ = std::move(next);
-  engine_ = std::make_unique<AssemblyEngine>(&store_, nullptr, &arena_,
-                                             options_.num_shards);
+  RebuildEngine();
   // The materialized set changed wholesale: every cached entry's rebuild
   // cost (its eviction score) is stale, so flush rather than patch.
   if (cache_ != nullptr) cache_->InvalidateAll();

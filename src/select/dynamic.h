@@ -25,6 +25,7 @@
 #include "core/tracker.h"
 #include "cube/shape.h"
 #include "cube/tensor.h"
+#include "serve/serving.h"
 #include "serve/view_cache.h"
 #include "util/query_context.h"
 #include "util/result.h"
@@ -46,11 +47,6 @@ struct DynamicOptions {
   /// assembled answers with benefit-weighted eviction. Off unless
   /// cache.enabled; flushed wholesale on every reconfiguration.
   ViewCacheOptions cache = {};
-  /// Dyadic shard budget forwarded to the assembly engines this
-  /// assembler (re)builds (DESIGN.md §14). The assembler runs its
-  /// engines without a pool today, so this only takes effect when set
-  /// explicitly (> 1); it never changes answers or plan costs.
-  uint32_t num_shards = 0;
 };
 
 /// Serves aggregated-view queries over an adaptively chosen element basis.
@@ -63,16 +59,18 @@ class DynamicAssembler {
   /// Drains the buffered access log so no observed history is lost.
   ~DynamicAssembler();
 
-  /// Answers a query for `view`, records the access, and possibly
-  /// reconfigures *after* answering. `ops` accrues assembly operations
-  /// (nothing on a cache hit). A failed reconfiguration never discards
-  /// the already-assembled answer: it is recorded in
-  /// last_reconfig_error() / reconfiguration_failures() and the answer
-  /// is returned; only the assembly itself failing yields an error.
-  /// `ctx` bounds the query: expiry/cancellation unwinds the assembly
-  /// and every wait with kDeadlineExceeded / kCancelled; a leader abort
-  /// for a leader-local cause is retried a bounded number of times, then
-  /// surfaces the cause. InvalidArgument when `view` does not fit the
+  /// Answers a query for `view` through an ElementServer over the
+  /// current store and the cache (serve/serving.h), records the access,
+  /// and possibly reconfigures *after* answering. `ops` accrues the
+  /// assembly operations the answer spent (nothing on a cache hit or a
+  /// budget refusal). A failed reconfiguration never discards the
+  /// already-assembled answer: it is recorded in last_reconfig_error() /
+  /// reconfiguration_failures() and the answer is returned; only serving
+  /// itself failing yields an error. `ctx` bounds the query with the
+  /// server's contract (deadline, cancellation, op budget), always
+  /// exact: degradation is stripped, as this signature has no channel
+  /// for an error bound, so a budget shortfall fails with
+  /// kDeadlineExceeded. InvalidArgument when `view` does not fit the
   /// cube's shape.
   Result<Tensor> Query(const ElementId& view, OpCounter* ops = nullptr,
                        const QueryContext& ctx = QueryContext());
@@ -119,6 +117,8 @@ class DynamicAssembler {
         tracker_(options.access_decay) {}
 
   Status MaybeReconfigure();
+  /// (Re)builds engine_ and server_ over the current store_ and cache_.
+  void RebuildEngine();
 
   CubeShape shape_;
   DynamicOptions options_;
@@ -128,6 +128,8 @@ class DynamicAssembler {
   ScratchArena arena_;
   std::unique_ptr<AssemblyEngine> engine_;
   std::unique_ptr<ViewCache> cache_;  // null unless options.cache.enabled
+  /// Serves Query() over engine_ and cache_; rebuilt with engine_.
+  std::unique_ptr<ElementServer> server_;
   AccessTracker tracker_;
   /// Write-behind buffer keeping tracker bookkeeping off the serving hit
   /// path; declared after tracker_ so destruction drains first.

@@ -1,6 +1,7 @@
 #include "serve/serving.h"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -10,6 +11,15 @@
 namespace vecube {
 
 namespace {
+
+/// Assembly throughput that converts a context's remaining wall time into
+/// an op budget when it carries no explicit one.
+constexpr uint64_t kOpsPerMs = 256 * 1024;
+/// Follower retries after leader-local aborts before giving up.
+constexpr uint32_t kFollowerRetries = 3;
+/// Pause between follower retries (clamped to the query's remaining
+/// deadline) so a rapidly re-aborting leader is not hammered.
+constexpr std::chrono::milliseconds kFollowerBackoff{1};
 
 /// True for abort causes local to the leader (its deadline, its
 /// cancellation, or an unspecified abort) — the element itself may be
@@ -24,13 +34,11 @@ bool LeaderLocalAbort(const Status& status) {
 
 ElementServer::ElementServer(AssemblyEngine* engine,
                              const ElementStore* store, ViewCache* cache,
-                             ServeQueryOptions options)
+                             FillVerifier verify_fill)
     : engine_(engine),
       store_(store),
       cache_(cache),
-      options_(std::move(options)) {
-  if (options_.ops_per_ms == 0) options_.ops_per_ms = 1;
-}
+      verify_fill_(std::move(verify_fill)) {}
 
 uint64_t ElementServer::OpsBudget(const QueryContext& ctx) const {
   if (ctx.ops_budget() != 0) return ctx.ops_budget();
@@ -40,7 +48,7 @@ uint64_t ElementServer::OpsBudget(const QueryContext& ctx) const {
   const uint64_t micros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(remaining)
           .count());
-  return micros * options_.ops_per_ms / 1000;
+  return micros * kOpsPerMs / 1000;
 }
 
 Status ElementServer::Fail(Status status) {
@@ -51,9 +59,15 @@ Status ElementServer::Fail(Status status) {
   return status;
 }
 
+Status ElementServer::Check(const QueryContext& ctx) {
+  Status live = ctx.Check();
+  if (!live.ok()) return Fail(std::move(live));
+  return live;
+}
+
 void ElementServer::Backoff(const QueryContext& ctx) const {
   const QueryContext::Clock::duration pause =
-      std::min<QueryContext::Clock::duration>(options_.follower_backoff,
+      std::min<QueryContext::Clock::duration>(kFollowerBackoff,
                                               ctx.remaining());
   if (pause <= QueryContext::Clock::duration::zero()) return;
   // A private, never-notified CondVar: a bounded sleep that stays inside
@@ -66,16 +80,24 @@ void ElementServer::Backoff(const QueryContext& ctx) const {
 
 Result<QueryAnswer> ElementServer::Serve(const ElementId& id,
                                          const QueryContext& ctx) {
-  if (Status live = ctx.Check(); !live.ok()) return Fail(std::move(live));
+  ViewCache::ReadHandle hit;
+  Result<QueryAnswer> answer = Resolve(id, ctx, &hit);
+  if (hit) answer->data = hit.Value();
+  return answer;
+}
+
+Result<QueryAnswer> ElementServer::Resolve(const ElementId& id,
+                                           const QueryContext& ctx,
+                                           ViewCache::ReadHandle* hit) {
+  VECUBE_RETURN_NOT_OK(Check(ctx));
   if (cache_ == nullptr) return FillDirect(id, ctx);
 
   uint32_t retries = 0;
   for (;;) {
     ViewCache::LookupOutcome outcome = cache_->LookupOrBegin(id);
     if (outcome.hit) {
-      QueryAnswer answer;
-      answer.data = outcome.hit.Value();
-      return answer;
+      *hit = std::move(outcome.hit);
+      return QueryAnswer();
     }
     if (outcome.fill.leader()) {
       return FillAsLeader(id, std::move(outcome.fill), ctx);
@@ -86,20 +108,18 @@ Result<QueryAnswer> ElementServer::Serve(const ElementId& id,
       answer.data = AnswerTensor(std::move(wait.data));
       return answer;
     }
-    if (Status live = ctx.Check(); !live.ok()) {
-      // Our own budget ran out while waiting (distinct from the
-      // leader's — the leader may still complete for others).
-      return Fail(std::move(live));
-    }
+    // Our own budget may have run out while waiting (distinct from the
+    // leader's — the leader may still complete for others).
+    VECUBE_RETURN_NOT_OK(Check(ctx));
     if (!LeaderLocalAbort(wait.status)) {
       // The element itself failed (Incomplete, injected fill error,
       // verify failure): retrying would fail identically.
       return wait.status;
     }
-    if (retries >= options_.max_follower_retries) {
+    if (retries >= kFollowerRetries) {
       // Give up before this turns into a retry livelock. With
       // degradation allowed there is still a bounded answer to give.
-      if (AllowDegraded(ctx)) return Degrade(id, OpsBudget(ctx), ctx);
+      if (ctx.allow_degraded()) return Degrade(id, OpsBudget(ctx), ctx);
       return Fail(std::move(wait.status));
     }
     ++retries;
@@ -137,7 +157,7 @@ Result<QueryAnswer> ElementServer::FillAsLeader(const ElementId& id,
         "plan cost " + std::to_string(cost) + " exceeds op budget " +
         std::to_string(budget) + " for " + id.ToString());
     cache_->AbortFill(std::move(ticket), cause);
-    if (AllowDegraded(ctx)) return Degrade(id, budget, ctx);
+    if (ctx.allow_degraded()) return Degrade(id, budget, ctx);
     return Fail(std::move(cause));
   }
   OpCounter ops;
@@ -146,9 +166,8 @@ Result<QueryAnswer> ElementServer::FillAsLeader(const ElementId& id,
     cache_->AbortFill(std::move(ticket), assembled.status());
     return Fail(assembled.status());
   }
-  if (options_.verify_fill) {
-    if (Status verified = options_.verify_fill(id, ops.adds);
-        !verified.ok()) {
+  if (verify_fill_) {
+    if (Status verified = verify_fill_(id, ops.adds); !verified.ok()) {
       cache_->AbortFill(std::move(ticket), verified);
       return verified;
     }
@@ -158,6 +177,7 @@ Result<QueryAnswer> ElementServer::FillAsLeader(const ElementId& id,
   QueryAnswer answer;
   answer.data = AnswerTensor(std::move(served));
   answer.ops = ops.adds;
+  answer.muls = ops.muls;
   return answer;
 }
 
@@ -170,7 +190,7 @@ Result<QueryAnswer> ElementServer::FillDirect(const ElementId& id,
   }
   const uint64_t budget = OpsBudget(ctx);
   if (cost > budget) {
-    if (AllowDegraded(ctx)) return Degrade(id, budget, ctx);
+    if (ctx.allow_degraded()) return Degrade(id, budget, ctx);
     return Fail(Status::DeadlineExceeded(
         "plan cost " + std::to_string(cost) + " exceeds op budget " +
         std::to_string(budget) + " for " + id.ToString()));
@@ -178,12 +198,11 @@ Result<QueryAnswer> ElementServer::FillDirect(const ElementId& id,
   OpCounter ops;
   Tensor assembled;
   VECUBE_ASSIGN_OR_RETURN(assembled, engine_->Assemble(id, &ops, &ctx));
-  if (options_.verify_fill) {
-    VECUBE_RETURN_NOT_OK(options_.verify_fill(id, ops.adds));
-  }
+  if (verify_fill_) VECUBE_RETURN_NOT_OK(verify_fill_(id, ops.adds));
   QueryAnswer answer;
   answer.data = AnswerTensor(std::move(assembled));
   answer.ops = ops.adds;
+  answer.muls = ops.muls;
   return answer;
 }
 

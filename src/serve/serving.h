@@ -1,8 +1,12 @@
-// ElementServer: the bounded-latency query front end (DESIGN.md §13).
+// ElementServer: the bounded-latency query front end (DESIGN.md §13),
+// and the one serving path. OlapSession::Element/ViewByMask/Query,
+// RangeEngine's missing intermediates and DynamicAssembler::Query all
+// serve through it; it is the only caller of the ViewCache single-flight
+// protocol (LookupOrBegin / WaitFill / CompleteFill / AbortFill).
 //
 // One ElementServer per serving worker, all sharing one ViewCache (and
 // its single-flight miss coalescing) with one AssemblyEngine each. It
-// layers the robustness contract over Element() queries:
+// layers the robustness contract over element queries:
 //
 //   * deadline propagation — the QueryContext is threaded through the
 //     cache waits, the planner, and the fused cascade loops, so an
@@ -10,23 +14,23 @@
 //     completion;
 //   * budget gating — before assembling, the Procedure-3 plan cost is
 //     compared against the query's op budget (explicit, or derived from
-//     the remaining wall time via `ops_per_ms`); plans that cannot
-//     finish in time are not started;
+//     the remaining wall time at a fixed 256K ops/ms); plans that
+//     cannot finish in time are not started;
 //   * graceful degradation — when the budget falls short and the query
-//     opted in, the answer comes from ApproxAssembler: an approximate
-//     tensor plus a sound L2 error bound. Degraded answers are NEVER
-//     cached (the fill is aborted first) and never served to other
-//     queries;
+//     opted in (QueryContext::set_allow_degraded), the answer comes from
+//     ApproxAssembler: an approximate tensor plus a sound L2 error
+//     bound. Degraded answers are NEVER cached (the fill is aborted
+//     first) and never served to other queries;
 //   * bounded follower retries — when a fill leader aborts for a
 //     leader-local reason (its own deadline/cancellation, or an
-//     unspecified abort), followers retry a bounded number of times
-//     with a short backoff; an element-local failure (Incomplete,
-//     injected fill error) propagates immediately. Either way repeated
-//     leader failures surface an error instead of a retry livelock.
+//     unspecified abort), followers retry up to 3 times with a 1 ms
+//     backoff; an element-local failure (Incomplete, injected fill
+//     error) propagates immediately. Either way repeated leader
+//     failures surface an error instead of a retry livelock.
 //
 // Every query resolves to exactly one of: an exact answer, a degraded
 // answer (with its bound), or a non-OK Status — and every wait on the
-// way is a bounded timed slice.
+// way is a bounded timed slice. The one fill failpoint is "serve.fill".
 //
 // An exact answer served from the cache is not copied: an unpatched hit,
 // a follower's wait and a leader's fill answer with the cached tensor
@@ -37,7 +41,6 @@
 #ifndef VECUBE_SERVE_SERVING_H_
 #define VECUBE_SERVE_SERVING_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -66,25 +69,16 @@ struct QueryAnswer {
   /// Assembly ops this query actually spent (0 for cache hits and
   /// coalesced waits).
   uint64_t ops = 0;
+  /// Synthesis halvings spent alongside (OpCounter::muls; outside the
+  /// cost model).
+  uint64_t muls = 0;
 };
 
-struct ServeQueryOptions {
-  /// Server-wide degradation default; a query can also opt in per-call
-  /// via QueryContext::set_allow_degraded.
-  bool allow_degraded = false;
-  /// Assembly throughput estimate used to convert remaining wall time
-  /// into an op budget when the context carries no explicit one.
-  uint64_t ops_per_ms = 256 * 1024;
-  /// Follower retries after leader-local aborts before giving up.
-  uint32_t max_follower_retries = 3;
-  /// Pause between follower retries (clamped to the query's remaining
-  /// deadline) so a rapidly re-aborting leader is not hammered.
-  std::chrono::milliseconds follower_backoff{1};
-  /// Optional hook run on a leader's assembled tensor before it is
-  /// published (OlapSession wires its op-count invariant check here).
-  /// A non-OK return aborts the fill with that status.
-  std::function<Status(const ElementId&, uint64_t measured_ops)> verify_fill;
-};
+/// Run on a leader's assembled tensor before it is published (OlapSession
+/// wires its op-count invariant check here). A non-OK return aborts the
+/// fill with that status.
+using FillVerifier =
+    std::function<Status(const ElementId&, uint64_t measured_ops)>;
 
 /// Per-worker facade. Not thread-safe itself (one per worker by
 /// construction); all cross-worker state lives in the shared ViewCache.
@@ -94,16 +88,31 @@ class ElementServer {
   /// alive. `cache` may be null: queries are then served directly (no
   /// coalescing, no robustness counters) but still budget-gated.
   ElementServer(AssemblyEngine* engine, const ElementStore* store,
-                ViewCache* cache, ServeQueryOptions options = {});
+                ViewCache* cache, FillVerifier verify_fill = nullptr);
 
   /// Serves one element query under `ctx`. See the file comment for the
   /// outcome contract.
   Result<QueryAnswer> Serve(const ElementId& id,
                             const QueryContext& ctx = QueryContext());
 
+  /// Serve() without taking the value of a cache hit: a hit comes back as
+  /// the pinned handle in `*hit` (the returned answer empty), for callers
+  /// that read a cell or two in place (RangeEngine). Every other outcome
+  /// is Serve()'s, with `*hit` left empty.
+  Result<QueryAnswer> Resolve(const ElementId& id, const QueryContext& ctx,
+                              ViewCache::ReadHandle* hit);
+
+  /// Serve()'s entry check, for callers that poll `ctx` between calls:
+  /// ctx.Check(), with an expiry or cancellation counted in the cache's
+  /// `deadline_exceeded` exactly as Serve() counts it.
+  Status Check(const QueryContext& ctx);
+
   /// The op budget `ctx` implies (explicit override, else remaining
-  /// time × ops_per_ms, else effectively unlimited).
+  /// time × 256K ops/ms, else effectively unlimited).
   [[nodiscard]] uint64_t OpsBudget(const QueryContext& ctx) const;
+
+  /// True when answers go through a ViewCache.
+  [[nodiscard]] bool caching() const { return cache_ != nullptr; }
 
   /// Drops the degradation helper's precomputed norms; call after the
   /// store's data changes (it rebuilds lazily on the next degraded
@@ -111,9 +120,6 @@ class ElementServer {
   void InvalidateApprox() { approx_.reset(); }
 
  private:
-  [[nodiscard]] bool AllowDegraded(const QueryContext& ctx) const {
-    return options_.allow_degraded || ctx.allow_degraded();
-  }
   /// Records terminal deadline/cancellation failures and passes the
   /// status through.
   Status Fail(Status status);
@@ -129,7 +135,7 @@ class ElementServer {
   AssemblyEngine* engine_;
   const ElementStore* store_;
   ViewCache* cache_;  // null = direct serving
-  ServeQueryOptions options_;
+  FillVerifier verify_fill_;
   std::unique_ptr<ApproxAssembler> approx_;  // built on first degraded use
 };
 

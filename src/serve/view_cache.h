@@ -27,7 +27,8 @@
 // Misses are single-flight: concurrent misses on one ElementId coalesce
 // onto a single assembly. LookupOrBegin() returns either a hit, a leader
 // ticket (the caller assembles and publishes via CompleteFill), or a
-// follower ticket (WaitFill blocks until the leader finishes). The
+// follower ticket (WaitFill blocks until the leader finishes). In src/,
+// ElementServer (serve/serving.h) is the only caller of this protocol. The
 // leader's ticket carries the shard's flush epoch from before the
 // assembly started; a flush (InvalidateAll) that lands mid-assembly
 // bumps the epoch, and the completed fill is then served to the waiters
@@ -110,8 +111,10 @@ class AnswerTensor {
 
 struct ViewCacheOptions {
   /// Consumed by the embedding layers (OlapSession, DynamicAssembler):
-  /// when false they do not construct a cache at all. A directly
-  /// constructed ViewCache is always live.
+  /// when false they construct no cache, and their ElementServer serves
+  /// every query by a direct fill (no coalescing, zeroed metrics; a
+  /// session's RangeSum keeps its intermediates in the range engine's
+  /// private store). A directly constructed ViewCache is always live.
   bool enabled = false;
   /// Total resident-data budget across all shards, in bytes of tensor
   /// payload. Entries larger than capacity_bytes / shards are served but

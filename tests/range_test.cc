@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/assembly.h"
 #include "core/basis.h"
 #include "core/computer.h"
 #include "core/graph.h"
 #include "cube/synthetic.h"
 #include "range/prefix_baseline.h"
+#include "serve/serving.h"
 #include "util/rng.h"
 
 namespace vecube {
@@ -148,7 +150,9 @@ TEST(RangeEngineTest, ErrorPolicyOnMissingElement) {
 
 TEST(RangeEngineTest, AssemblePolicyFillsGapsAndCaches) {
   Fixture f = MakeFixture({8, 8}, 4, /*full_pyramid=*/false);
-  RangeEngine engine(&f.store, MissingElementPolicy::kAssemble);
+  AssemblyEngine assembler(&f.store);
+  ElementServer server(&assembler, &f.store, /*cache=*/nullptr);
+  RangeEngine engine(&f.store, MissingElementPolicy::kAssemble, &server);
   auto range = RangeSpec::Make({0, 0}, {4, 4}, f.shape);
   RangeQueryStats stats;
   auto sum = engine.RangeSum(*range, &stats);

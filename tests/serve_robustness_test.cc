@@ -4,8 +4,11 @@
 // leaving the cache and scratch state consistent, admission-control load
 // shedding under a TSan-friendly thread stress, and the graceful
 // degradation contract (a degraded answer always carries a sound L2
-// bound and is never cached). Suite names carry "Serve" into the CI TSan
-// test filter; VECUBE_SOAK_ITERS (env) scales the stress rounds.
+// bound and is never cached). The fault cases run through every entry
+// point that serves through ElementServer (OlapSession::Element,
+// OlapSession::RangeSum, DynamicAssembler::Query), which must fail alike.
+// Suite names carry "Serve" into the CI TSan test filter;
+// VECUBE_SOAK_ITERS (env) scales the stress rounds.
 
 #include <gtest/gtest.h>
 
@@ -14,15 +17,23 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
 #include "core/assembly.h"
 #include "core/element_id.h"
 #include "core/store.h"
+#include "cube/shape.h"
 #include "cube/synthetic.h"
 #include "cube/tensor.h"
+#include "range/range.h"
+#include "range/range_engine.h"
+#include "select/dynamic.h"
 #include "serve/admission.h"
 #include "serve/serving.h"
 #include "serve/view_cache.h"
@@ -110,56 +121,12 @@ TEST(ServeDeadlineTest, CancellationUnwindsWithKCancelled) {
   EXPECT_TRUE(answer.status().IsCancelled()) << answer.status().ToString();
 }
 
-// A leader stalled (failpoint-injected latency) past a follower's
-// deadline: the follower must come back with its own kDeadlineExceeded
-// instead of waiting out the leader, while the leader still completes
-// and publishes an exact answer.
-TEST(ServeChaosTest, FollowerDeadlineFiresWhileLeaderIsStalled) {
-  FailpointGuard guard;
-  CubeFixture fixture = CubeFixture::Make();
-  const ElementId id = fixture.View(1);
-  ViewCache cache;
-
-  FailpointAction delay;
-  delay.kind = FailpointAction::Kind::kDelay;
-  delay.delay_ms = 400;
-  Failpoints::Arm("serve.fill", delay);
-
-  std::thread leader([&] {
-    AssemblyEngine engine(&fixture.store);
-    ElementServer server(&engine, &fixture.store, &cache);
-    auto answer = server.Serve(id, QueryContext());
-    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_FALSE(answer->degraded);
-  });
-  // The flight exists once the leader's miss is counted; the stall
-  // itself happens after the ticket is claimed.
-  while (cache.Metrics().misses < 1) std::this_thread::yield();
-
-  AssemblyEngine follower_engine(&fixture.store);
-  ElementServer follower(&follower_engine, &fixture.store, &cache);
-  auto answer = follower.Serve(
-      id, QueryContext::WithTimeout(std::chrono::milliseconds(100)));
-  ASSERT_FALSE(answer.ok());
-  EXPECT_TRUE(answer.status().IsDeadlineExceeded())
-      << answer.status().ToString();
-  leader.join();
-
-  const ServeMetrics metrics = cache.Metrics();
-  EXPECT_GE(metrics.deadline_exceeded, 1u);
-  // The leader's late answer is cached and exact for the next caller.
-  auto hit = cache.Lookup(id);
-  ASSERT_NE(hit, nullptr);
-  AssemblyEngine reference(&fixture.store);
-  auto exact = reference.Assemble(id);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(hit->data(), exact->data());
-}
-
 // ---------------------------------------------------------------------------
 // Leader abort handling (the follower-livelock fix): an element-local
 // failure propagates to followers immediately; leader-local aborts are
-// retried a bounded number of times, never forever.
+// retried a bounded number of times, never forever. This case drives the
+// raw protocol; ServeFollowerTest below runs the follower cases through
+// ElementServer::Serve and RangeEngine::RangeSum.
 
 TEST(ServeChaosTest, FollowerReceivesLeaderAbortCause) {
   CubeFixture fixture = CubeFixture::Make();
@@ -184,68 +151,6 @@ TEST(ServeChaosTest, FollowerReceivesLeaderAbortCause) {
   EXPECT_NE(wait.status.ToString().find("injected fill failure"),
             std::string::npos)
       << wait.status.ToString();
-}
-
-TEST(ServeChaosTest, InjectedFillErrorPropagatesThroughServer) {
-  FailpointGuard guard;
-  CubeFixture fixture = CubeFixture::Make();
-  ViewCache cache;
-  AssemblyEngine engine(&fixture.store);
-  ElementServer server(&engine, &fixture.store, &cache);
-
-  FailpointAction error;
-  error.kind = FailpointAction::Kind::kError;
-  Failpoints::Arm("serve.fill", error);
-  auto answer = server.Serve(fixture.View(1), QueryContext());
-  ASSERT_FALSE(answer.ok());
-  EXPECT_NE(answer.status().ToString().find("injected fill failure"),
-            std::string::npos)
-      << answer.status().ToString();
-
-  // One-shot failpoint: the next query recovers and serves exactly.
-  auto retry = server.Serve(fixture.View(1), QueryContext());
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_FALSE(retry->degraded);
-}
-
-TEST(ServeChaosTest, RepeatedLeaderAbortsDoNotLivelockFollowers) {
-  CubeFixture fixture = CubeFixture::Make();
-  const ElementId id = fixture.View(1);
-  ViewCache cache;
-
-  // A saboteur keeps claiming leadership and aborting with the generic
-  // (leader-local) cause. Pre-fix behavior was an unbounded retry loop
-  // in the follower; post-fix the follower either wins a leader ticket
-  // itself (OK) or exhausts its bounded retries (kUnavailable) — either
-  // way this test terminates.
-  std::atomic<bool> stop{false};
-  std::thread saboteur([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      auto outcome = cache.LookupOrBegin(id);
-      if (outcome.fill.valid() && outcome.fill.leader()) {
-        cache.AbortFill(std::move(outcome.fill));
-      }
-      std::this_thread::yield();
-    }
-  });
-
-  AssemblyEngine engine(&fixture.store);
-  ElementServer server(&engine, &fixture.store, &cache);
-  auto answer = server.Serve(id, QueryContext());
-  stop.store(true, std::memory_order_relaxed);
-  saboteur.join();
-  if (!answer.ok()) {
-    EXPECT_TRUE(answer.status().IsUnavailable())
-        << answer.status().ToString();
-  }
-
-  // Whatever the race produced, the stack is healthy afterwards.
-  auto after = server.Serve(id, QueryContext());
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  AssemblyEngine reference(&fixture.store);
-  auto exact = reference.Assemble(id);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(after->data.data(), exact->data());
 }
 
 // ---------------------------------------------------------------------------
@@ -647,6 +552,399 @@ TEST(ServeAccountingStressTest, EveryQueryResolvesToExactlyOneOutcome) {
   EXPECT_EQ(metrics.shed, shed.load());
   EXPECT_EQ(metrics.degraded, degraded.load());
 }
+
+
+// ---------------------------------------------------------------------------
+// One serving path: OlapSession::Element, OlapSession::RangeSum and
+// DynamicAssembler::Query all serve through ElementServer, so the same
+// fault must give the same Status code and the same ServeMetrics deltas
+// through each of them.
+
+enum class Entry { kElement, kRangeSum, kQuery };
+
+void PrintTo(Entry entry, std::ostream* os) {
+  switch (entry) {
+    case Entry::kElement:
+      *os << "Element";
+      return;
+    case Entry::kRangeSum:
+      *os << "RangeSum";
+      return;
+    case Entry::kQuery:
+      *os << "DynamicQuery";
+      return;
+  }
+}
+
+/// The ServeMetrics fields the robustness contract moves, as deltas.
+struct Delta {
+  int64_t hits = 0, misses = 0, deadline_exceeded = 0, degraded = 0;
+  int64_t shed = 0, ops_saved = 0, ops_executed = 0;
+
+  static Delta Between(const ServeMetrics& before, const ServeMetrics& after) {
+    auto d = [](uint64_t a, uint64_t b) {
+      return static_cast<int64_t>(a) - static_cast<int64_t>(b);
+    };
+    Delta delta;
+    delta.hits = d(after.hits, before.hits);
+    delta.misses = d(after.misses, before.misses);
+    delta.deadline_exceeded =
+        d(after.deadline_exceeded, before.deadline_exceeded);
+    delta.degraded = d(after.degraded, before.degraded);
+    delta.shed = d(after.shed, before.shed);
+    delta.ops_saved = d(after.assembly_ops_saved, before.assembly_ops_saved);
+    delta.ops_executed =
+        d(after.assembly_ops_executed, before.assembly_ops_executed);
+    return delta;
+  }
+};
+
+/// One cached entry point over a fresh 8x8 cube whose store holds only
+/// the cube. Every entry point asks for the same intermediate element:
+/// Element and Query by id, RangeSum through a range that is one aligned
+/// 2^L block per dimension, which that element answers in one cell.
+class EntryPoint {
+ public:
+  explicit EntryPoint(Entry entry) : entry_(entry) {
+    CubeShape shape = *CubeShape::Make({8, 8});
+    Rng rng(53);
+    cube_ = *UniformIntegerCube(shape, &rng, -9, 9);
+    range_ = *RangeSpec::Make({4, 2}, {4, 2}, shape);
+    id_ = *ElementId::Intermediate({2, 1}, shape);
+    ElementStore root(shape);
+    EXPECT_TRUE(root.Put(ElementId::Root(shape.ndim()), cube_).ok());
+    AssemblyEngine planner(&root);
+    plan_cost_ = planner.PlanCost(id_);
+    expected_ = *planner.Assemble(id_);
+    if (entry == Entry::kQuery) {
+      DynamicOptions options;
+      options.cache.enabled = true;
+      dynamic_ =
+          std::move(DynamicAssembler::Make(shape, cube_, options)).value();
+    } else {
+      OlapSessionOptions options;
+      options.num_threads = 1;
+      options.view_cache.enabled = true;
+      session_ =
+          std::move(OlapSession::FromCube(shape, cube_, options)).value();
+    }
+  }
+
+  /// Issues one query under `ctx`; an OK answer is checked bit-exact.
+  Status Issue(const QueryContext& ctx) {
+    switch (entry_) {
+      case Entry::kElement: {
+        Result<Tensor> got = session_->Element(id_, ctx);
+        if (got.ok()) {
+          EXPECT_EQ(got->data(), expected_.data());
+        }
+        return got.status();
+      }
+      case Entry::kRangeSum: {
+        Result<double> got = session_->RangeSum(range_, ctx);
+        if (got.ok()) {
+          EXPECT_EQ(*got, *NaiveRangeSum(cube_, session_->shape(), range_));
+        }
+        return got.status();
+      }
+      case Entry::kQuery: {
+        Result<Tensor> got = dynamic_->Query(id_, nullptr, ctx);
+        if (got.ok()) {
+          EXPECT_EQ(got->data(), expected_.data());
+        }
+        return got.status();
+      }
+    }
+    return Status::Internal("unknown entry point");
+  }
+
+  /// Issues one query and returns its status and the metrics it moved.
+  std::pair<Status, Delta> IssueAndMeasure(const QueryContext& ctx) {
+    const ServeMetrics before = Metrics();
+    Status status = Issue(ctx);
+    return {status, Delta::Between(before, Metrics())};
+  }
+
+  [[nodiscard]] ServeMetrics Metrics() const {
+    return entry_ == Entry::kQuery ? dynamic_->serve_metrics()
+                                   : session_->serve_metrics();
+  }
+  [[nodiscard]] uint64_t plan_cost() const { return plan_cost_; }
+
+ private:
+  Entry entry_;
+  Tensor cube_;
+  RangeSpec range_;
+  ElementId id_;
+  uint64_t plan_cost_ = 0;
+  Tensor expected_;
+  std::unique_ptr<OlapSession> session_;
+  std::unique_ptr<DynamicAssembler> dynamic_;
+};
+
+class ServeEntryPointTest : public testing::TestWithParam<Entry> {};
+
+TEST_P(ServeEntryPointTest, ExpiredContextFailsAndCountsOnce) {
+  EntryPoint entry(GetParam());
+  // For RangeSum this is the per-step ctx check of the odometer, which
+  // must count the expiry once, like Serve's own entry check does.
+  auto [status, delta] = entry.IssueAndMeasure(QueryContext::WithDeadline(
+      QueryContext::Clock::now() - std::chrono::milliseconds(1)));
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(delta.deadline_exceeded, 1);
+  EXPECT_EQ(delta.misses, 0);
+  EXPECT_EQ(delta.hits, 0);
+  EXPECT_EQ(delta.ops_executed, 0);
+}
+
+TEST_P(ServeEntryPointTest, CancellationUnwindsWithKCancelled) {
+  EntryPoint entry(GetParam());
+  QueryContext ctx = QueryContext::Cancellable();
+  ctx.RequestCancel();
+  auto [status, delta] = entry.IssueAndMeasure(ctx);
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  EXPECT_EQ(delta.deadline_exceeded, 1);
+  EXPECT_EQ(delta.misses, 0);
+  EXPECT_EQ(delta.ops_executed, 0);
+}
+
+TEST_P(ServeEntryPointTest, InjectedFillErrorPropagatesThenRecovers) {
+  FailpointGuard guard;
+  EntryPoint entry(GetParam());
+  FailpointAction error;
+  error.kind = FailpointAction::Kind::kError;
+  Failpoints::Arm("serve.fill", error);
+  auto [status, delta] = entry.IssueAndMeasure(QueryContext());
+  EXPECT_TRUE(status.IsInternal()) << status.ToString();
+  EXPECT_NE(status.ToString().find("injected fill failure"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(delta.misses, 1);  // the leader's miss, then its abort
+  EXPECT_EQ(delta.deadline_exceeded, 0);
+  EXPECT_EQ(delta.ops_executed, 0);
+
+  // One-shot failpoint: the next query fills exactly, the one after hits.
+  auto [filled, fill_delta] = entry.IssueAndMeasure(QueryContext());
+  ASSERT_TRUE(filled.ok()) << filled.ToString();
+  EXPECT_EQ(fill_delta.misses, 1);
+  EXPECT_EQ(fill_delta.ops_executed,
+            static_cast<int64_t>(entry.plan_cost()));
+  auto [hit, hit_delta] = entry.IssueAndMeasure(QueryContext());
+  ASSERT_TRUE(hit.ok()) << hit.ToString();
+  EXPECT_EQ(hit_delta.hits, 1);
+  EXPECT_EQ(hit_delta.ops_saved, static_cast<int64_t>(entry.plan_cost()));
+}
+
+TEST_P(ServeEntryPointTest, OpBudgetBelowPlanCostFailsBeforeAssembling) {
+  EntryPoint entry(GetParam());
+  ASSERT_GT(entry.plan_cost(), 1u);
+  QueryContext ctx;
+  ctx.set_ops_budget(entry.plan_cost() - 1);
+  auto [status, delta] = entry.IssueAndMeasure(ctx);
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(delta.deadline_exceeded, 1);
+  EXPECT_EQ(delta.misses, 1);
+  EXPECT_EQ(delta.ops_executed, 0);
+
+  // A budget of exactly the plan cost is enough.
+  ctx.set_ops_budget(entry.plan_cost());
+  auto [exact, exact_delta] = entry.IssueAndMeasure(ctx);
+  ASSERT_TRUE(exact.ok()) << exact.ToString();
+  EXPECT_EQ(exact_delta.ops_executed,
+            static_cast<int64_t>(entry.plan_cost()));
+}
+
+TEST_P(ServeEntryPointTest, DegradationIsStrippedAndFailsClosed) {
+  // None of these signatures has a channel for an error bound, so an
+  // opted-in context must not leak an approximate answer through them.
+  EntryPoint entry(GetParam());
+  QueryContext ctx;
+  ctx.set_allow_degraded(true).set_ops_budget(4);
+  auto [status, delta] = entry.IssueAndMeasure(ctx);
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(delta.degraded, 0);
+  EXPECT_EQ(delta.deadline_exceeded, 1);
+  EXPECT_EQ(delta.misses, 1);
+}
+
+// ok + deadline_exceeded + shed + degraded == issued and
+// ops_saved + ops_executed == Σ plan cost over the answered queries, after
+// every single call of a sequence that reaches every contract outcome.
+TEST_P(ServeEntryPointTest, AccountingIdentitiesHoldAfterEveryCall) {
+  EntryPoint entry(GetParam());
+  std::vector<QueryContext> contexts;
+  contexts.push_back(QueryContext());  // fill
+  contexts.push_back(QueryContext::WithDeadline(QueryContext::Clock::now()));
+  contexts.push_back(QueryContext());  // hit
+  {
+    QueryContext cancelled = QueryContext::Cancellable();
+    cancelled.RequestCancel();
+    contexts.push_back(cancelled);
+  }
+  contexts.push_back(QueryContext::WithTimeout(std::chrono::hours(1)));
+  {
+    QueryContext starved;
+    starved.set_allow_degraded(true).set_ops_budget(4);
+    contexts.push_back(starved);  // a hit: the budget gates fills only
+  }
+  const ServeMetrics start = entry.Metrics();
+  uint64_t issued = 0, ok = 0, plan_sum = 0;
+  for (const QueryContext& ctx : contexts) {
+    const Status status = entry.Issue(ctx);
+    ++issued;
+    if (status.ok()) {
+      ++ok;
+      plan_sum += entry.plan_cost();
+    } else {
+      EXPECT_TRUE(status.IsDeadlineExceeded() || status.IsCancelled())
+          << status.ToString();
+    }
+    const Delta d = Delta::Between(start, entry.Metrics());
+    EXPECT_EQ(ok + d.deadline_exceeded + d.shed + d.degraded, issued)
+        << "after call " << issued;
+    EXPECT_EQ(static_cast<uint64_t>(d.ops_saved + d.ops_executed), plan_sum)
+        << "after call " << issued;
+  }
+  EXPECT_EQ(ok, 4u);
+  EXPECT_EQ(Delta::Between(start, entry.Metrics()).misses, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEntryPoints, ServeEntryPointTest,
+                         testing::Values(Entry::kElement, Entry::kRangeSum,
+                                         Entry::kQuery));
+
+// Followers: ElementServer::Serve (what OlapSession::Element runs) and a
+// RangeEngine over an ElementServer, each on a cache shared with a
+// stalled or aborting ElementServer leader. A DynamicAssembler is single-
+// threaded, so its follower branch cannot be reached.
+
+enum class Follower { kServe, kRangeSum };
+
+void PrintTo(Follower follower, std::ostream* os) {
+  *os << (follower == Follower::kServe ? "Serve" : "RangeSum");
+}
+
+class ServeFollowerTest : public testing::TestWithParam<Follower> {
+ protected:
+  ServeFollowerTest() : fixture_(CubeFixture::Make(59)) {
+    range_ = *RangeSpec::Make({4, 2}, {4, 2}, fixture_.shape);
+    id_ = *ElementId::Intermediate({2, 1}, fixture_.shape);
+  }
+
+  /// One follower query for the shared element on `cache`.
+  Status Follow(ViewCache* cache, const QueryContext& ctx) {
+    AssemblyEngine engine(&fixture_.store);
+    ElementServer server(&engine, &fixture_.store, cache);
+    if (GetParam() == Follower::kServe) return server.Serve(id_, ctx).status();
+    RangeEngine range_engine(&fixture_.store,
+                             MissingElementPolicy::kAssemble, &server);
+    return range_engine.RangeSum(range_, nullptr, ctx).status();
+  }
+
+  /// Runs an ElementServer leader for the shared element on `cache` in a
+  /// thread that stalls `stall_ms` in the serve.fill failpoint and then
+  /// publishes, or aborts with `verify`'s status when that fails.
+  std::thread StalledLeader(ViewCache* cache, uint64_t stall_ms,
+                            FillVerifier verify, Status* result) {
+    FailpointAction delay;
+    delay.kind = FailpointAction::Kind::kDelay;
+    delay.delay_ms = stall_ms;
+    Failpoints::Arm("serve.fill", delay);
+    std::thread leader([this, cache, verify, result] {
+      AssemblyEngine engine(&fixture_.store);
+      ElementServer server(&engine, &fixture_.store, cache, verify);
+      *result = server.Serve(id_, QueryContext()).status();
+    });
+    // The flight exists once the leader's miss is counted; the stall
+    // itself happens after the ticket is claimed.
+    while (cache->Metrics().misses < 1) std::this_thread::yield();
+    return leader;
+  }
+
+  void ExpectCachedExact(ViewCache* cache) {
+    auto hit = cache->Lookup(id_);
+    ASSERT_NE(hit, nullptr);
+    AssemblyEngine reference(&fixture_.store);
+    EXPECT_EQ(hit->data(), reference.Assemble(id_)->data());
+  }
+
+  CubeFixture fixture_;
+  RangeSpec range_;
+  ElementId id_;
+};
+
+TEST_P(ServeFollowerTest, DeadlineFiresWhileLeaderIsStalled) {
+  FailpointGuard guard;
+  ViewCache cache;
+  Status leader_status;
+  std::thread leader = StalledLeader(&cache, 400, nullptr, &leader_status);
+  const Status status =
+      Follow(&cache, QueryContext::WithTimeout(std::chrono::milliseconds(100)));
+  leader.join();
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_TRUE(leader_status.ok()) << leader_status.ToString();
+  const ServeMetrics metrics = cache.Metrics();
+  EXPECT_EQ(metrics.deadline_exceeded, 1u);
+  EXPECT_EQ(metrics.follower_retries, 0u);
+  // The leader's late answer is cached and exact for the next caller.
+  ExpectCachedExact(&cache);
+}
+
+TEST_P(ServeFollowerTest, ReceivesLeaderAbortCause) {
+  FailpointGuard guard;
+  ViewCache cache;
+  Status leader_status;
+  std::thread leader = StalledLeader(
+      &cache, 300,
+      [](const ElementId&, uint64_t) {
+        return Status::Internal("injected fill failure");
+      },
+      &leader_status);
+  const Status status = Follow(&cache, QueryContext());
+  leader.join();
+  EXPECT_TRUE(leader_status.IsInternal()) << leader_status.ToString();
+  // An element-local cause propagates verbatim, without a retry.
+  EXPECT_TRUE(status.IsInternal()) << status.ToString();
+  EXPECT_NE(status.ToString().find("injected fill failure"),
+            std::string::npos)
+      << status.ToString();
+  const ServeMetrics metrics = cache.Metrics();
+  EXPECT_EQ(metrics.follower_retries, 0u);
+  EXPECT_EQ(metrics.deadline_exceeded, 0u);
+  EXPECT_EQ(metrics.insertions, 0u);
+}
+
+TEST_P(ServeFollowerTest, RepeatedLeaderAbortsDoNotLivelock) {
+  ViewCache cache;
+  // A saboteur keeps claiming leadership and aborting with the generic
+  // (leader-local) cause: the follower either wins a leader ticket itself
+  // (OK) or exhausts its bounded retries (kUnavailable).
+  std::atomic<bool> stop{false};
+  std::thread saboteur([&] {
+    while (!stop.load(std::memory_order_relaxed)) {  // order: stop flag
+      auto outcome = cache.LookupOrBegin(id_);
+      if (outcome.fill.valid() && outcome.fill.leader()) {
+        cache.AbortFill(std::move(outcome.fill));
+      }
+      std::this_thread::yield();
+    }
+  });
+  const Status status = Follow(&cache, QueryContext());
+  stop.store(true, std::memory_order_relaxed);  // order: stop flag
+  saboteur.join();
+  if (!status.ok()) {
+    EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+  }
+  EXPECT_LE(cache.Metrics().follower_retries, 3u);
+
+  // Whatever the race produced, the path is healthy afterwards.
+  const Status after = Follow(&cache, QueryContext());
+  ASSERT_TRUE(after.ok()) << after.ToString();
+  ExpectCachedExact(&cache);
+}
+
+INSTANTIATE_TEST_SUITE_P(ElementAndRange, ServeFollowerTest,
+                         testing::Values(Follower::kServe,
+                                         Follower::kRangeSum));
 
 }  // namespace
 }  // namespace vecube

@@ -85,6 +85,15 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          outside its definition in util/sync.h must be
                          registered in tools/thread_safety_allowlist.txt
                          with a justification.
+  single-flight-in-server
+                         Under src/, only src/serve/view_cache.{h,cc}
+                         and src/serve/serving.{h,cc} may call the
+                         ViewCache single-flight protocol (LookupOrBegin,
+                         WaitFill, CompleteFill, AbortFill). Everything
+                         else serves through ElementServer, so the budget
+                         gate, verify_fill, bounded follower retries and
+                         deadline accounting cannot be forked into a
+                         second copy of the leader/follower loop.
 
 Usage:
   tools/vecube_check.py [--root DIR] [--backend auto|ast|lexer]
@@ -127,6 +136,7 @@ RULES = (
     "naked-sync-primitives",
     "detached-threads",
     "escape-hatch-allowlist",
+    "single-flight-in-server",
 )
 
 DISABLE_RE = re.compile(r"//\s*vecube-check:\s*disable=([\w,-]+)")
@@ -231,6 +241,16 @@ THREAD_ALLOWED_FILES = {"src/util/thread_pool.h", "src/util/thread_pool.cc"}
 NAKED_THREAD_RE = re.compile(
     r"\bstd::thread\b(?!\s*::\s*(?:hardware_concurrency|id)\b)")
 DETACH_RE = re.compile(r"(?:\.|->)\s*detach\s*\(\s*\)")
+
+# --- single-flight-in-server ------------------------------------------
+SINGLE_FLIGHT_FILES = {
+    "src/serve/view_cache.h",
+    "src/serve/view_cache.cc",
+    "src/serve/serving.h",
+    "src/serve/serving.cc",
+}
+SINGLE_FLIGHT_RE = re.compile(
+    r"\b(?:LookupOrBegin|WaitFill|CompleteFill|AbortFill)\s*\(")
 
 # --- escape-hatch-allowlist -------------------------------------------
 ESCAPE_HATCH = "VECUBE_NO_THREAD_SAFETY_ANALYSIS"
@@ -767,6 +787,20 @@ def check_detach(src: SourceFile, findings: list):
                 "joined by an owner with a shutdown contract"))
 
 
+def check_single_flight(src: SourceFile, findings: list):
+    if not src.rel.startswith("src/") or src.rel in SINGLE_FLIGHT_FILES:
+        return
+    for lineno, code in enumerate(src.code_lines, start=1):
+        if SINGLE_FLIGHT_RE.search(code) and \
+                not src.suppressed(lineno, "single-flight-in-server"):
+            findings.append(Finding(
+                src.rel, lineno, "single-flight-in-server",
+                "ViewCache single-flight call outside serve/serving and "
+                "serve/view_cache; serve misses through ElementServer "
+                "(Serve or Resolve) instead of another leader/follower "
+                "loop"))
+
+
 def load_allowlist(root: Path) -> dict:
     """path -> [justification]; '#' comments and blank lines skipped."""
     entries = {}
@@ -868,6 +902,7 @@ def run_rules(root: Path, sources: dict, backend: str,
         check_naked_sync(src, findings)
         check_detach(src, findings)
         check_escape_hatches(src, allowlist, findings)
+        check_single_flight(src, findings)
     return findings
 
 

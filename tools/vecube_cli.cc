@@ -327,7 +327,10 @@ int CmdRange(const std::map<std::string, std::string>& flags) {
   if (!width.ok()) return Fail(width.status());
   auto range = vecube::RangeSpec::Make(*start, *width, store->shape());
   if (!range.ok()) return Fail(range.status());
-  vecube::RangeEngine engine(&*store);
+  vecube::AssemblyEngine assembler(&*store);
+  vecube::ElementServer server(&assembler, &*store, /*cache=*/nullptr);
+  vecube::RangeEngine engine(&*store, vecube::MissingElementPolicy::kAssemble,
+                             &server);
   vecube::RangeQueryStats stats;
   auto sum = engine.RangeSum(*range, &stats);
   if (!sum.ok()) return Fail(sum.status());
@@ -443,10 +446,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     for (uint64_t w = 0; w < threads; ++w) {
       workers.emplace_back([&, w]() {
         vecube::AssemblyEngine engine(&*store);
-        vecube::ServeQueryOptions serve_options;
-        serve_options.allow_degraded = allow_degraded;
-        vecube::ElementServer server(&engine, &*store, &cache,
-                                     serve_options);
+        vecube::ElementServer server(&engine, &*store, &cache);
         for (;;) {
           if (g_interrupted) return;
           const uint64_t q =
@@ -458,6 +458,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
               deadline_ms > 0 ? vecube::QueryContext::WithTimeout(
                                     std::chrono::milliseconds(deadline_ms))
                               : vecube::QueryContext();
+          ctx.set_allow_degraded(allow_degraded);
           auto permit = admission.Admit(ctx);
           if (!permit.ok()) {
             if (permit.status().IsResourceExhausted()) {
