@@ -7,9 +7,9 @@
 // prints fused-vs-baseline and GB/s columns:
 //   baseline  step-at-a-time cascade (one materialized tensor per level)
 //             with the scalar kernel table forced — the pre-fusion path.
-//   fused     the fused kernel layer (haar/fused.h): whole cascade groups
-//             in one pass through scratch tiles, runtime-dispatched
-//             vector kernels, ScratchArena reuse.
+//   fused     the fused kernel layer (haar/fused.h, CascadeAnalysis):
+//             whole cascade groups in one pass through scratch tiles,
+//             runtime-dispatched vector kernels.
 // Both paths must produce bit-identical totals and equal OpCounter adds;
 // the binary exits nonzero if they do not. Results are appended to
 // BENCH_kernels.json in the working directory so the perf trajectory can
@@ -33,7 +33,7 @@
 #include "cube/shape.h"
 #include "cube/synthetic.h"
 #include "haar/cascade.h"
-#include "haar/scratch.h"
+#include "haar/fused.h"
 #include "haar/simd.h"
 #include "haar/transform.h"
 #include "util/rng.h"
@@ -55,8 +55,8 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 
 // The pre-fusion total aggregation: cascade P1 one level at a time along
 // every dimension, materializing each intermediate, with the scalar kernel
-// table forced for the duration. This is what TotalAggregate/GrandTotal
-// compiled to before the fused layer existed.
+// table forced for the duration. This is what the grand total compiled to
+// before the fused layer existed.
 double BaselineGrandTotal(const vecube::Tensor& cube, vecube::OpCounter* ops) {
   vecube::internal::OverrideVecOpsForTesting(
       &vecube::internal::ScalarVecOps());
@@ -74,6 +74,21 @@ double BaselineGrandTotal(const vecube::Tensor& cube, vecube::OpCounter* ops) {
   }
   vecube::internal::OverrideVecOpsForTesting(nullptr);
   return current.raw()[0];
+}
+
+// The fused grand total (Eq. 16): one CascadeAnalysis over every
+// dimension's total-aggregation steps.
+vecube::Result<double> FusedGrandTotal(const vecube::Tensor& cube,
+                                       vecube::OpCounter* ops) {
+  std::vector<vecube::CascadeStep> steps;
+  for (uint32_t m = 0; m < cube.ndim(); ++m) {
+    for (uint32_t e = cube.extent(m); e > 1; e /= 2) {
+      steps.push_back(vecube::CascadeStep{m, vecube::StepKind::kPartial});
+    }
+  }
+  vecube::Tensor total;
+  VECUBE_ASSIGN_OR_RETURN(total, vecube::CascadeAnalysis(cube, steps, ops));
+  return total[0];
 }
 
 struct HeadlineResult {
@@ -113,17 +128,16 @@ HeadlineResult RunHeadlineCase(uint32_t d, uint32_t n, int reps) {
     if (ms < r.baseline_ms) r.baseline_ms = ms;
   }
 
-  vecube::ScratchArena arena;
   vecube::OpCounter fused_ops;
   double fused_total = 0.0;
   r.fused_ms = 1e300;
-  for (int rep = 0; rep <= reps; ++rep) {  // extra rep 0 warms the arena
+  for (int rep = 0; rep <= reps; ++rep) {  // extra rep 0 warms the heap
     fused_ops.Reset();
     const auto start = std::chrono::steady_clock::now();
-    auto total = vecube::GrandTotal(cube, &fused_ops, nullptr, &arena);
+    auto total = FusedGrandTotal(cube, &fused_ops);
     const double ms = MillisSince(start);
     if (!total.ok()) {
-      std::fprintf(stderr, "fused GrandTotal failed: %s\n",
+      std::fprintf(stderr, "fused grand total failed: %s\n",
                    total.status().ToString().c_str());
       std::exit(1);
     }
@@ -195,9 +209,8 @@ void BM_TotalAggregation(benchmark::State& state) {
   const uint32_t d = static_cast<uint32_t>(state.range(0));
   const uint32_t n = static_cast<uint32_t>(state.range(1));
   const vecube::Tensor cube = MakeCube(d, n, 5);
-  vecube::ScratchArena arena;
   for (auto _ : state) {
-    auto total = vecube::GrandTotal(cube, nullptr, nullptr, &arena);
+    auto total = FusedGrandTotal(cube, nullptr);
     benchmark::DoNotOptimize(*total);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -62,7 +62,7 @@ bool TimedBatch(const vecube::ElementStore& store,
                 RunResult* out) {
   std::unique_ptr<vecube::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<vecube::ThreadPool>(threads);
-  vecube::AssemblyEngine engine(&store, pool.get(), nullptr, shards);
+  vecube::AssemblyEngine engine(&store, pool.get(), shards);
 
   out->threads = threads;
   out->shards = shards;

@@ -86,12 +86,13 @@ Status OlapSession::VerifyAfterUpdate() {
   return Status::OK();
 }
 
-Status OlapSession::VerifyOpCount(const ElementId& target,
+Status OlapSession::VerifyOpCount(AssemblyEngine* engine,
+                                  const ElementId& target,
                                   uint64_t measured_ops) {
   if (checker_ == nullptr) return Status::OK();
   // PlanCost is memoized from the assembly that just ran, so this is a
   // table lookup, not a second planning pass.
-  return checker_->CheckOpCount(engine_->PlanCost(target), measured_ops);
+  return checker_->CheckOpCount(engine->PlanCost(target), measured_ops);
 }
 
 Result<std::unique_ptr<OlapSession>> OlapSession::FromCube(
@@ -409,19 +410,23 @@ Result<RepairReport> OlapSession::Repair() {
 }
 
 void OlapSession::RebuildEngines() {
-  engine_ = std::make_unique<AssemblyEngine>(&store_, pool_.get(), &scratch_,
-                                             options_.num_shards);
-  if (count_store_.has_value()) {
-    count_engine_ = std::make_unique<AssemblyEngine>(
-        &*count_store_, pool_.get(), &scratch_, options_.num_shards);
-  }
+  engine_ = std::make_unique<AssemblyEngine>(&store_, pool_.get());
   // Every fill, range intermediates included, runs under the session's
   // op-count invariant.
   server_ = std::make_unique<ElementServer>(
       engine_.get(), &store_, cache_.get(),
       [this](const ElementId& id, uint64_t measured_ops) {
-        return VerifyOpCount(id, measured_ops);
+        return VerifyOpCount(engine_.get(), id, measured_ops);
       });
+  if (count_store_.has_value()) {
+    count_engine_ =
+        std::make_unique<AssemblyEngine>(&*count_store_, pool_.get());
+    count_server_ = std::make_unique<ElementServer>(
+        count_engine_.get(), &*count_store_, nullptr,
+        [this](const ElementId& id, uint64_t measured_ops) {
+          return VerifyOpCount(count_engine_.get(), id, measured_ops);
+        });
+  }
   range_engine_ = std::make_unique<RangeEngine>(
       &store_, MissingElementPolicy::kAssemble, server_.get());
 }
@@ -551,22 +556,19 @@ Result<Tensor> OlapSession::AvgByMask(uint32_t aggregated_mask,
   ElementId view;
   VECUBE_ASSIGN_OR_RETURN(view,
                           ElementId::AggregatedView(aggregated_mask, shape_));
-  OpCounter ops;
-  Tensor sums, counts;
-  VECUBE_ASSIGN_OR_RETURN(sums, engine_->Assemble(view, &ops, &ctx));
-  VECUBE_ASSIGN_OR_RETURN(counts, count_engine_->Assemble(view, &ops, &ctx));
-  if (checker_ != nullptr) {
-    // Both assemblies accrued into one counter; each engine's measured
-    // ops must equal its own memoized plan cost, so the sum must too.
-    VECUBE_RETURN_NOT_OK(checker_->CheckOpCount(
-        engine_->PlanCost(view) + count_engine_->PlanCost(view), ops.adds));
-  }
+  // A bare Tensor has no channel for an error bound: exact, as Element().
+  QueryContext exact = ctx;
+  exact.set_allow_degraded(false);
+  QueryAnswer sums, counts;
+  VECUBE_ASSIGN_OR_RETURN(sums, server_->Serve(view, exact));
+  VECUBE_ASSIGN_OR_RETURN(counts, count_server_->Serve(view, exact));
   ++stats_.queries;
-  stats_.assembly_ops += ops.adds;
+  stats_.assembly_ops += sums.ops + counts.ops;
   if (options_.track_accesses) access_log_.Record(view);
-  Tensor avg = sums;
+  Tensor avg = std::move(sums.data).Take();
+  const Tensor& count = counts.data.get();
   for (uint64_t i = 0; i < avg.size(); ++i) {
-    avg[i] = counts[i] > 0.0 ? sums[i] / counts[i] : 0.0;
+    avg[i] = count[i] > 0.0 ? avg[i] / count[i] : 0.0;
   }
   return avg;
 }

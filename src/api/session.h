@@ -17,8 +17,8 @@
 // concurrently. The planner memo tables and SessionStats are
 // deliberately unsynchronized: planning is serial by contract, and
 // concurrent serving is built by sharing the internally synchronized
-// components (ViewCache, ScratchArena, BufferedAccessLog, WriteAheadLog,
-// EpochDomain) across one AssemblyEngine per worker, not by hammering
+// components (ViewCache, BufferedAccessLog, WriteAheadLog, EpochDomain)
+// across one AssemblyEngine per worker, not by hammering
 // one session from many threads. Of the accessors, serve_metrics(),
 // buffered_accesses(), and last_lsn() are safe to call from a monitoring
 // thread while the owner is querying; stats(), access_tracker(), store()
@@ -42,7 +42,6 @@
 #include "cube/relation.h"
 #include "cube/shape.h"
 #include "cube/tensor.h"
-#include "haar/scratch.h"
 #include "range/range_engine.h"
 #include "serve/serving.h"
 #include "serve/view_cache.h"
@@ -107,19 +106,13 @@ struct OlapSessionOptions {
   /// set changes). The COUNT side (AvgByMask) is never cached — its
   /// elements share ids with SUM ones.
   ViewCacheOptions view_cache = {};
-  /// Execution lanes for assembly (Haar kernels chunk their row loops,
-  /// batch assembly fans out across targets). 0 = hardware concurrency;
-  /// 1 = fully serial, bit- and count-identical to the single-threaded
-  /// engine (any thread count is, but 1 spawns no workers at all).
+  /// Execution lanes for assembly (large aggregate descents split into
+  /// one dyadic shard per lane, DESIGN.md §14; synthesis kernels chunk
+  /// their row loops; batch assembly fans out across targets). 0 =
+  /// hardware concurrency; 1 = fully serial, bit- and count-identical to
+  /// the single-threaded engine (any thread count is, but 1 spawns no
+  /// workers at all).
   uint32_t num_threads = 0;
-  /// Dyadic shard budget for aggregate-descent cascades (DESIGN.md §14):
-  /// large cascades split into up to this many disjoint-subrectangle
-  /// sub-plans plus a log-depth combine stage, each shard running its
-  /// whole cascade out of a private scratch slab. 0 = pool size (the
-  /// default: one shard per execution lane); 1 disables sharding; other
-  /// values round down to a power of two. Any setting is bit- and
-  /// op-count-identical — this is a locality/parallelism knob only.
-  uint32_t num_shards = 0;
   /// Run the InvariantChecker (src/verify) after each engine operation:
   /// (k,o) bounds, Haar round trip, non-expansive splits, op-count ==
   /// plan-cost, and store consistency after incremental maintenance. A
@@ -196,7 +189,11 @@ class OlapSession {
                             const QueryContext& ctx = QueryContext());
 
   /// AVG view: SUM / COUNT cell-wise (cells with zero count yield 0).
-  /// Requires Options::maintain_count_cube.
+  /// Requires Options::maintain_count_cube. Both sides serve through an
+  /// ElementServer (the SUM side through the session's, cached when the
+  /// view cache is on; the COUNT side uncached), so the context's
+  /// deadline and op budget gate each, and degradation is stripped as in
+  /// Element().
   Result<Tensor> AvgByMask(uint32_t aggregated_mask,
                            const QueryContext& ctx = QueryContext());
 
@@ -270,16 +267,14 @@ class OlapSession {
   Status VerifyFullState();
   /// Light per-update sweep: bounds + sampled store/cube consistency.
   Status VerifyAfterUpdate();
-  /// Measured-vs-planned op check for one assembled target.
-  Status VerifyOpCount(const ElementId& target, uint64_t measured_ops);
+  /// Measured-vs-planned op check for one target `engine` assembled.
+  Status VerifyOpCount(AssemblyEngine* engine, const ElementId& target,
+                       uint64_t measured_ops);
 
   CubeShape shape_;
   Tensor cube_;
   Options options_;
   std::unique_ptr<ThreadPool> pool_;  // null when running serial
-  /// Kernel scratch shared by all of this session's engines (and their
-  /// rebuilds); declared before the engines so it outlives them.
-  ScratchArena scratch_;
   ElementStore store_;
   std::optional<Tensor> count_cube_;
   std::optional<ElementStore> count_store_;
@@ -289,6 +284,9 @@ class OlapSession {
   /// Serving front end for Element()/Query() and range_engine_'s missing
   /// intermediates; rebuilt with the engines.
   std::unique_ptr<ElementServer> server_;
+  /// AvgByMask's COUNT side: cacheless (COUNT elements share ids with
+  /// SUM ones); null unless maintain_count_cube.
+  std::unique_ptr<ElementServer> count_server_;
   std::unique_ptr<RangeEngine> range_engine_;  // borrows server_
   AccessTracker tracker_;
   /// Write-behind buffer in front of tracker_ keeping Record() off the

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "haar/fused.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/sync.h"
@@ -60,38 +59,30 @@ struct AssemblyEngine::BatchCache {
 };
 
 AssemblyEngine::AssemblyEngine(const ElementStore* store, ThreadPool* pool,
-                               ScratchArena* arena, uint32_t num_shards)
+                               uint32_t num_shards)
     : store_(store),
       pool_(pool),
-      arena_(arena),
       num_shards_(num_shards != 0
                       ? num_shards
                       : (pool != nullptr ? pool->num_threads() : 1)),
+      shard_exec_(pool),
       shape_(store->shape()),
       indexer_(shape_),
       planner_(Procedure3Planner::Make(shape_, store->Ids())) {
   VECUBE_CHECK(store != nullptr);
-  if (num_shards_ > 1) {
-    shard_exec_ = std::make_unique<ThreadedShardExecutor>(pool_);
-  }
 }
 
 Result<Tensor> AssemblyEngine::RunCascade(const Tensor& source,
                                           const std::vector<CascadeStep>& steps,
                                           OpCounter* ops,
                                           const QueryContext* ctx) {
-  // Shard only cascades with enough cells to amortize the per-task setup
-  // (same threshold the kernels use for pool fan-out); tiny descents and
-  // degenerate decompositions take the pooled fused path unchanged.
-  if (shard_exec_ != nullptr && !steps.empty() &&
-      source.size() >= kParallelKernelCells) {
-    const ShardPlan plan =
-        ShardPlan::Build(source.extents(), steps, num_shards_);
-    if (plan.parallelism() > 1) {
-      return shard_exec_->Execute(source, plan, ops, ctx);
-    }
-  }
-  return CascadeAnalysis(source, steps, ops, pool_, arena_, ctx);
+  // Split only cascades with enough cells to amortize the per-task setup
+  // (the threshold the kernels use for pool fan-out); a smaller one runs
+  // as a single in-place task on the caller's lane.
+  const uint32_t shards =
+      source.size() >= kParallelKernelCells ? num_shards_ : 1;
+  return shard_exec_.Execute(
+      source, ShardPlan::Build(source.extents(), steps, shards), ops, ctx);
 }
 
 void AssemblyEngine::Invalidate() {

@@ -28,18 +28,20 @@
 // dimensions, so the check is load-bearing, not decorative).
 //
 // Threading model: planning is always serial (memo tables are unlocked).
-// Execution fans out on an optional ThreadPool at two levels — the Haar
-// kernels chunk their row loops, and AssembleBatch() runs independent
-// targets concurrently over a latched shared-subresult cache that computes
-// every distinct sub-element exactly once. Both levels are deterministic:
-// outputs and measured op counts are identical at every thread count.
+// Execution fans out on an optional ThreadPool at three levels — every
+// aggregate descent runs as a ShardPlan on the engine's
+// ThreadedShardExecutor (one task below kParallelKernelCells source
+// cells, up to num_shards() above), synthesis kernels chunk their row
+// loops, and AssembleBatch() runs independent targets concurrently over a
+// latched shared-subresult cache that computes every distinct
+// sub-element exactly once. All levels are deterministic: outputs and
+// measured op counts are identical at every thread and shard count.
 
 #ifndef VECUBE_CORE_ASSEMBLY_H_
 #define VECUBE_CORE_ASSEMBLY_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/element_id.h"
@@ -49,7 +51,6 @@
 #include "core/store.h"
 #include "cube/shape.h"
 #include "cube/tensor.h"
-#include "haar/scratch.h"
 #include "haar/transform.h"
 #include "util/query_context.h"
 #include "util/result.h"
@@ -62,16 +63,14 @@ namespace vecube {
 /// after mutating the store.
 class AssemblyEngine {
  public:
-  /// Borrows the store (and the pool and arena, when given); the caller
-  /// keeps all three alive. A null or single-threaded pool reproduces the
-  /// serial engine exactly; `arena` only recycles kernel scratch and never
-  /// changes results. `num_shards` bounds the dyadic shard decomposition
-  /// of aggregate-descent cascades (DESIGN.md §14): 0 means "pool size",
-  /// 1 disables sharding, larger values round down to a power of two.
-  /// Sharding never changes results or OpCounter totals.
+  /// Borrows the store (and the pool, when given); the caller keeps both
+  /// alive. A null or single-threaded pool reproduces the serial engine
+  /// exactly. `num_shards` bounds the dyadic shard decomposition of
+  /// aggregate-descent cascades (DESIGN.md §14): 0 means "pool size", 1
+  /// runs every cascade as one task, larger values round down to a power
+  /// of two. Sharding never changes results or OpCounter totals.
   explicit AssemblyEngine(const ElementStore* store,
                           ThreadPool* pool = nullptr,
-                          ScratchArena* arena = nullptr,
                           uint32_t num_shards = 0);
 
   /// Procedure-3 cost T_n of producing `target` from the store, in
@@ -131,18 +130,18 @@ class AssemblyEngine {
   Result<const Tensor*> Execute(const ElementId& target, Tensor* slot,
                                 BatchCache* cache, OpCounter* ops,
                                 const QueryContext* ctx);
-  // Aggregate-descent cascade: shard-decomposed when the shard budget and
-  // source size allow, otherwise the pooled fused path. Bit-identical
-  // either way, with identical analytic booking into `ops`.
+  // Aggregate-descent cascade: a ShardPlan of up to num_shards_ tasks
+  // (one below kParallelKernelCells source cells) run on shard_exec_.
+  // Bit-identical at any shard count, with identical analytic booking
+  // into `ops`.
   Result<Tensor> RunCascade(const Tensor& source,
                             const std::vector<CascadeStep>& steps,
                             OpCounter* ops, const QueryContext* ctx);
 
   const ElementStore* store_;
   ThreadPool* pool_;
-  ScratchArena* arena_;
   uint32_t num_shards_;
-  std::unique_ptr<ThreadedShardExecutor> shard_exec_;
+  ThreadedShardExecutor shard_exec_;
   CubeShape shape_;
   ElementIndexer indexer_;
   // Plans over the store's current ids; an error for stores the planner

@@ -22,11 +22,13 @@
 // OpCounter total (checked at plan construction).
 //
 // ShardPlan is pure geometry — deterministic, data-independent, cheap.
-// ShardExecutor is the execution boundary: the in-process
-// ThreadedShardExecutor below runs each shard's whole cascade (gather,
-// every fused group, ping-pong tiles) on one claimed execution lane with
-// a private ShardScratch slab before any cross-shard traffic; the same
-// interface later backs multi-process sharding.
+// ThreadedShardExecutor runs each shard's whole cascade (gather, every
+// fused group, ping-pong tiles) on one claimed execution lane with a
+// private ShardScratch slab before any cross-shard traffic. It is the one
+// route every AssemblyEngine cascade takes: a one-task plan (shard budget
+// 1, or a source below kParallelKernelCells) is contiguous on both sides,
+// so it reads the source and writes the answer in place and runs the
+// serial cascade on the caller's lane.
 
 #ifndef VECUBE_CORE_SHARD_PLAN_H_
 #define VECUBE_CORE_SHARD_PLAN_H_
@@ -137,33 +139,23 @@ class ShardPlan {
   uint64_t combine_cost_ = 0;
 };
 
-/// Execution boundary for shard plans. Implementations must be
-/// bit-identical to running the plan's global step list unsharded and
-/// must book exactly the plan's analytic total into `ops` — the contract
-/// that lets a multi-process executor drop in behind the same interface.
-class ShardExecutor {
- public:
-  virtual ~ShardExecutor() = default;
-
-  /// Materializes the cascade described by `plan` over `source` (whose
-  /// shape must equal plan.in_extents()). `ops` and `ctx` are optional;
-  /// an expired/cancelled context unwinds with its Check() status and
-  /// never publishes partial results.
-  virtual Result<Tensor> Execute(const Tensor& source, const ShardPlan& plan,
-                                 OpCounter* ops, const QueryContext* ctx) = 0;
-};
-
 /// In-process executor: fans tasks over a ThreadPool (cost order is the
 /// caller's — tasks of one plan are equal-cost by construction), each on
 /// a claimed execution lane owning a private ShardScratch slab, then runs
 /// the combine DAG on the calling thread. Safe for concurrent Execute()
 /// calls; a null pool runs everything serially on the caller.
-class ThreadedShardExecutor final : public ShardExecutor {
+class ThreadedShardExecutor {
  public:
   explicit ThreadedShardExecutor(ThreadPool* pool);
 
+  /// Materializes the cascade described by `plan` over `source` (whose
+  /// shape must equal plan.in_extents()), bit-identical to running the
+  /// plan's global step list unsharded, and books exactly the plan's
+  /// analytic total into `ops`. `ops` and `ctx` are optional; an
+  /// expired/cancelled context unwinds with its Check() status and never
+  /// publishes partial results.
   Result<Tensor> Execute(const Tensor& source, const ShardPlan& plan,
-                         OpCounter* ops, const QueryContext* ctx) override;
+                         OpCounter* ops, const QueryContext* ctx);
 
  private:
   // An execution lane: a claimable private scratch slab. Lanes are
@@ -178,8 +170,8 @@ class ThreadedShardExecutor final : public ShardExecutor {
 
   // The shard hot path: gather the task's subrectangle, run its whole
   // cascade serially out of `scratch`, and place the result (output
-  // block, or combine-lane slot in `lane_buf`). Lock-free and
-  // shared-arena-free by construction — enforced by vecube_check's
+  // block, or combine-lane slot in `lane_buf`). Lock-free by
+  // construction — enforced by vecube_check's
   // no-shared-scratch-on-shard-path rule.
   [[nodiscard]] Status RunTask(const Tensor& source, const ShardPlan& plan,
                                const ShardTask& task, double* out_raw,

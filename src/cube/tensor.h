@@ -70,7 +70,7 @@ class TensorAllocator {
 };
 
 /// Aligned, lazily-initialized payload vector shared by Tensor and the
-/// kernel scratch arena.
+/// kernel scratch slabs (ShardScratch).
 using TensorBuffer = std::vector<double, TensorAllocator<double>>;
 
 /// Dense row-major array of double cells.

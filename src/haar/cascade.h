@@ -1,4 +1,5 @@
-// Cascades of the first partial aggregation pair (Sections 3.1-3.2).
+// The step vocabulary of cascades of the first partial aggregation pair
+// (Sections 3.1-3.2).
 //
 // Distributivity (Property 2) lets the k-th partial aggregation be computed
 // by applying P1 recursively (the "telescopic" Eq. 8); separability
@@ -6,23 +7,16 @@
 // Total aggregation S^m is the log2(n_m)-fold cascade of P1^m (Eq. 15),
 // and the grand total S(A) cascades over every dimension (Eq. 16).
 //
-// All entry points execute through the fused kernel layer (haar/fused.h):
-// runs of consecutive steps are collapsed into single slab passes through
-// scratch tiles instead of materializing one tensor per level. Results and
-// OpCounter totals are bit-identical to the step-at-a-time path; `pool`
-// and `arena` are optional accelerators and never change outputs.
+// A cascade is a list of CascadeSteps. CascadeAnalysis / CascadeSum
+// (haar/fused.h) run one standalone; AssemblyEngine runs its descents
+// through ShardPlan (core/shard_plan.h); both execute the same fused
+// serial kernel. The step-at-a-time reference is PartialSum /
+// PartialResidual (haar/transform.h).
 
 #ifndef VECUBE_HAAR_CASCADE_H_
 #define VECUBE_HAAR_CASCADE_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "cube/tensor.h"
-#include "haar/scratch.h"
-#include "haar/transform.h"
-#include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace vecube {
 
@@ -38,44 +32,6 @@ struct CascadeStep {
 
   bool operator==(const CascadeStep&) const = default;
 };
-
-/// Applies a sequence of P1/R1 steps left to right. Any step order whose
-/// per-dimension subsequences match produces identical output
-/// (separability); the per-dimension order itself is significant.
-Result<Tensor> ApplyCascade(const Tensor& input,
-                            const std::vector<CascadeStep>& steps,
-                            OpCounter* ops = nullptr,
-                            ThreadPool* pool = nullptr,
-                            ScratchArena* arena = nullptr);
-
-/// k-th partial aggregation Pk^dim (Eq. 5 via the recursion of Eq. 7).
-/// Requires extent(dim) divisible by 2^k.
-Result<Tensor> PartialSumK(const Tensor& input, uint32_t dim, uint32_t k,
-                           OpCounter* ops = nullptr,
-                           ThreadPool* pool = nullptr,
-                           ScratchArena* arena = nullptr);
-
-/// Total aggregation S^dim (Eq. 15): cascades P1^dim until the extent
-/// along `dim` is 1. The dimension is kept with extent 1 (not dropped), so
-/// coordinates of other dimensions are stable.
-Result<Tensor> TotalAggregate(const Tensor& input, uint32_t dim,
-                              OpCounter* ops = nullptr,
-                              ThreadPool* pool = nullptr,
-                              ScratchArena* arena = nullptr);
-
-/// Totally aggregates along every dimension in `dims` (Eq. 16). Duplicate
-/// dimensions are an error.
-Result<Tensor> AggregateDims(const Tensor& input,
-                             const std::vector<uint32_t>& dims,
-                             OpCounter* ops = nullptr,
-                             ThreadPool* pool = nullptr,
-                             ScratchArena* arena = nullptr);
-
-/// The grand total S(A): totally aggregates every dimension and returns
-/// the single remaining cell.
-Result<double> GrandTotal(const Tensor& input, OpCounter* ops = nullptr,
-                          ThreadPool* pool = nullptr,
-                          ScratchArena* arena = nullptr);
 
 }  // namespace vecube
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "haar/simd.h"
-#include "util/logging.h"
 
 namespace vecube {
 
@@ -31,6 +30,12 @@ void SetFusedBudgetForTesting(uint64_t cells) {
 
 namespace {
 
+// Extra cells after the first ping-pong tile, so the two tiles do not
+// start a multiple of 4 KiB apart: a pass reads one tile and writes the
+// other at equal offsets, and addresses equal modulo 4 KiB make the CPU
+// suspect false store-to-load dependencies (4K aliasing).
+constexpr uint64_t kPingPongStaggerCells = 72;  // 576 bytes
+
 // One P1/R1 pass inside a fused group, described over the group's
 // dimension window [lo..hi] (the "mid" shape): the step dimension has
 // extent `n`, `group_outer` mid cells precede it and `deeper` follow it,
@@ -42,8 +47,8 @@ struct Pass {
   StepKind kind = StepKind::kPartial;
 };
 
-// A maximal run of consecutive steps executed as one slab pass (count >= 2)
-// or routed to the plain kernels (count == 1).
+// A maximal run of consecutive steps executed as one slab pass per
+// (outer slab, inner tile) chunk.
 struct Group {
   size_t first = 0;
   size_t count = 0;
@@ -57,8 +62,8 @@ struct Group {
 // Greedy left-to-right grouping: extend the current group while the merged
 // dimension window's entry volume keeps the first intermediate (volume/2
 // mid cells per inner column) within the scratch budget. Depends only on
-// the input shape, the step list, and the budget — never on data or thread
-// count — so planning is deterministic.
+// the input shape, the step list, and the budget — never on data — so
+// planning is deterministic.
 std::vector<Group> PlanGroups(std::vector<uint32_t> extents,
                               const std::vector<CascadeStep>& steps,
                               uint64_t budget) {
@@ -221,75 +226,6 @@ void RunChunk(const Group& g, const GroupGeom& geo, uint64_t c,
   }
 }
 
-Result<Tensor> ExecuteFusedGroup(const Tensor& in, const Group& g,
-                                 ThreadPool* pool, ScratchArena* arena,
-                                 uint64_t budget, const QueryContext* ctx) {
-  Tensor out;
-  VECUBE_ASSIGN_OR_RETURN(out, Tensor::Uninitialized(g.exit_extents));
-
-  const GroupGeom geo = ComputeGeom(in.extents(), g, budget);
-  const uint64_t chunks = geo.chunks;
-  const uint64_t scratch_cells = geo.scratch_cells;
-
-  const double* in_raw = in.raw();
-  double* out_raw = out.raw();
-  const HaarVecOps& vec = VecOps();
-
-  // Cooperative cancellation at tile granularity: each worker polls the
-  // context once per (slab, tile) chunk and raises this flag instead of
-  // starting the next chunk. The output tensor is abandoned wholesale on
-  // unwind, so skipped chunks can never surface as partial results.
-  std::atomic<bool> interrupted{false};
-
-  // Chunks are disjoint (slab, tile) pairs with disjoint output regions;
-  // per-cell association trees depend only on the step sequence, so the
-  // result is bit-identical at any chunking.
-  auto worker = [&](uint64_t begin, uint64_t end) {
-    ScratchArena::Buffer handles[2];
-    TensorBuffer local[2];
-    double* bufs[2];
-    for (int b = 0; b < 2; ++b) {
-      if (arena != nullptr) {
-        handles[b] = arena->Acquire(scratch_cells);
-        bufs[b] = handles[b].data();
-      } else {
-        local[b].resize(scratch_cells);
-        bufs[b] = local[b].data();
-      }
-    }
-    for (uint64_t c = begin; c < end; ++c) {
-      if (ctx != nullptr) {
-        // order: relaxed — a stop hint between sibling workers; nothing
-        // is published through it (the result is discarded on unwind).
-        if (interrupted.load(std::memory_order_relaxed)) return;
-        if (!ctx->Check().ok()) {
-          // order: relaxed — see the load above.
-          interrupted.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-      RunChunk(g, geo, c, in_raw, out_raw, bufs, vec);
-    }
-  };
-
-  if (pool != nullptr && pool->num_threads() > 1 && chunks > 1 &&
-      in.size() >= kParallelKernelCells) {
-    pool->ParallelFor(chunks, 1, worker);
-  } else {
-    worker(0, chunks);
-  }
-  // order: relaxed — ParallelFor's completion barrier already ordered
-  // every worker's store before this load.
-  if (interrupted.load(std::memory_order_relaxed)) {
-    Status check = ctx->Check();
-    // The flag only rises on a failed check, but re-polling can race a
-    // deadline that has *just* not expired on this clock read; report a
-    // definite status either way.
-    return check.ok() ? Status::Cancelled("cascade interrupted") : check;
-  }
-  return out;
-}
-
 }  // namespace
 
 namespace internal {
@@ -323,7 +259,7 @@ Status ExecuteCascadeSerial(const double* in,
   }
   double* bufs[2] = {nullptr, nullptr};
   if (max_scratch > 0) {
-    bufs[0] = scratch->Take(max_scratch);
+    bufs[0] = scratch->Take(max_scratch + kPingPongStaggerCells);
     bufs[1] = scratch->Take(max_scratch);
   }
 
@@ -352,8 +288,7 @@ Status ExecuteCascadeSerial(const double* in,
 
 Result<Tensor> CascadeAnalysis(const Tensor& input,
                                const std::vector<CascadeStep>& steps,
-                               OpCounter* ops, ThreadPool* pool,
-                               ScratchArena* arena, const QueryContext* ctx) {
+                               OpCounter* ops, const QueryContext* ctx) {
   // Validate the whole list up front against the evolving extents,
   // reporting exactly the Status the step-at-a-time kernels would.
   std::vector<uint32_t> extents = input.extents();
@@ -371,36 +306,16 @@ Result<Tensor> CascadeAnalysis(const Tensor& input,
     }
     extents[step.dim] /= 2;
   }
-  if (steps.empty()) return input;
 
-  const uint64_t budget = internal::FusedBudgetCells();
-  const std::vector<Group> groups = PlanGroups(input.extents(), steps, budget);
+  Tensor out;
+  VECUBE_ASSIGN_OR_RETURN(out, Tensor::Uninitialized(extents));
+  ShardScratch scratch;
+  VECUBE_RETURN_NOT_OK(internal::ExecuteCascadeSerial(
+      input.raw(), input.extents(), steps, out.raw(), &scratch, ctx));
 
-  const Tensor* current = &input;
-  Tensor owned;
-  for (const Group& g : groups) {
-    if (ctx != nullptr) VECUBE_RETURN_NOT_OK(ctx->Check());
-    Tensor next;
-    if (g.count == 1) {
-      const CascadeStep& step = steps[g.first];
-      if (step.kind == StepKind::kPartial) {
-        VECUBE_ASSIGN_OR_RETURN(next,
-                                PartialSum(*current, step.dim, nullptr, pool));
-      } else {
-        VECUBE_ASSIGN_OR_RETURN(
-            next, PartialResidual(*current, step.dim, nullptr, pool));
-      }
-    } else {
-      VECUBE_ASSIGN_OR_RETURN(
-          next, ExecuteFusedGroup(*current, g, pool, arena, budget, ctx));
-    }
-    owned = std::move(next);
-    current = &owned;
-  }
-
-  // Book the cascade analytically on the calling thread: each step costs
-  // its output volume, exactly what the per-step kernels would book, so
-  // totals are independent of grouping, tiling, and thread count.
+  // Book the cascade analytically: each step costs its output volume,
+  // exactly what the per-step kernels would book, so totals are
+  // independent of grouping and tiling.
   if (ops != nullptr) {
     uint64_t volume = input.size();
     for (size_t s = 0; s < steps.size(); ++s) {
@@ -408,12 +323,11 @@ Result<Tensor> CascadeAnalysis(const Tensor& input,
       ops->adds += volume;
     }
   }
-  return owned;
+  return out;
 }
 
 Result<Tensor> CascadeSum(const Tensor& input, uint32_t dim, uint32_t levels,
-                          OpCounter* ops, ThreadPool* pool,
-                          ScratchArena* arena, const QueryContext* ctx) {
+                          OpCounter* ops, const QueryContext* ctx) {
   if (dim >= input.ndim()) {
     return Status::InvalidArgument("dimension " + std::to_string(dim) +
                                    " out of range for tensor of rank " +
@@ -421,7 +335,7 @@ Result<Tensor> CascadeSum(const Tensor& input, uint32_t dim, uint32_t levels,
   }
   std::vector<CascadeStep> steps(levels,
                                  CascadeStep{dim, StepKind::kPartial});
-  return CascadeAnalysis(input, steps, ops, pool, arena, ctx);
+  return CascadeAnalysis(input, steps, ops, ctx);
 }
 
 }  // namespace vecube

@@ -6,27 +6,30 @@
 // untouched coordinates, so the cascade factors over *slabs*: fix the
 // coordinates of the dimensions before the touched window and a tile of
 // the trailing (inner) cells, and the entire k-level reduction of that
-// slab runs in a scratch tile that fits in cache. The fused engine
+// slab runs in a scratch tile that fits in cache. The fused kernel
 //
-//   1. plans: validates the step list against the evolving extents
-//      (reporting exactly the statuses the unfused kernels would), then
-//      greedily groups consecutive steps whose combined dimension window
-//      keeps the first intermediate within the scratch budget;
-//   2. executes each multi-step group per (outer slab, inner tile),
-//      ping-ponging intermediate levels through two ScratchArena buffers:
-//      the first pass reads the input slab in place, middle passes stay
-//      packed in scratch, and the last pass writes straight into the
-//      output tensor. Single-step groups fall through to the plain
-//      vectorized kernels.
+//   1. plans: greedily groups consecutive steps whose combined dimension
+//      window keeps the first intermediate within the scratch budget;
+//   2. executes each group per (outer slab, inner tile), ping-ponging
+//      intermediate levels through two ShardScratch tiles: the first pass
+//      reads the group's input in place, middle passes stay packed in
+//      scratch, and the last pass writes straight into the group's output
+//      (the caller's output for the last group, a scratch grant
+//      otherwise). A single-step group is one such pass per chunk.
+//
+// There is one executor, internal::ExecuteCascadeSerial: it runs on the
+// calling thread out of one ShardScratch. AssemblyEngine reaches it
+// through ShardPlan (one call per shard, on a claimed execution lane);
+// CascadeAnalysis / CascadeSum below wrap it for standalone cascades.
 //
 // Bit-exactness: each output cell of a P1/R1 step is one add/subtract of
-// two cells; the fused engine performs the same per-dimension step
+// two cells; the fused kernel performs the same per-dimension step
 // sequence, so every result cell is produced by the identical
 // (a+b)+(c+d)-shaped association tree as the step-at-a-time path — fused
-// results are bit-identical for any grouping, tile width, scratch budget,
-// or thread count. OpCounter totals are derived analytically from the
-// step volumes (the same totals the unfused kernels book), so plan costs
-// and measured ops stay exact.
+// results are bit-identical for any grouping, tile width or scratch
+// budget. OpCounter totals are derived analytically from the step volumes
+// (the same totals the unfused kernels book), so plan costs and measured
+// ops stay exact.
 
 #ifndef VECUBE_HAAR_FUSED_H_
 #define VECUBE_HAAR_FUSED_H_
@@ -40,31 +43,25 @@
 #include "haar/transform.h"
 #include "util/query_context.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace vecube {
 
-/// Applies a sequence of P1/R1 steps left to right, fusing runs of steps
-/// into single passes where the scratch budget allows. Semantically
-/// identical to applying PartialSum / PartialResidual per step (bit-exact
-/// results, identical OpCounter::adds), including the Status returned for
-/// invalid steps. `pool` and `arena` are optional accelerators. `ctx`
-/// (optional) is polled between groups and at (slab, tile) chunk
-/// granularity inside fused groups; an expired/cancelled context unwinds
+/// Applies a sequence of P1/R1 steps left to right in one fused serial
+/// pass. Semantically identical to applying PartialSum / PartialResidual
+/// per step (bit-exact results, identical OpCounter::adds), including the
+/// Status returned for invalid steps. `ctx` (optional) is polled at
+/// (slab, tile) chunk granularity; an expired/cancelled context unwinds
 /// with its Check() status — results are never partially published.
 Result<Tensor> CascadeAnalysis(const Tensor& input,
                                const std::vector<CascadeStep>& steps,
                                OpCounter* ops = nullptr,
-                               ThreadPool* pool = nullptr,
-                               ScratchArena* arena = nullptr,
                                const QueryContext* ctx = nullptr);
 
-/// `levels` fused P1 steps along `dim` (the depth-k cascade of Eq. 7).
+/// `levels` fused P1 steps along `dim` (the depth-k cascade of Eq. 7;
+/// levels = log2 of the extent is the total aggregation S^dim of Eq. 15).
 /// Requires extent(dim) divisible by 2^levels.
 Result<Tensor> CascadeSum(const Tensor& input, uint32_t dim, uint32_t levels,
                           OpCounter* ops = nullptr,
-                          ThreadPool* pool = nullptr,
-                          ScratchArena* arena = nullptr,
                           const QueryContext* ctx = nullptr);
 
 namespace internal {
@@ -86,12 +83,13 @@ void SetFusedBudgetForTesting(uint64_t cells);
 /// every fused group of `steps` applied to `in` (shape `in_extents`),
 /// final level written to `out` (which must not alias `in` or any scratch
 /// grant). All intermediates and ping-pong tiles draw from `scratch` —
-/// no locks, no pool, no allocation once the lane's slabs are warm — so
-/// this is the per-lane engine of the shard executor (DESIGN.md §14).
+/// no locks, no pool, no allocation once the lane's slabs are warm. This
+/// is the one cascade executor: the per-lane engine of the shard
+/// executor (DESIGN.md §14) and the body of CascadeAnalysis.
 /// The caller owns the scratch Reset() cycle: grants made before the call
 /// (e.g. a gathered input subrectangle) stay valid throughout. `ctx` is
-/// polled per (slab, tile) chunk. Bit-identical to CascadeAnalysis over
-/// the same step list; books nothing (callers account analytically).
+/// polled per (slab, tile) chunk. Books nothing (callers account
+/// analytically).
 [[nodiscard]] Status ExecuteCascadeSerial(
     const double* in, const std::vector<uint32_t>& in_extents,
     const std::vector<CascadeStep>& steps, double* out, ShardScratch* scratch,

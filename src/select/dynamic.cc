@@ -32,7 +32,7 @@ DynamicAssembler::~DynamicAssembler() {
 }
 
 void DynamicAssembler::RebuildEngine() {
-  engine_ = std::make_unique<AssemblyEngine>(&store_, nullptr, &arena_);
+  engine_ = std::make_unique<AssemblyEngine>(&store_);
   server_ = std::make_unique<ElementServer>(engine_.get(), &store_,
                                             cache_.get());
 }

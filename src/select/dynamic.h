@@ -123,9 +123,6 @@ class DynamicAssembler {
   CubeShape shape_;
   DynamicOptions options_;
   ElementStore store_;
-  /// Kernel scratch shared by every engine this assembler creates across
-  /// reconfigurations; declared before `engine_` so it outlives it.
-  ScratchArena arena_;
   std::unique_ptr<AssemblyEngine> engine_;
   std::unique_ptr<ViewCache> cache_;  // null unless options.cache.enabled
   /// Serves Query() over engine_ and cache_; rebuilt with engine_.

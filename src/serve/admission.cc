@@ -17,21 +17,26 @@ void AdmissionController::Permit::Release() {
   }
 }
 
-// Every operation on `inflight_` and `sleepers_` is seq_cst: a waiter
-// registers in `sleepers_` and then reads `inflight_`, a release
-// decrements `inflight_` and then reads `sleepers_` (the store-then-load
-// pairing that needs one total order). In that order either the release
-// sees the registration, and notifies under mu_, or the waiter's read
-// follows the decrement and it takes the freed slot without waiting.
+// Every operation on `state_` is a read or read-modify-write of the one
+// word, so all of them fall in its single modification order: of a
+// release's decrement and a sleeper's registering CAS, the later one
+// sees the earlier. acquire/acq_rel order a permit's critical section
+// between its admission and its release, as for any semaphore; the
+// hand-off itself is ordered by mu_.
+
+namespace {
+uint32_t Occupied(uint64_t state) { return static_cast<uint32_t>(state); }
+}  // namespace
 
 bool AdmissionController::TryTakeSlot() {
-  // order: seq_cst — see the pairing note above.
-  uint32_t occupied = inflight_.load(std::memory_order_seq_cst);
-  while (occupied < options_.max_inflight) {
-    // order: seq_cst — see the pairing note above; a failed CAS reloads
-    // `occupied` and re-tests the limit.
-    if (inflight_.compare_exchange_weak(occupied, occupied + 1,
-                                        std::memory_order_seq_cst)) {
+  // order: acquire — see the note above.
+  uint64_t state = state_.load(std::memory_order_acquire);
+  while (state < kSleeper && Occupied(state) < options_.max_inflight) {
+    // order: acq_rel — see the note above; a failed CAS reloads `state`
+    // and re-tests for a free slot and a sleeper.
+    if (state_.compare_exchange_weak(state, state + 1,
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
       return true;
     }
   }
@@ -39,26 +44,41 @@ bool AdmissionController::TryTakeSlot() {
 }
 
 void AdmissionController::ReleaseSlot() {
-  // order: seq_cst — see the pairing note above.
-  inflight_.fetch_sub(1, std::memory_order_seq_cst);
-  // order: seq_cst — see the pairing note above.
-  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-  // A registered sleeper holds mu_ from its registration until its wait
-  // begins, so taking mu_ here orders this notify after that wait, or
-  // this decrement before its re-check. All wake: deadlines differ, so
-  // the nearest-deadline waiter is not necessarily the one NotifyOne
-  // would pick.
+  // order: acq_rel — see the note above.
+  if (state_.fetch_sub(1, std::memory_order_acq_rel) < kSleeper) return;
+  // A sleeper registered before this release, while holding mu_, and
+  // holds mu_ until its wait begins, so under mu_ this release sees every
+  // registered waiter. While one is queued no arrival can take a slot:
+  // the fast path defers to any sleeper, and a locked arrival queues
+  // behind it. So every free slot seen here was freed for the queue —
+  // by this release, or by a racing one that has not locked yet (and
+  // then finds nothing left to hand on).
   MutexLock lock(mu_);
-  cv_.NotifyAll();
+  while (!waiters_.empty()) {
+    // order: acquire — see the note above.
+    const uint64_t state = state_.load(std::memory_order_acquire);
+    if (Occupied(state) >= options_.max_inflight) break;
+    // Hand the slot to the oldest waiter: it occupies the slot again and
+    // stops sleeping.
+    Waiter* next = waiters_.front();
+    waiters_.pop_front();
+    next->granted = true;
+    // order: acq_rel — see the note above.
+    state_.fetch_sub(kSleeper - 1, std::memory_order_acq_rel);
+    next->cv.NotifyOne();
+  }
+  if (drainers_ > 0) cv_.NotifyAll();
 }
 
 Result<AdmissionController::Permit> AdmissionController::Admit(
     const QueryContext& ctx) {
   if (!TryTakeSlot()) return AdmitQueued(ctx);
   // Checked after the slot is taken: an arrival racing Shutdown() either
-  // sees the flag here or holds a slot that Drain() waits for.
-  // order: seq_cst — pairs with Shutdown()'s store and Drain()'s read of
-  // `inflight_` in the one total order.
+  // sees the flag here or holds a slot that Drain() waits for. Drain()
+  // registers with a read-modify-write of `state_`: before this arrival's
+  // CAS it would have sent the arrival to the locked path, which reads
+  // the flag under mu_; after it, Drain() sees the slot.
+  // order: seq_cst — pairs with Shutdown()'s store.
   if (shutdown_.load(std::memory_order_seq_cst)) {
     ReleaseSlot();
     // order: relaxed — outcome counter, read only by Metrics().
@@ -79,35 +99,58 @@ Result<AdmissionController::Permit> AdmissionController::AdmitQueued(
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("server shutting down");
   }
-  if (!TryTakeSlot()) {
+  // Take a free slot when nobody is queued ahead, else register as a
+  // sleeper — one CAS either way, re-testing whatever a racing
+  // fast-path release changed (see the note above).
+  // order: acquire — see the note above.
+  uint64_t state = state_.load(std::memory_order_acquire);
+  for (;;) {
+    if (waiters_.empty() && Occupied(state) < options_.max_inflight) {
+      // order: acq_rel — see the note above.
+      if (state_.compare_exchange_weak(state, state + 1,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        // order: relaxed — outcome counter, read only by Metrics().
+        admitted_.fetch_add(1, std::memory_order_relaxed);
+        return Permit(this);
+      }
+      continue;
+    }
     if (queued_ >= options_.max_queue) {
       ++shed_;
       return Status::ResourceExhausted(
           "admission queue full; retry after " +
           std::to_string(options_.retry_after.count()) + "ms");
     }
-    ++queued_;
-    // order: seq_cst — registers before the re-check below (see the
-    // pairing note above).
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    Status waited = Status::OK();
-    while (!TryTakeSlot()) {
-      waited = ctx.Check();
-      if (!waited.ok()) break;
-      // Bounded slices: re-check the deadline every 100 ms at worst, so a
-      // waiter can never be parked past its budget (no-unbounded-wait).
-      const QueryContext::Clock::duration slice =
-          std::min<QueryContext::Clock::duration>(
-              std::chrono::milliseconds(100), ctx.remaining());
-      cv_.WaitFor(mu_, slice);
+    // order: acq_rel — see the note above.
+    if (state_.compare_exchange_weak(state, state + kSleeper,
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      break;
     }
-    // order: seq_cst — see the pairing note above.
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    --queued_;
-    if (!waited.ok()) {
-      ++deadline_exceeded_;
-      return waited;
-    }
+  }
+  Waiter self;
+  waiters_.push_back(&self);
+  ++queued_;
+  Status waited = Status::OK();
+  while (!self.granted) {
+    waited = ctx.Check();
+    if (!waited.ok()) break;
+    // Bounded slices: re-check the deadline every 100 ms at worst, so a
+    // waiter can never be parked past its budget (no-unbounded-wait).
+    const QueryContext::Clock::duration slice =
+        std::min<QueryContext::Clock::duration>(
+            std::chrono::milliseconds(100), ctx.remaining());
+    self.cv.WaitFor(mu_, slice);
+  }
+  --queued_;
+  if (!self.granted) {
+    // Leaving the queue: no release can hand this waiter a slot now.
+    waiters_.erase(std::find(waiters_.begin(), waiters_.end(), &self));
+    // order: acq_rel — see the note above.
+    state_.fetch_sub(kSleeper, std::memory_order_acq_rel);
+    ++deadline_exceeded_;
+    return waited;
   }
   // order: relaxed — outcome counter, read only by Metrics().
   admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -126,13 +169,16 @@ void AdmissionController::Shutdown() {
 bool AdmissionController::Drain(std::chrono::milliseconds timeout) {
   const QueryContext ctx = QueryContext::WithTimeout(timeout);
   MutexLock lock(mu_);
-  // order: seq_cst — registers before the first read of `inflight_`, so
-  // the release of the last slot notifies (see the pairing note above).
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  // A registered sleeper sends every release through the locked path,
+  // which notifies drainers (see the note above).
+  ++drainers_;
+  // order: acq_rel — see the note above.
+  state_.fetch_add(kSleeper, std::memory_order_acq_rel);
   bool drained = false;
   for (;;) {
-    // order: seq_cst — see the pairing note above.
-    if (inflight_.load(std::memory_order_seq_cst) == 0 && queued_ == 0) {
+    // order: acquire — see the note above.
+    if (Occupied(state_.load(std::memory_order_acquire)) == 0 &&
+        queued_ == 0) {
       drained = true;
       break;
     }
@@ -142,8 +188,9 @@ bool AdmissionController::Drain(std::chrono::milliseconds timeout) {
             std::chrono::milliseconds(100), ctx.remaining());
     cv_.WaitFor(mu_, slice);
   }
-  // order: seq_cst — see the pairing note above.
-  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  // order: acq_rel — see the note above.
+  state_.fetch_sub(kSleeper, std::memory_order_acq_rel);
+  --drainers_;
   return drained;
 }
 
@@ -159,7 +206,7 @@ AdmissionMetrics AdmissionController::Metrics() const {
   metrics.rejected_shutdown =
       rejected_shutdown_.load(std::memory_order_relaxed);
   // order: relaxed — snapshot, as above.
-  metrics.inflight = inflight_.load(std::memory_order_relaxed);
+  metrics.inflight = Occupied(state_.load(std::memory_order_relaxed));
   metrics.queued = queued_;
   return metrics;
 }

@@ -14,15 +14,23 @@
 // free, so an operator-initiated drain (vecube_cli serve on SIGINT)
 // finishes the work it already accepted.
 //
+// Slots are handed out first come, first served: a queued waiter is
+// never overtaken. A release that finds waiters queued hands its slot
+// straight to the oldest one (FIFO) instead of freeing it for whoever
+// races to it first, and an arrival only takes a free slot when nobody
+// is queued.
+//
 // The fast path takes no lock (DESIGN.md §12): the occupied-slot count
-// is one atomic word, an arrival takes a slot with a CAS while the count
-// is below `max_inflight`, and a release is an atomic decrement. The
-// mutex and condvar serve only queueing (with `max_queue` shedding and
-// the timed slices), Drain and Shutdown. A waiter or drainer registers
-// in `sleepers_` under the mutex before it re-checks the count, and a
-// release that sees a registration takes the mutex and notifies, so no
-// wake-up is lost; a release with nobody registered touches only the
-// count.
+// and the count of registered sleepers (queued waiters plus running
+// Drain() calls) share one atomic word. An arrival takes a slot with one
+// CAS while the word shows a free slot and no sleeper; a release is one
+// atomic decrement. Everything else runs under the mutex: queueing (with
+// `max_queue` shedding and the timed slices), the hand-off, Drain and
+// Shutdown. A sleeper registers in the word, under the mutex, with the
+// same CAS that re-checks for a free slot, so a release either frees the
+// slot before the registration (and the arrival takes it) or sees the
+// registration in the value it decremented and hands the slot on under
+// the mutex — no wake-up is lost.
 
 #ifndef VECUBE_SERVE_ADMISSION_H_
 #define VECUBE_SERVE_ADMISSION_H_
@@ -30,6 +38,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <utility>
 
 #include "util/query_context.h"
@@ -66,8 +75,8 @@ class AdmissionController {
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  /// RAII slot: releases on destruction, waking the queued waiters and
-  /// drainers if any are registered.
+  /// RAII slot: releases on destruction, handing the slot to the oldest
+  /// queued waiter if there is one and waking any drainer.
   class Permit {
    public:
     Permit() noexcept = default;
@@ -95,8 +104,8 @@ class AdmissionController {
     AdmissionController* controller_ = nullptr;
   };
 
-  /// Grants a slot, queues for one (bounded timed waits, never past the
-  /// context's deadline), or refuses:
+  /// Grants a slot, queues for one (first come, first served; bounded
+  /// timed waits, never past the context's deadline), or refuses:
   ///  * kResourceExhausted — queue full; the message carries the
   ///    retry-after hint. The caller should answer the client
   ///    immediately (load shedding).
@@ -118,27 +127,40 @@ class AdmissionController {
   [[nodiscard]] AdmissionMetrics Metrics() const;
 
  private:
-  /// Takes a slot if one is free (CAS on `inflight_`); false when all
-  /// `max_inflight` are occupied.
+  /// A queued arrival. Lives on its waiter's stack; `granted` is guarded
+  /// by mu_ and set by the release that hands it a slot.
+  struct Waiter {
+    CondVar cv;
+    bool granted = false;
+  };
+
+  /// One sleeper in the high half of `state_`; the low half counts
+  /// occupied slots.
+  static constexpr uint64_t kSleeper = uint64_t{1} << 32;
+
+  /// Takes a slot if one is free and nobody sleeps (one CAS on
+  /// `state_`); false otherwise.
   bool TryTakeSlot();
-  /// Admit's slow path: queues under `mu_` once every slot is taken.
+  /// Admit's slow path: queues under `mu_` behind every earlier waiter.
   Result<Permit> AdmitQueued(const QueryContext& ctx) VECUBE_EXCLUDES(mu_);
   void ReleaseSlot() VECUBE_EXCLUDES(mu_);
 
   AdmissionOptions options_;  ///< immutable after construction
   // Lock-free state: the atomics' contracts are their `// order:`
   // comments in admission.cc.
-  std::atomic<uint32_t> inflight_{0};  ///< occupied slots
-  /// Queued waiters plus running Drain() calls. Changed only under mu_;
-  /// read lock-free by every release.
-  std::atomic<uint32_t> sleepers_{0};
+  /// Occupied slots (low 32 bits) and sleepers (high 32 bits). The
+  /// sleeper half changes only under mu_; either half is read lock-free.
+  std::atomic<uint64_t> state_{0};
   /// Set once, under mu_; read lock-free after every fast-path CAS.
   std::atomic<bool> shutdown_{false};
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> rejected_shutdown_{0};
 
   mutable Mutex mu_;
-  CondVar cv_;
+  CondVar cv_;  ///< drainers wait here; waiters on their own Waiter::cv
+  /// Queued waiters, oldest first; the next released slot goes to front().
+  std::deque<Waiter*> waiters_ VECUBE_GUARDED_BY(mu_);
+  uint32_t drainers_ VECUBE_GUARDED_BY(mu_) = 0;
   uint32_t queued_ VECUBE_GUARDED_BY(mu_) = 0;
   uint64_t shed_ VECUBE_GUARDED_BY(mu_) = 0;
   uint64_t deadline_exceeded_ VECUBE_GUARDED_BY(mu_) = 0;

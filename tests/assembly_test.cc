@@ -284,7 +284,7 @@ void ExpectBorrowedInputsAssembleExactly(ThreadPool* pool,
                                          uint32_t num_shards) {
   Fixture f = MakeFixture({8, 8, 8, 8}, 17);
   ElementStore store = MaterializeSet(&f, ColdAssemblySet(f.shape));
-  AssemblyEngine engine(&store, pool, nullptr, num_shards);
+  AssemblyEngine engine(&store, pool, num_shards);
   ElementComputer computer(f.shape, &f.cube);
   const ElementIndexer indexer(f.shape);
   uint64_t stored_targets = 0;

@@ -167,7 +167,7 @@ TEST(BatchAssemblyTest, PooledBatchMatchesSerialAssembleBitForBit) {
 
   ThreadPool pool(4);
   for (const uint32_t shards : {1u, 4u}) {
-    AssemblyEngine pooled(&f.store, &pool, nullptr, shards);
+    AssemblyEngine pooled(&f.store, &pool, shards);
     OpCounter ops;
     auto batch = pooled.AssembleBatch(targets, &ops);
     ASSERT_TRUE(batch.ok());
@@ -191,7 +191,7 @@ TEST(BatchAssemblyTest, PooledIncompleteStorePropagatesIncomplete) {
   const std::vector<ElementId> targets = ViewsWithDuplicates(f.shape);
   ThreadPool pool(4);
   for (const uint32_t shards : {1u, 4u}) {
-    AssemblyEngine pooled(&f.store, &pool, nullptr, shards);
+    AssemblyEngine pooled(&f.store, &pool, shards);
     OpCounter ops;
     auto batch = pooled.AssembleBatch(targets, &ops);
     ASSERT_FALSE(batch.ok());

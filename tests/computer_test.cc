@@ -4,7 +4,7 @@
 
 #include "core/basis.h"
 #include "cube/synthetic.h"
-#include "haar/cascade.h"
+#include "haar/fused.h"
 #include "util/rng.h"
 
 namespace vecube {
@@ -36,7 +36,7 @@ TEST(ComputerTest, MatchesCascadePath) {
   Fixture f = MakeFixture({8, 4}, 2);
   ElementComputer computer(f.shape, &f.cube);
   auto id = ElementId::Make({{2, 1}, {1, 0}}, f.shape);
-  auto direct = ApplyCascade(f.cube, id->PathFromRoot());
+  auto direct = CascadeAnalysis(f.cube, id->PathFromRoot());
   auto computed = computer.Compute(*id);
   ASSERT_TRUE(computed.ok());
   EXPECT_TRUE(computed->ApproxEquals(*direct, 0.0));
@@ -46,7 +46,11 @@ TEST(ComputerTest, AggregatedViewMatchesAggregateDims) {
   Fixture f = MakeFixture({4, 8, 2}, 3);
   ElementComputer computer(f.shape, &f.cube);
   auto view = ElementId::AggregatedView(0b101, f.shape);  // dims 0 and 2
-  auto expected = AggregateDims(f.cube, {0, 2});
+  // Total aggregation of dims 0 (extent 4) and 2 (extent 2).
+  auto expected = CascadeAnalysis(
+      f.cube, {CascadeStep{0, StepKind::kPartial},
+               CascadeStep{0, StepKind::kPartial},
+               CascadeStep{2, StepKind::kPartial}});
   auto computed = computer.Compute(*view);
   ASSERT_TRUE(computed.ok());
   EXPECT_TRUE(computed->ApproxEquals(*expected, 0.0));

@@ -1,7 +1,9 @@
 // Fused cascade kernels (haar/fused.h): bit-exactness against the
-// step-at-a-time path across dims, levels, thread counts, dispatch
-// tables, and scratch budgets; op-count pinning for every kernel; grain
-// selection for degenerate geometries; ScratchArena safety.
+// step-at-a-time path across dims, levels, dispatch tables, and scratch
+// budgets; op-count pinning for every kernel; grain selection for
+// degenerate geometries. The thread and shard axes of the same cascades
+// are swept in shard_test.cc (ShardSweep), the one route that fans a
+// cascade out.
 
 #include "haar/fused.h"
 
@@ -10,7 +12,6 @@
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cube/shape.h"
@@ -95,27 +96,21 @@ TEST(FusedSweep, AllDimLevelPairsAcrossThreadsDispatchAndBudget) {
         ASSERT_TRUE(r.ok());
         ref = *r;
       }
-      for (uint32_t threads : {1u, 4u, 8u}) {
-        ThreadPool pool(threads);
-        ScratchArena arena;
-        for (const bool force_scalar : {true, false}) {
-          std::optional<ForceScalar> forced;
-          if (force_scalar) forced.emplace();
-          for (const uint64_t budget : {uint64_t{0}, uint64_t{4},
-                                        uint64_t{64}}) {
-            BudgetOverride b(budget);
-            OpCounter ops;
-            auto fused = CascadeSum(*cube, dim, levels, &ops, &pool, &arena);
-            ASSERT_TRUE(fused.ok());
-            EXPECT_TRUE(BitIdentical(ref, *fused))
-                << "dim=" << dim << " levels=" << levels
-                << " threads=" << threads << " scalar=" << force_scalar
-                << " budget=" << budget;
-            EXPECT_EQ(ops.adds, ref_ops.adds);
-            EXPECT_EQ(ops.muls, ref_ops.muls);
-          }
+      for (const bool force_scalar : {true, false}) {
+        std::optional<ForceScalar> forced;
+        if (force_scalar) forced.emplace();
+        for (const uint64_t budget : {uint64_t{0}, uint64_t{4},
+                                      uint64_t{64}}) {
+          BudgetOverride b(budget);
+          OpCounter ops;
+          auto fused = CascadeSum(*cube, dim, levels, &ops);
+          ASSERT_TRUE(fused.ok());
+          EXPECT_TRUE(BitIdentical(ref, *fused))
+              << "dim=" << dim << " levels=" << levels
+              << " scalar=" << force_scalar << " budget=" << budget;
+          EXPECT_EQ(ops.adds, ref_ops.adds);
+          EXPECT_EQ(ops.muls, ref_ops.muls);
         }
-        EXPECT_EQ(arena.outstanding(), 0u);
       }
     }
   }
@@ -128,8 +123,6 @@ TEST(FusedSweep, MixedPartialResidualStepListsMatchUnfused) {
   auto cube = UniformIntegerCube(*shape, &rng, -50, 50);
   ASSERT_TRUE(cube.ok());
 
-  ThreadPool pool(4);
-  ScratchArena arena;
   for (uint32_t trial = 0; trial < 24; ++trial) {
     // A random valid step list over the evolving extents, mixing P and R.
     std::vector<uint32_t> extents = cube->extents();
@@ -160,14 +153,13 @@ TEST(FusedSweep, MixedPartialResidualStepListsMatchUnfused) {
     for (const uint64_t budget : {uint64_t{0}, uint64_t{8}}) {
       BudgetOverride b(budget);
       OpCounter ops;
-      auto fused = CascadeAnalysis(*cube, steps, &ops, &pool, &arena);
+      auto fused = CascadeAnalysis(*cube, steps, &ops);
       ASSERT_TRUE(fused.ok());
       EXPECT_TRUE(BitIdentical(ref, *fused))
           << "trial=" << trial << " budget=" << budget;
       EXPECT_EQ(ops.adds, ref_ops.adds);
     }
   }
-  EXPECT_EQ(arena.outstanding(), 0u);
 }
 
 TEST(FusedSweep, AggregateDimsMatchesUnfusedForEveryDimSubset) {
@@ -178,11 +170,9 @@ TEST(FusedSweep, AggregateDimsMatchesUnfusedForEveryDimSubset) {
   ASSERT_TRUE(cube.ok());
 
   for (uint32_t mask = 1; mask < 16; ++mask) {
-    std::vector<uint32_t> dims;
     std::vector<CascadeStep> steps;
     for (uint32_t m = 0; m < 4; ++m) {
       if ((mask & (1u << m)) == 0) continue;
-      dims.push_back(m);
       for (uint32_t e = cube->extent(m); e > 1; e /= 2) {
         steps.push_back(CascadeStep{m, StepKind::kPartial});
       }
@@ -195,17 +185,11 @@ TEST(FusedSweep, AggregateDimsMatchesUnfusedForEveryDimSubset) {
       ASSERT_TRUE(r.ok());
       ref = *r;
     }
-    for (uint32_t threads : {1u, 8u}) {
-      ThreadPool pool(threads);
-      ScratchArena arena;
-      OpCounter ops;
-      auto fused = AggregateDims(*cube, dims, &ops, &pool, &arena);
-      ASSERT_TRUE(fused.ok());
-      EXPECT_TRUE(BitIdentical(ref, *fused))
-          << "mask=" << mask << " threads=" << threads;
-      EXPECT_EQ(ops.adds, ref_ops.adds);
-      EXPECT_EQ(arena.outstanding(), 0u);
-    }
+    OpCounter ops;
+    auto fused = CascadeAnalysis(*cube, steps, &ops);
+    ASSERT_TRUE(fused.ok());
+    EXPECT_TRUE(BitIdentical(ref, *fused)) << "mask=" << mask;
+    EXPECT_EQ(ops.adds, ref_ops.adds);
   }
 }
 
@@ -218,14 +202,17 @@ TEST(FusedSweep, GrandTotalExactOnIntegerCube) {
   double expected = 0;
   for (uint64_t i = 0; i < cube->size(); ++i) expected += cube->raw()[i];
 
-  ScratchArena arena;
+  std::vector<CascadeStep> steps;
+  for (uint32_t m = 0; m < 3; ++m) {
+    for (uint32_t e = cube->extent(m); e > 1; e /= 2) {
+      steps.push_back(CascadeStep{m, StepKind::kPartial});
+    }
+  }
   OpCounter ops;
-  auto total = GrandTotal(*cube, &ops, nullptr, &arena);
+  auto total = CascadeAnalysis(*cube, steps, &ops);
   ASSERT_TRUE(total.ok());
-  EXPECT_EQ(*total, expected);
+  EXPECT_EQ((*total)[0], expected);
   EXPECT_EQ(ops.adds, cube->size() - 1);  // Eq. 26: n - 1 adds for a total
-  EXPECT_EQ(arena.outstanding(), 0u);
-  EXPECT_GT(arena.pooled(), 0u);
 }
 
 // --- Error semantics: fused statuses match the step-at-a-time kernels ---
@@ -251,19 +238,14 @@ TEST(FusedErrors, StatusesMatchUnfusedKernels) {
   ASSERT_TRUE(odd.status().IsFailedPrecondition());
   EXPECT_EQ(odd.status().message(), odd_ref.status().message());
 
-  // TotalAggregate along a non-power-of-two extent fails identically.
-  EXPECT_TRUE(TotalAggregate(*in, 1).status().IsFailedPrecondition());
-  EXPECT_TRUE(TotalAggregate(*in, 9).status().IsInvalidArgument());
+  // Total aggregation along a non-power-of-two extent fails identically.
+  EXPECT_TRUE(CascadeSum(*in, 1, 2).status().IsFailedPrecondition());
+  EXPECT_TRUE(CascadeSum(*in, 9, 1).status().IsInvalidArgument());
 
   // An empty step list is the identity.
   auto same = CascadeAnalysis(*in, {});
   ASSERT_TRUE(same.ok());
   EXPECT_TRUE(BitIdentical(*in, *same));
-
-  // A failed cascade never leaks scratch.
-  ScratchArena arena;
-  EXPECT_FALSE(CascadeAnalysis(*in, odd_steps, nullptr, nullptr, &arena).ok());
-  EXPECT_EQ(arena.outstanding(), 0u);
 }
 
 // --- Satellite: op accounting pinned for every kernel -------------------
@@ -305,7 +287,13 @@ TEST(OpAccounting, EveryKernelPinsItsCounts) {
 
   // Cascades book the sum of per-step output volumes, fused or not.
   ops.Reset();
-  auto agg = AggregateDims(*in, {0, 1}, &ops);
+  auto agg = CascadeAnalysis(
+      *in, {CascadeStep{0, StepKind::kPartial},
+            CascadeStep{0, StepKind::kPartial},
+            CascadeStep{1, StepKind::kPartial},
+            CascadeStep{1, StepKind::kPartial},
+            CascadeStep{1, StepKind::kPartial}},
+      &ops);
   ASSERT_TRUE(agg.ok());
   EXPECT_EQ(ops.adds, 31u);  // 16+8+4 (dim 0) + 2+1 (dim 1) = n - 1
   EXPECT_EQ(ops.muls, 0u);
@@ -423,119 +411,6 @@ TEST(SimdDispatch, Avx2TableBitIdenticalToScalar) {
     avx2->pair_synth(pa, pb, out_v.data(), n);
     same("pair_synth");
   }
-}
-
-// --- Satellite: ScratchArena safety -------------------------------------
-
-TEST(ScratchArenaTest, ReusesPooledAllocations) {
-  ScratchArena arena;
-  const double* first;
-  {
-    auto buf = arena.Acquire(128);
-    ASSERT_NE(buf.data(), nullptr);
-    EXPECT_EQ(buf.size(), 128u);
-    first = buf.data();
-    EXPECT_EQ(arena.outstanding(), 1u);
-  }
-  EXPECT_EQ(arena.outstanding(), 0u);
-  EXPECT_EQ(arena.pooled(), 1u);
-  auto again = arena.Acquire(64);  // best fit: reuses the 128-cell block
-  EXPECT_EQ(again.data(), first);
-  EXPECT_EQ(arena.reuse_count(), 1u);
-}
-
-TEST(ScratchArenaTest, HandOutsNeverAlias) {
-  ScratchArena arena;
-  auto a = arena.Acquire(64);
-  auto b = arena.Acquire(64);
-  EXPECT_NE(a.data(), b.data());
-  EXPECT_FALSE(arena.DisjointFromOutstanding(a.data(), 64));
-  EXPECT_FALSE(arena.DisjointFromOutstanding(a.data() + 63, 1));
-  EXPECT_FALSE(arena.DisjointFromOutstanding(b.data(), 1));
-  std::vector<double> unrelated(64);
-  EXPECT_TRUE(arena.DisjointFromOutstanding(unrelated.data(), 64));
-  a.Release();
-  EXPECT_EQ(arena.outstanding(), 1u);
-  b.Release();
-  EXPECT_TRUE(arena.DisjointFromOutstanding(unrelated.data(), 64));
-}
-
-TEST(ScratchArenaTest, PoolByteCapDropsOverflow) {
-  ScratchArena arena(/*max_pooled_bytes=*/1024);
-  arena.Acquire(64).Release();  // 512 bytes: pooled
-  EXPECT_EQ(arena.pooled(), 1u);
-  arena.Acquire(4096).Release();  // 32 KiB: over cap, freed
-  EXPECT_EQ(arena.pooled(), 1u);
-  EXPECT_LE(arena.pooled_bytes(), 1024u);
-}
-
-TEST(ScratchArenaTest, FusedCascadesNeverAliasLiveTensors) {
-  auto shape = CubeShape::Make({16, 16, 16});
-  ASSERT_TRUE(shape.ok());
-  Rng rng(3);
-  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
-  ASSERT_TRUE(cube.ok());
-
-  ScratchArena arena;
-  std::vector<uint32_t> dims{0, 1, 2};
-  auto first = AggregateDims(*cube, dims, nullptr, nullptr, &arena);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(arena.outstanding(), 0u);
-  // Results and inputs live outside the arena: an acquired buffer must be
-  // disjoint from both.
-  auto buf = arena.Acquire(256);
-  EXPECT_TRUE(arena.DisjointFromOutstanding(cube->raw(), cube->size()));
-  EXPECT_TRUE(arena.DisjointFromOutstanding(first->raw(), first->size()));
-  EXPECT_FALSE(arena.DisjointFromOutstanding(buf.data(), buf.size()));
-  buf.Release();
-  // A second identical run reuses the pooled scratch.
-  const uint64_t reuse_before = arena.reuse_count();
-  auto second = AggregateDims(*cube, dims, nullptr, nullptr, &arena);
-  ASSERT_TRUE(second.ok());
-  EXPECT_GT(arena.reuse_count(), reuse_before);
-  EXPECT_TRUE(BitIdentical(*first, *second));
-}
-
-// Runs under the TSan CI job (suite name matches its -R filter):
-// concurrent sessions hammering one shared arena.
-TEST(FusedStress, ConcurrentCascadesShareOneArena) {
-  auto shape = CubeShape::Make({16, 16, 4});
-  ASSERT_TRUE(shape.ok());
-  Rng rng(29);
-  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
-  ASSERT_TRUE(cube.ok());
-
-  std::vector<CascadeStep> steps;
-  for (uint32_t m = 0; m < 3; ++m) {
-    for (uint32_t e = cube->extent(m); e > 1; e /= 2) {
-      steps.push_back(CascadeStep{m, StepKind::kPartial});
-    }
-  }
-  Tensor ref;
-  {
-    auto r = UnfusedCascade(*cube, steps);
-    ASSERT_TRUE(r.ok());
-    ref = *r;
-  }
-
-  ScratchArena arena;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 16;
-  std::vector<std::thread> workers;
-  std::vector<int> failures(kThreads, 0);
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      BudgetOverride budget(t % 2 == 0 ? 0 : 32);  // mixed tiling shapes
-      for (int i = 0; i < kIters; ++i) {
-        auto out = CascadeAnalysis(*cube, steps, nullptr, nullptr, &arena);
-        if (!out.ok() || !BitIdentical(ref, *out)) ++failures[t];
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
-  EXPECT_EQ(arena.outstanding(), 0u);
 }
 
 }  // namespace

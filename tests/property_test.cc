@@ -10,7 +10,7 @@
 #include "core/computer.h"
 #include "core/graph.h"
 #include "cube/synthetic.h"
-#include "haar/cascade.h"
+#include "haar/fused.h"
 #include "oracle/procedure3.h"
 #include "select/algorithm1.h"
 #include "select/pair_cost.h"
@@ -92,8 +92,8 @@ TEST_P(CubeProperty, SeparabilityOfRandomCascades) {
       if (s.dim == m) permuted.push_back(s);
     }
   }
-  auto a = ApplyCascade(cube_, steps);
-  auto b = ApplyCascade(cube_, permuted);
+  auto a = CascadeAnalysis(cube_, steps);
+  auto b = CascadeAnalysis(cube_, permuted);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->ApproxEquals(*b, 0.0));
 }

@@ -555,12 +555,12 @@ TEST(ServeAccountingStressTest, EveryQueryResolvesToExactlyOneOutcome) {
 
 
 // ---------------------------------------------------------------------------
-// One serving path: OlapSession::Element, OlapSession::RangeSum and
-// DynamicAssembler::Query all serve through ElementServer, so the same
-// fault must give the same Status code and the same ServeMetrics deltas
-// through each of them.
+// One serving path: OlapSession::Element, OlapSession::RangeSum,
+// OlapSession::AvgByMask and DynamicAssembler::Query all serve through
+// ElementServer, so the same fault must give the same Status code and the
+// same ServeMetrics deltas through each of them.
 
-enum class Entry { kElement, kRangeSum, kQuery };
+enum class Entry { kElement, kRangeSum, kQuery, kAvgByMask };
 
 void PrintTo(Entry entry, std::ostream* os) {
   switch (entry) {
@@ -572,6 +572,9 @@ void PrintTo(Entry entry, std::ostream* os) {
       return;
     case Entry::kQuery:
       *os << "DynamicQuery";
+      return;
+    case Entry::kAvgByMask:
+      *os << "AvgByMask";
       return;
   }
 }
@@ -600,9 +603,11 @@ struct Delta {
 };
 
 /// One cached entry point over a fresh 8x8 cube whose store holds only
-/// the cube. Every entry point asks for the same intermediate element:
-/// Element and Query by id, RangeSum through a range that is one aligned
-/// 2^L block per dimension, which that element answers in one cell.
+/// the cube. Every entry point but AvgByMask asks for the same
+/// intermediate element: Element and Query by id, RangeSum through a
+/// range that is one aligned 2^L block per dimension, which that element
+/// answers in one cell. AvgByMask asks for the view with dimension 0
+/// aggregated, over a session whose cells hold 1-3 facts each.
 class EntryPoint {
  public:
   explicit EntryPoint(Entry entry) : entry_(entry) {
@@ -610,7 +615,13 @@ class EntryPoint {
     Rng rng(53);
     cube_ = *UniformIntegerCube(shape, &rng, -9, 9);
     range_ = *RangeSpec::Make({4, 2}, {4, 2}, shape);
-    id_ = *ElementId::Intermediate({2, 1}, shape);
+    id_ = entry == Entry::kAvgByMask
+              ? *ElementId::AggregatedView(kAvgMask, shape)
+              : *ElementId::Intermediate({2, 1}, shape);
+    if (entry == Entry::kAvgByMask) {
+      InitAvgByMask(shape);
+      return;
+    }
     ElementStore root(shape);
     EXPECT_TRUE(root.Put(ElementId::Root(shape.ndim()), cube_).ok());
     AssemblyEngine planner(&root);
@@ -654,6 +665,13 @@ class EntryPoint {
         }
         return got.status();
       }
+      case Entry::kAvgByMask: {
+        Result<Tensor> got = session_->AvgByMask(kAvgMask, ctx);
+        if (got.ok()) {
+          EXPECT_EQ(got->data(), expected_.data());
+        }
+        return got.status();
+      }
     }
     return Status::Internal("unknown entry point");
   }
@@ -672,6 +690,42 @@ class EntryPoint {
   [[nodiscard]] uint64_t plan_cost() const { return plan_cost_; }
 
  private:
+  static constexpr uint32_t kAvgMask = 1;
+
+  // Cell c holds 1 + c % 3 facts of value cube_[c]. The SUM side serves
+  // through the session's cached ElementServer, so plan_cost() is its
+  // plan cost, which is what ServeMetrics sees.
+  void InitAvgByMask(const CubeShape& shape) {
+    Tensor sums = *Tensor::Zeros(shape.extents());
+    Tensor counts = *Tensor::Zeros(shape.extents());
+    OlapSessionOptions options;
+    options.num_threads = 1;
+    options.view_cache.enabled = true;
+    options.maintain_count_cube = true;
+    session_ = std::move(OlapSession::FromCube(shape, sums, options)).value();
+    for (uint32_t i = 0; i < 8; ++i) {
+      for (uint32_t j = 0; j < 8; ++j) {
+        const uint64_t c = sums.FlatIndex({i, j});
+        for (uint64_t f = 0; f <= c % 3; ++f) {
+          EXPECT_TRUE(session_->AddFact({i, j}, cube_[c]).ok());
+          sums[c] += cube_[c];
+          counts[c] += 1.0;
+        }
+      }
+    }
+    ElementStore sum_root(shape), count_root(shape);
+    EXPECT_TRUE(sum_root.Put(ElementId::Root(shape.ndim()), sums).ok());
+    EXPECT_TRUE(count_root.Put(ElementId::Root(shape.ndim()), counts).ok());
+    AssemblyEngine sum_engine(&sum_root), count_engine(&count_root);
+    plan_cost_ = sum_engine.PlanCost(id_);
+    const Tensor view_sums = *sum_engine.Assemble(id_);
+    const Tensor view_counts = *count_engine.Assemble(id_);
+    expected_ = view_sums;
+    for (uint64_t k = 0; k < expected_.size(); ++k) {
+      expected_[k] = view_counts[k] > 0.0 ? view_sums[k] / view_counts[k] : 0.0;
+    }
+  }
+
   Entry entry_;
   Tensor cube_;
   RangeSpec range_;
@@ -682,10 +736,8 @@ class EntryPoint {
   std::unique_ptr<DynamicAssembler> dynamic_;
 };
 
-class ServeEntryPointTest : public testing::TestWithParam<Entry> {};
-
-TEST_P(ServeEntryPointTest, ExpiredContextFailsAndCountsOnce) {
-  EntryPoint entry(GetParam());
+void ExpectExpiredContextFailsAndCountsOnce(Entry point) {
+  EntryPoint entry(point);
   // For RangeSum this is the per-step ctx check of the odometer, which
   // must count the expiry once, like Serve's own entry check does.
   auto [status, delta] = entry.IssueAndMeasure(QueryContext::WithDeadline(
@@ -695,6 +747,44 @@ TEST_P(ServeEntryPointTest, ExpiredContextFailsAndCountsOnce) {
   EXPECT_EQ(delta.misses, 0);
   EXPECT_EQ(delta.hits, 0);
   EXPECT_EQ(delta.ops_executed, 0);
+}
+
+void ExpectOpBudgetBelowPlanCostFailsBeforeAssembling(Entry point) {
+  EntryPoint entry(point);
+  ASSERT_GT(entry.plan_cost(), 1u);
+  QueryContext ctx;
+  ctx.set_ops_budget(entry.plan_cost() - 1);
+  auto [status, delta] = entry.IssueAndMeasure(ctx);
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(delta.deadline_exceeded, 1);
+  EXPECT_EQ(delta.misses, 1);
+  EXPECT_EQ(delta.ops_executed, 0);
+
+  // A budget of exactly the plan cost is enough.
+  ctx.set_ops_budget(entry.plan_cost());
+  auto [exact, exact_delta] = entry.IssueAndMeasure(ctx);
+  ASSERT_TRUE(exact.ok()) << exact.ToString();
+  EXPECT_EQ(exact_delta.ops_executed,
+            static_cast<int64_t>(entry.plan_cost()));
+}
+
+void ExpectDegradationIsStrippedAndFailsClosed(Entry point) {
+  // None of these signatures has a channel for an error bound, so an
+  // opted-in context must not leak an approximate answer through them.
+  EntryPoint entry(point);
+  QueryContext ctx;
+  ctx.set_allow_degraded(true).set_ops_budget(4);
+  auto [status, delta] = entry.IssueAndMeasure(ctx);
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(delta.degraded, 0);
+  EXPECT_EQ(delta.deadline_exceeded, 1);
+  EXPECT_EQ(delta.misses, 1);
+}
+
+class ServeEntryPointTest : public testing::TestWithParam<Entry> {};
+
+TEST_P(ServeEntryPointTest, ExpiredContextFailsAndCountsOnce) {
+  ExpectExpiredContextFailsAndCountsOnce(GetParam());
 }
 
 TEST_P(ServeEntryPointTest, CancellationUnwindsWithKCancelled) {
@@ -735,35 +825,11 @@ TEST_P(ServeEntryPointTest, InjectedFillErrorPropagatesThenRecovers) {
 }
 
 TEST_P(ServeEntryPointTest, OpBudgetBelowPlanCostFailsBeforeAssembling) {
-  EntryPoint entry(GetParam());
-  ASSERT_GT(entry.plan_cost(), 1u);
-  QueryContext ctx;
-  ctx.set_ops_budget(entry.plan_cost() - 1);
-  auto [status, delta] = entry.IssueAndMeasure(ctx);
-  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
-  EXPECT_EQ(delta.deadline_exceeded, 1);
-  EXPECT_EQ(delta.misses, 1);
-  EXPECT_EQ(delta.ops_executed, 0);
-
-  // A budget of exactly the plan cost is enough.
-  ctx.set_ops_budget(entry.plan_cost());
-  auto [exact, exact_delta] = entry.IssueAndMeasure(ctx);
-  ASSERT_TRUE(exact.ok()) << exact.ToString();
-  EXPECT_EQ(exact_delta.ops_executed,
-            static_cast<int64_t>(entry.plan_cost()));
+  ExpectOpBudgetBelowPlanCostFailsBeforeAssembling(GetParam());
 }
 
 TEST_P(ServeEntryPointTest, DegradationIsStrippedAndFailsClosed) {
-  // None of these signatures has a channel for an error bound, so an
-  // opted-in context must not leak an approximate answer through them.
-  EntryPoint entry(GetParam());
-  QueryContext ctx;
-  ctx.set_allow_degraded(true).set_ops_budget(4);
-  auto [status, delta] = entry.IssueAndMeasure(ctx);
-  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
-  EXPECT_EQ(delta.degraded, 0);
-  EXPECT_EQ(delta.deadline_exceeded, 1);
-  EXPECT_EQ(delta.misses, 1);
+  ExpectDegradationIsStrippedAndFailsClosed(GetParam());
 }
 
 // ok + deadline_exceeded + shed + degraded == issued and
@@ -811,6 +877,25 @@ TEST_P(ServeEntryPointTest, AccountingIdentitiesHoldAfterEveryCall) {
 INSTANTIATE_TEST_SUITE_P(AllEntryPoints, ServeEntryPointTest,
                          testing::Values(Entry::kElement, Entry::kRangeSum,
                                          Entry::kQuery));
+
+// AvgByMask is two element queries per call: the SUM one through the
+// session's cached ElementServer, then the COUNT one through an uncached
+// one. A context that fails the SUM query fails the call before the
+// COUNT query starts, so these cases see exactly the status code and
+// ServeMetrics deltas of the single-element entry points (ViewByMask is
+// Element). The other cases do not carry over: a call can hit on its SUM
+// side and still be gated on its COUNT side.
+TEST(ServeAvgByMaskTest, ExpiredContextFailsAndCountsOnce) {
+  ExpectExpiredContextFailsAndCountsOnce(Entry::kAvgByMask);
+}
+
+TEST(ServeAvgByMaskTest, OpBudgetBelowPlanCostFailsBeforeAssembling) {
+  ExpectOpBudgetBelowPlanCostFailsBeforeAssembling(Entry::kAvgByMask);
+}
+
+TEST(ServeAvgByMaskTest, DegradationIsStrippedAndFailsClosed) {
+  ExpectDegradationIsStrippedAndFailsClosed(Entry::kAvgByMask);
+}
 
 // Followers: ElementServer::Serve (what OlapSession::Element runs) and a
 // RangeEngine over an ElementServer, each on a cache shared with a

@@ -3,8 +3,9 @@
 // step pattern, shards, threads, dispatch); ShardPlan structural
 // invariants (cost partition, merge legality, coverage); combine-stage
 // stress under concurrent executors (TSan); QueryContext cancellation
-// unwinding mid-shard; ShardScratch ownership semantics; engine-level
-// routing with num_shards.
+// unwinding mid-shard; ShardScratch ownership semantics; the engine's
+// one cascade route at every num_shards, above and below
+// kParallelKernelCells.
 
 #include "core/shard_plan.h"
 
@@ -442,7 +443,7 @@ TEST(ShardCancelTest, ExpiredDeadlinePropagatesThroughEngine) {
   auto store = computer.Materialize(CubeOnlySet(*shape));
   ASSERT_TRUE(store.ok());
   ThreadPool pool(4);
-  AssemblyEngine engine(&*store, &pool, nullptr, 4);
+  AssemblyEngine engine(&*store, &pool, 4);
   const QueryContext ctx =
       QueryContext::WithDeadline(QueryContext::Clock::now() -
                                  std::chrono::milliseconds(1));
@@ -462,47 +463,61 @@ class ShardedEngineTest : public ::testing::Test {
     Rng rng(21);
     auto cube = UniformIntegerCube(shape_, &rng, -9, 9);
     ASSERT_TRUE(cube.ok());
-    auto store = ElementComputer(shape_, &*cube).Materialize(
+    cube_ = std::move(*cube);
+    auto store = ElementComputer(shape_, &cube_).Materialize(
         CubeOnlySet(shape_));
     ASSERT_TRUE(store.ok());
     store_.emplace(std::move(*store));
   }
 
   CubeShape shape_;
+  Tensor cube_;
   std::optional<ElementStore> store_;
 };
 
 TEST_F(ShardedEngineTest, AssembleBitExactAndOpsInvariantAcrossShards) {
-  // Serial single-shard reference.
-  AssemblyEngine reference(&*store_);
-  std::vector<ElementId> views;
-  std::vector<Tensor> ref_out;
-  std::vector<uint64_t> ref_ops;
-  for (uint32_t mask = 1; mask < 16; mask += 5) {  // 1, 6, 11 — mixed arity
-    auto view = ElementId::AggregatedView(mask, shape_);
-    ASSERT_TRUE(view.ok());
-    views.push_back(*view);
-    OpCounter ops;
-    auto out = reference.Assemble(*view, &ops);
-    ASSERT_TRUE(out.ok());
-    ref_out.push_back(std::move(*out));
-    ref_ops.push_back(ops.adds);
-  }
+  // Every input: the engine's answers are bit-identical to the
+  // ElementComputer's step-at-a-time cascade and its ops equal PlanCost.
+  auto check = [](const CubeShape& shape, const Tensor& cube,
+                  const ElementStore& store, uint32_t shards,
+                  uint32_t threads) {
+    ElementComputer computer(shape, &cube);
+    ThreadPool pool(threads);
+    AssemblyEngine engine(&store, &pool, shards);
+    EXPECT_EQ(engine.num_shards(), shards);
+    for (uint32_t mask = 1; mask < 16; mask += 5) {  // 1, 6, 11 — mixed arity
+      auto view = ElementId::AggregatedView(mask, shape);
+      ASSERT_TRUE(view.ok());
+      auto expected = computer.Compute(*view);
+      ASSERT_TRUE(expected.ok());
+      OpCounter ops;
+      auto out = engine.Assemble(*view, &ops);
+      ASSERT_TRUE(out.ok());
+      EXPECT_TRUE(BitIdentical(*out, *expected))
+          << "cells=" << cube.size() << " shards=" << shards
+          << " threads=" << threads << " mask=" << mask;
+      EXPECT_EQ(ops.adds, engine.PlanCost(*view));
+    }
+  };
   for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
     for (const uint32_t threads : {1u, 2u, 4u}) {
-      ThreadPool pool(threads);
-      AssemblyEngine engine(&*store_, &pool, nullptr, shards);
-      EXPECT_EQ(engine.num_shards(), shards);
-      for (size_t v = 0; v < views.size(); ++v) {
-        OpCounter ops;
-        auto out = engine.Assemble(views[v], &ops);
-        ASSERT_TRUE(out.ok());
-        EXPECT_TRUE(BitIdentical(*out, ref_out[v]))
-            << "shards=" << shards << " threads=" << threads << " view=" << v;
-        EXPECT_EQ(ops.adds, ref_ops[v]);
-      }
+      check(shape_, cube_, *store_, shards, threads);
     }
   }
+
+  // A cube below kParallelKernelCells: every descent runs as one in-place
+  // task on the caller's lane, whatever the shard budget and pool.
+  auto small_shape = CubeShape::Make({8, 8, 4, 4});
+  ASSERT_TRUE(small_shape.ok());
+  Rng rng(22);
+  auto small_cube = UniformIntegerCube(*small_shape, &rng, -9, 9);
+  ASSERT_TRUE(small_cube.ok());
+  ASSERT_LT(small_cube->size(), kParallelKernelCells);
+  auto small_store = ElementComputer(*small_shape, &*small_cube)
+                         .Materialize(CubeOnlySet(*small_shape));
+  ASSERT_TRUE(small_store.ok());
+  check(*small_shape, *small_cube, *small_store, 4, 4);
+  check(*small_shape, *small_cube, *small_store, 1, 4);
 }
 
 TEST_F(ShardedEngineTest, BatchOpsInvariantAcrossShardsAndThreads) {
@@ -520,7 +535,7 @@ TEST_F(ShardedEngineTest, BatchOpsInvariantAcrossShardsAndThreads) {
   for (const uint32_t shards : {1u, 4u}) {
     for (const uint32_t threads : {2u, 4u}) {
       ThreadPool pool(threads);
-      AssemblyEngine engine(&*store_, &pool, nullptr, shards);
+      AssemblyEngine engine(&*store_, &pool, shards);
       OpCounter ops;
       auto out = engine.AssembleBatch(targets, &ops);
       ASSERT_TRUE(out.ok());
@@ -539,7 +554,7 @@ TEST_F(ShardedEngineTest, BatchOpsInvariantAcrossShardsAndThreads) {
 
 TEST_F(ShardedEngineTest, DefaultShardBudgetTracksPoolSize) {
   ThreadPool pool(4);
-  AssemblyEngine engine(&*store_, &pool, nullptr, 0);
+  AssemblyEngine engine(&*store_, &pool, 0);
   EXPECT_EQ(engine.num_shards(), 4u);
   AssemblyEngine serial(&*store_);
   EXPECT_EQ(serial.num_shards(), 1u);

@@ -1,24 +1,27 @@
-// Checker canary: the shard hot path reaching back into the shared,
-// mutex-protected ScratchArena through a helper. RunTask's own body
-// looks clean — the arena acquisition hides one call away, which is
-// exactly what call-graph reachability must catch: a shard task that
-// serializes on the global arena defeats the decomposition's whole
-// contention model (DESIGN.md §14). NOT compiled — consumed by
-// tools/vecube_check.py --canaries as a self-test.
+// Checker canary: the shard hot path taking a lock through a helper.
+// RunTask's own body looks clean — the MutexLock hides one call away,
+// which is exactly what call-graph reachability must catch: every engine
+// cascade runs through RunTask, so a shard task that serializes on a
+// shared mutex defeats the decomposition's whole contention model
+// (DESIGN.md §14). NOT compiled — consumed by tools/vecube_check.py
+// --canaries as a self-test.
 //
 // vecube-check-as: src/core/shard_plan.cc
 // vecube-check-expect: no-shared-scratch-on-shard-path
 
 #include "core/shard_plan.h"
-#include "haar/scratch.h"
+#include "util/sync.h"
 
 namespace vecube {
 
 namespace {
 
-double* BorrowGlobalScratch(uint64_t cells) {
-  static ScratchArena shared_arena;  // BUG: shared arena on the shard path
-  return shared_arena.Acquire(cells).data();
+Mutex g_gather_mu;
+uint64_t g_gathered_cells = 0;
+
+void CountGather(uint64_t cells) {
+  MutexLock lock(g_gather_mu);  // BUG: a shared lock on the shard path
+  g_gathered_cells += cells;
 }
 
 }  // namespace
@@ -28,14 +31,13 @@ Status ThreadedShardExecutor::RunTask(const Tensor& source,
                                       const ShardTask& task, double* out_raw,
                                       double* lane_buf, ShardScratch* scratch,
                                       const QueryContext* ctx) const {
-  double* gather = BorrowGlobalScratch(plan.local_volume());  // reaches it
+  CountGather(plan.local_volume());  // reaches the lock
   (void)source;
   (void)task;
   (void)out_raw;
   (void)lane_buf;
   (void)scratch;
   (void)ctx;
-  (void)gather;
   return Status::OK();
 }
 

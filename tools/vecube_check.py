@@ -63,11 +63,11 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          RunTask and the serial cascade it drives,
                          internal::ExecuteCascadeSerial) owns a private
                          per-lane ShardScratch: nothing *reachable* from
-                         it may touch the mutex-protected shared
-                         ScratchArena or acquire any lock — that is the
-                         whole point of the shard decomposition
-                         (DESIGN.md §14). Call-graph reachability, like
-                         hit-path-no-locks.
+                         it may acquire a lock or a shared resource —
+                         that is the whole point of the shard
+                         decomposition (DESIGN.md §14), and it is the
+                         route every engine cascade takes. Call-graph
+                         reachability, like hit-path-no-locks.
   naked-sync-primitives  src/ outside util/sync.h may not name raw
                          std::mutex / condition_variable / lock_guard /
                          unique_lock / scoped_lock / shared_lock (or
@@ -160,16 +160,15 @@ HIT_PATH_BAN_RE = re.compile(
 
 # --- no-shared-scratch-on-shard-path -----------------------------------
 # The per-shard hot path: one gather + the whole serial cascade, run on
-# a claimed lane's private ShardScratch. Reaching the shared (mutexed)
-# ScratchArena — or any lock at all — from here would serialize the
-# shards the decomposition exists to keep independent (DESIGN.md §14).
+# a claimed lane's private ShardScratch. Any lock (or shared-resource
+# acquisition) reachable from here would serialize the shards the
+# decomposition exists to keep independent (DESIGN.md §14).
 SHARD_SCRATCH_ROOTS = (
     "ThreadedShardExecutor::RunTask",
     "internal::ExecuteCascadeSerial",
 )
 SHARD_SCRATCH_BAN_RE = re.compile(
-    r"\bScratchArena\b"
-    r"|\b(?:MutexLock|WriterLock|ReaderLock)\b"
+    r"\b(?:MutexLock|WriterLock|ReaderLock)\b"
     r"|\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"
     r"|(?:\.|->)\s*(?:Lock|LockShared|lock|try_lock|lock_shared)\s*\("
     r"|(?:\.|->)\s*(?:Acquire)\s*\("
@@ -645,7 +644,7 @@ def check_shard_scratch(index: FunctionIndex, sources: dict,
                                        "no-shared-scratch-on-shard-path"):
                 findings.append(Finding(
                     fn.rel, lineno, "no-shared-scratch-on-shard-path",
-                    f"shared-arena/locking call inside {fn.qualname}, "
+                    f"locking call inside {fn.qualname}, "
                     "which is reachable from the shard hot path; shards "
                     "must run entirely on their lane's private "
                     "ShardScratch (DESIGN.md §14)"))

@@ -290,7 +290,7 @@ int CmdAssemble(const std::map<std::string, std::string>& flags) {
 
   std::unique_ptr<vecube::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<vecube::ThreadPool>(threads);
-  vecube::AssemblyEngine engine(&*store, pool.get(), nullptr, shards);
+  vecube::AssemblyEngine engine(&*store, pool.get(), shards);
 
   auto target = vecube::ElementId::AggregatedView(mask, store->shape());
   if (!target.ok()) return Fail(target.status());
