@@ -433,9 +433,7 @@ void OlapSession::RebuildEngines() {
 
 Status OlapSession::DeclareWorkload(QueryPopulation population) {
   for (const QuerySpec& q : population.queries()) {
-    ElementId checked;
-    VECUBE_ASSIGN_OR_RETURN(checked,
-                            ElementId::Make(q.view.codes(), shape_));
+    VECUBE_RETURN_NOT_OK(q.view.Validate(shape_));
   }
   declared_workload_ = std::move(population);
   return Status::OK();

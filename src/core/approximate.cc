@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/freq_rect.h"
 #include "haar/transform.h"
 
 namespace vecube {
@@ -70,23 +71,6 @@ double TensorL2(const Tensor& t) {
   return std::sqrt(sum_sq);
 }
 
-// True iff `a` is an ancestor of `id` in the synthesis lattice (per
-// dimension: a's dyadic interval contains id's); on success `depth` is
-// the total cascade distance from a down to id.
-bool IsAncestor(const ElementId& a, const ElementId& id, uint32_t* depth) {
-  uint32_t k = 0;
-  for (uint32_t m = 0; m < id.ndim(); ++m) {
-    const DimCode& ac = a.dim(m);
-    const DimCode& tc = id.dim(m);
-    if (ac.level > tc.level) return false;
-    const uint32_t drop = tc.level - ac.level;
-    if (ac.offset != (tc.offset >> drop)) return false;
-    k += drop;
-  }
-  *depth = k;
-  return true;
-}
-
 }  // namespace
 
 ApproxAssembler::ApproxAssembler(AssemblyEngine* engine,
@@ -106,8 +90,8 @@ void ApproxAssembler::Refresh() {
 double ApproxAssembler::NormBound(const ElementId& id) const {
   double best = kInfNorm;
   for (const auto& [stored, norm] : stored_norms_) {
-    uint32_t depth = 0;
-    if (!IsAncestor(stored, id, &depth)) continue;
+    if (!IsAncestorOf(stored, id)) continue;
+    const uint32_t depth = id.TotalLevel() - stored.TotalLevel();
     // ||child||₂ ≤ √2·||parent||₂ per P1/R1 step, composed `depth` times.
     best = std::min(best, std::exp2(0.5 * static_cast<double>(depth)) * norm);
   }

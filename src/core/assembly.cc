@@ -14,6 +14,15 @@
 namespace vecube {
 
 namespace {
+// A store holds only ids that fit its shape, so planning over them cannot
+// fail.
+Procedure3Planner PlannerOver(const ElementStore& store) {
+  Result<Procedure3Planner> planner =
+      Procedure3Planner::Make(store.shape(), store.Ids());
+  VECUBE_CHECK(planner.ok());
+  return std::move(*planner);
+}
+
 // The P1/R1 steps that cascade a stored ancestor down to `target`: per
 // dimension, the remaining bits of the target's offset below the
 // ancestor's level, most significant first. Executed as one fused
@@ -24,8 +33,8 @@ std::vector<CascadeStep> DescentSteps(const ElementId& source,
                                       const ElementId& target) {
   std::vector<CascadeStep> steps;
   for (uint32_t m = 0; m < target.ndim(); ++m) {
-    const DimCode& from = source.dim(m);
-    const DimCode& to = target.dim(m);
+    const DimCode from = source.dim(m);
+    const DimCode to = target.dim(m);
     for (uint32_t bit = to.level - from.level; bit-- > 0;) {
       const bool residual = ((to.offset >> bit) & 1u) != 0;
       steps.push_back(CascadeStep{
@@ -68,7 +77,7 @@ AssemblyEngine::AssemblyEngine(const ElementStore* store, ThreadPool* pool,
       shard_exec_(pool),
       shape_(store->shape()),
       indexer_(shape_),
-      planner_(Procedure3Planner::Make(shape_, store->Ids())) {
+      planner_(PlannerOver(*store)) {
   VECUBE_CHECK(store != nullptr);
 }
 
@@ -86,11 +95,11 @@ Result<Tensor> AssemblyEngine::RunCascade(const Tensor& source,
 }
 
 void AssemblyEngine::Invalidate() {
-  planner_ = Procedure3Planner::Make(shape_, store_->Ids());
+  planner_ = PlannerOver(*store_);
 }
 
 uint64_t AssemblyEngine::PlanCost(const ElementId& target) {
-  return planner_.ok() ? planner_->Cost(target) : kInfiniteCost;
+  return planner_.Cost(target);
 }
 
 Result<const Tensor*> AssemblyEngine::Execute(const ElementId& target,
@@ -146,10 +155,10 @@ Result<const Tensor*> AssemblyEngine::Execute(const ElementId& target,
 
   Result<const Tensor*> result = [&]() -> Result<const Tensor*> {
     // Batch plans were warmed serially by AssembleBatch: a memo read.
-    const Procedure3Planner::Node node = planner_->Plan(target);
+    const Procedure3Planner::Node node = planner_.Plan(target);
     switch (node.choice) {
       case Procedure3Planner::Choice::kAggregate: {
-        const ElementId source = planner_->SourceOf(target);
+        const ElementId source = planner_.SourceOf(target);
         const Tensor* data;
         VECUBE_ASSIGN_OR_RETURN(data, store_->Get(source));
         if (source == target) return data;
@@ -200,7 +209,6 @@ Result<const Tensor*> AssemblyEngine::Execute(const ElementId& target,
 Result<Tensor> AssemblyEngine::Assemble(const ElementId& target,
                                         OpCounter* ops,
                                         const QueryContext* ctx) {
-  if (!planner_.ok()) return planner_.status();
   VECUBE_RETURN_NOT_OK(target.Validate(shape_));
   Tensor answer;
   const Tensor* result;
@@ -213,7 +221,6 @@ Result<Tensor> AssemblyEngine::Assemble(const ElementId& target,
 Result<std::vector<Tensor>> AssemblyEngine::AssembleBatch(
     const std::vector<ElementId>& targets, OpCounter* ops,
     const QueryContext* ctx) {
-  if (!planner_.ok()) return planner_.status();
   for (const ElementId& target : targets) {
     VECUBE_RETURN_NOT_OK(target.Validate(shape_));
   }
@@ -222,7 +229,7 @@ Result<std::vector<Tensor>> AssemblyEngine::AssembleBatch(
   // can touch. The memo tables are unlocked, so the concurrent phase must
   // only ever read them.
   std::unordered_set<uint64_t> visited;
-  for (const ElementId& target : targets) planner_->Warm(target, &visited);
+  for (const ElementId& target : targets) planner_.Warm(target, &visited);
 
   // Phase 2 — execution, fanned out across targets when a pool is
   // available. The latched cache makes every distinct sub-element compute

@@ -23,9 +23,7 @@
 // target is itself stored. Copies are work outside the cost model.
 //
 // The planner is built over the store's element ids and rebuilt by
-// Invalidate(); it rejects stores above kMaxAssemblyDims dimensions, and
-// every public entry point then fails cleanly (CubeShape admits up to 24
-// dimensions, so the check is load-bearing, not decorative).
+// Invalidate().
 //
 // Threading model: planning is always serial (memo tables are unlocked).
 // Execution fans out on an optional ThreadPool at three levels — every
@@ -75,8 +73,8 @@ class AssemblyEngine {
 
   /// Procedure-3 cost T_n of producing `target` from the store, in
   /// add/subtract operations. kInfiniteCost if unreachable (store not
-  /// complete w.r.t. target), if `target` does not fit the store's shape,
-  /// or if the arity is beyond kMaxAssemblyDims.
+  /// complete w.r.t. target) or if `target` does not fit the store's
+  /// shape.
   uint64_t PlanCost(const ElementId& target);
 
   /// Materializes `target`. Status Incomplete if the stored set cannot
@@ -144,9 +142,8 @@ class AssemblyEngine {
   ThreadedShardExecutor shard_exec_;
   CubeShape shape_;
   ElementIndexer indexer_;
-  // Plans over the store's current ids; an error for stores the planner
-  // rejects.
-  Result<Procedure3Planner> planner_;
+  // Plans over the store's current ids.
+  Procedure3Planner planner_;
 };
 
 }  // namespace vecube

@@ -11,12 +11,7 @@ ElementComputer::ElementComputer(const CubeShape& shape, const Tensor* cube)
 }
 
 Result<Tensor> ElementComputer::Compute(const ElementId& id, OpCounter* ops) {
-  if (id.ndim() != shape_.ndim()) {
-    return Status::InvalidArgument("element arity does not match cube");
-  }
-  // Validate codes against the shape.
-  ElementId checked;
-  VECUBE_ASSIGN_OR_RETURN(checked, ElementId::Make(id.codes(), shape_));
+  VECUBE_RETURN_NOT_OK(id.Validate(shape_));
 
   if (id.IsRoot()) return *cube_;
   if (auto it = cache_.find(id); it != cache_.end()) return it->second;
@@ -25,7 +20,7 @@ Result<Tensor> ElementComputer::Compute(const ElementId& id, OpCounter* ops) {
   // cascade prefixes are shared through the cache.
   uint32_t dim = id.ndim();
   for (uint32_t m = id.ndim(); m-- > 0;) {
-    if (id.dim(m).level > 0) {
+    if (id.code(m) != 0) {
       dim = m;
       break;
     }

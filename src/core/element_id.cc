@@ -4,32 +4,53 @@
 
 namespace vecube {
 
+namespace {
+
+// The code of the node at (level, 0): the first code of its level.
+uint32_t LevelStart(uint32_t level) { return (uint32_t{1} << level) - 1; }
+
+}  // namespace
+
 ElementId ElementId::Root(uint32_t ndim) {
-  return ElementId(std::vector<DimCode>(ndim));
+  VECUBE_CHECK(ndim <= kMaxDims);
+  ElementId id;
+  id.ndim_ = ndim;
+  return id;
 }
 
 Result<ElementId> ElementId::Make(std::vector<DimCode> codes,
                                   const CubeShape& shape) {
-  ElementId id(std::move(codes));
-  VECUBE_RETURN_NOT_OK(id.Validate(shape));
+  if (codes.size() != shape.ndim()) {
+    return Status::InvalidArgument("element arity does not match cube");
+  }
+  ElementId id = Root(shape.ndim());
+  for (uint32_t m = 0; m < shape.ndim(); ++m) {
+    if (codes[m].level > shape.log_extent(m)) {
+      return Status::InvalidArgument(
+          "level " + std::to_string(codes[m].level) +
+          " exceeds cascade depth " + std::to_string(shape.log_extent(m)) +
+          " of dimension " + std::to_string(m));
+    }
+    if (codes[m].offset >= (1u << codes[m].level)) {
+      return Status::InvalidArgument(
+          "offset " + std::to_string(codes[m].offset) +
+          " out of range for level " + std::to_string(codes[m].level));
+    }
+    id.codes_[m] = LevelStart(codes[m].level) + codes[m].offset;
+  }
   return id;
 }
 
 Status ElementId::Validate(const CubeShape& shape) const {
-  if (codes_.size() != shape.ndim()) {
+  if (ndim_ != shape.ndim()) {
     return Status::InvalidArgument("element arity does not match cube");
   }
-  for (uint32_t m = 0; m < shape.ndim(); ++m) {
-    if (codes_[m].level > shape.log_extent(m)) {
+  for (uint32_t m = 0; m < ndim_; ++m) {
+    if (level(m) > shape.log_extent(m)) {
       return Status::InvalidArgument(
-          "level " + std::to_string(codes_[m].level) +
-          " exceeds cascade depth " + std::to_string(shape.log_extent(m)) +
-          " of dimension " + std::to_string(m));
-    }
-    if (codes_[m].offset >= (1u << codes_[m].level)) {
-      return Status::InvalidArgument(
-          "offset " + std::to_string(codes_[m].offset) +
-          " out of range for level " + std::to_string(codes_[m].level));
+          "level " + std::to_string(level(m)) + " exceeds cascade depth " +
+          std::to_string(shape.log_extent(m)) + " of dimension " +
+          std::to_string(m));
     }
   }
   return Status::OK();
@@ -37,16 +58,16 @@ Status ElementId::Validate(const CubeShape& shape) const {
 
 Result<ElementId> ElementId::AggregatedView(uint32_t aggregated_mask,
                                             const CubeShape& shape) {
-  if (shape.ndim() < 32 && (aggregated_mask >> shape.ndim()) != 0) {
+  if ((aggregated_mask >> shape.ndim()) != 0) {
     return Status::InvalidArgument("aggregation mask has extra bits");
   }
-  std::vector<DimCode> codes(shape.ndim());
+  ElementId id = Root(shape.ndim());
   for (uint32_t m = 0; m < shape.ndim(); ++m) {
     if ((aggregated_mask >> m) & 1u) {
-      codes[m] = DimCode{shape.log_extent(m), 0};
+      id.codes_[m] = LevelStart(shape.log_extent(m));
     }
   }
-  return ElementId(std::move(codes));
+  return id;
 }
 
 Result<ElementId> ElementId::Intermediate(const std::vector<uint32_t>& levels,
@@ -54,19 +75,14 @@ Result<ElementId> ElementId::Intermediate(const std::vector<uint32_t>& levels,
   if (levels.size() != shape.ndim()) {
     return Status::InvalidArgument("level arity does not match cube");
   }
-  std::vector<DimCode> codes(shape.ndim());
+  ElementId id = Root(shape.ndim());
   for (uint32_t m = 0; m < shape.ndim(); ++m) {
     if (levels[m] > shape.log_extent(m)) {
       return Status::InvalidArgument("level exceeds cascade depth");
     }
-    codes[m] = DimCode{levels[m], 0};
+    id.codes_[m] = LevelStart(levels[m]);
   }
-  return ElementId(std::move(codes));
-}
-
-bool ElementId::CanSplit(uint32_t dim, const CubeShape& shape) const {
-  VECUBE_DCHECK(dim < ndim());
-  return codes_[dim].level < shape.log_extent(dim);
+  return id;
 }
 
 Result<ElementId> ElementId::Child(uint32_t dim, StepKind kind,
@@ -76,55 +92,48 @@ Result<ElementId> ElementId::Child(uint32_t dim, StepKind kind,
     return Status::FailedPrecondition(
         "element is fully aggregated along dimension " + std::to_string(dim));
   }
-  std::vector<DimCode> codes = codes_;
-  codes[dim].level += 1;
-  codes[dim].offset =
-      codes[dim].offset * 2 + (kind == StepKind::kResidual ? 1 : 0);
-  return ElementId(std::move(codes));
+  return ChildUnchecked(dim, kind);
 }
 
 Result<ElementId> ElementId::Parent(uint32_t dim) const {
   if (dim >= ndim()) return Status::InvalidArgument("dimension out of range");
-  if (codes_[dim].level == 0) {
+  if (codes_[dim] == 0) {
     return Status::FailedPrecondition("root has no parent along dimension " +
                                       std::to_string(dim));
   }
-  std::vector<DimCode> codes = codes_;
-  codes[dim].level -= 1;
-  codes[dim].offset >>= 1;
-  return ElementId(std::move(codes));
+  return ParentUnchecked(dim);
 }
 
 Result<ElementId> ElementId::Sibling(uint32_t dim) const {
   if (dim >= ndim()) return Status::InvalidArgument("dimension out of range");
-  if (codes_[dim].level == 0) {
+  if (codes_[dim] == 0) {
     return Status::FailedPrecondition("root has no sibling");
   }
-  std::vector<DimCode> codes = codes_;
-  codes[dim].offset ^= 1u;
-  return ElementId(std::move(codes));
+  ElementId sibling = *this;
+  sibling.codes_[dim] = ((codes_[dim] - 1) ^ 1u) + 1;
+  return sibling;
 }
 
 bool ElementId::IsRoot() const {
-  for (const DimCode& c : codes_) {
-    if (c.level != 0) return false;
+  for (uint32_t m = 0; m < ndim_; ++m) {
+    if (codes_[m] != 0) return false;
   }
   return true;
 }
 
 bool ElementId::IsAggregatedView(const CubeShape& shape) const {
-  for (uint32_t m = 0; m < ndim(); ++m) {
-    const DimCode& c = codes_[m];
-    const bool untouched = (c.level == 0);
-    const bool total = (c.level == shape.log_extent(m) && c.offset == 0);
-    if (!untouched && !total) return false;
+  for (uint32_t m = 0; m < ndim_; ++m) {
+    if (codes_[m] != 0 && codes_[m] != LevelStart(shape.log_extent(m))) {
+      return false;
+    }
   }
   return true;
 }
 
 bool ElementId::IsIntermediate() const {
-  for (const DimCode& c : codes_) {
-    if (c.offset != 0) return false;
+  // Offset 0 exactly when code + 1 is a power of two.
+  for (uint32_t m = 0; m < ndim_; ++m) {
+    if ((codes_[m] & (codes_[m] + 1)) != 0) return false;
   }
   return true;
 }
@@ -133,7 +142,7 @@ std::vector<uint32_t> ElementId::DataExtents(const CubeShape& shape) const {
   VECUBE_DCHECK(ndim() == shape.ndim());
   std::vector<uint32_t> extents(ndim());
   for (uint32_t m = 0; m < ndim(); ++m) {
-    extents[m] = shape.extent(m) >> codes_[m].level;
+    extents[m] = shape.extent(m) >> level(m);
   }
   return extents;
 }
@@ -142,21 +151,21 @@ uint64_t ElementId::DataVolume(const CubeShape& shape) const {
   VECUBE_DCHECK(ndim() == shape.ndim());
   uint64_t volume = 1;
   for (uint32_t m = 0; m < ndim(); ++m) {
-    volume *= shape.extent(m) >> codes_[m].level;
+    volume *= shape.extent(m) >> level(m);
   }
   return volume;
 }
 
 uint32_t ElementId::TotalLevel() const {
   uint32_t total = 0;
-  for (const DimCode& c : codes_) total += c.level;
+  for (uint32_t m = 0; m < ndim_; ++m) total += level(m);
   return total;
 }
 
 std::vector<CascadeStep> ElementId::PathFromRoot() const {
   std::vector<CascadeStep> steps;
   for (uint32_t m = 0; m < ndim(); ++m) {
-    const DimCode& c = codes_[m];
+    const DimCode c = dim(m);
     for (uint32_t bit = c.level; bit-- > 0;) {
       const bool residual = ((c.offset >> bit) & 1u) != 0;
       steps.push_back(
@@ -170,9 +179,10 @@ std::string ElementId::ToString() const {
   std::string out = "(";
   for (uint32_t m = 0; m < ndim(); ++m) {
     if (m > 0) out += ", ";
-    out += std::to_string(codes_[m].level);
+    const DimCode c = dim(m);
+    out += std::to_string(c.level);
     out += "@";
-    out += std::to_string(codes_[m].offset);
+    out += std::to_string(c.offset);
   }
   out += ")";
   return out;
@@ -180,8 +190,8 @@ std::string ElementId::ToString() const {
 
 size_t ElementIdHash::operator()(const ElementId& id) const {
   uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (const DimCode& c : id.codes()) {
-    h ^= (static_cast<uint64_t>(c.level) << 32) | c.offset;
+  for (uint32_t m = 0; m < id.ndim(); ++m) {
+    h ^= id.code(m);
     h *= 1099511628211ULL;  // FNV prime
   }
   return static_cast<size_t>(h);

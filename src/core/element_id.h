@@ -17,9 +17,12 @@
 #ifndef VECUBE_CORE_ELEMENT_ID_H_
 #define VECUBE_CORE_ELEMENT_ID_H_
 
+#include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cube/shape.h"
@@ -36,7 +39,21 @@ struct DimCode {
   auto operator<=>(const DimCode&) const = default;
 };
 
-/// Immutable identity of a view element of a given cube shape.
+/// True iff heap-order code `a` is `d` or an ancestor of `d` in one
+/// dimension's cascade tree: a's dyadic interval contains d's. code + 1 is
+/// the node's offset behind a leading 1 bit, so the test is a bit prefix.
+constexpr bool IsPrefixCode(uint32_t a, uint32_t d) {
+  const int drop = std::bit_width(d + 1) - std::bit_width(a + 1);
+  return drop >= 0 && ((d + 1) >> drop) == a + 1;
+}
+
+/// Immutable identity of a view element of a given cube shape: a
+/// trivially copyable value holding, per dimension, the node's heap-order
+/// code (1 << level) - 1 + offset, which is also its index among the
+/// 2n_m - 1 nodes of that dimension. The P and R children of code c are
+/// 2c + 1 and 2c + 2, its parent (c - 1) / 2. Within one dimension code
+/// order is (level, offset) order, and unused slots stay 0, so the
+/// defaulted comparisons order ids lexicographically by (level, offset).
 class ElementId {
  public:
   ElementId() = default;
@@ -44,7 +61,8 @@ class ElementId {
   /// The root element: the data cube A itself (all levels 0).
   static ElementId Root(uint32_t ndim);
 
-  /// Validates levels/offsets against the shape.
+  /// Validates levels/offsets against the shape: same arity, every level
+  /// within its dimension's cascade depth, every offset below 2^level.
   static Result<ElementId> Make(std::vector<DimCode> codes,
                                 const CubeShape& shape);
 
@@ -59,39 +77,55 @@ class ElementId {
   static Result<ElementId> Intermediate(const std::vector<uint32_t>& levels,
                                         const CubeShape& shape);
 
-  /// Constructs an id from raw codes WITHOUT validating them against any
-  /// shape. For corruption-injection tests of the invariant checker
-  /// (src/verify) only — invalid codes are caught by the checker, not
-  /// here. Production code must use Make().
-  static ElementId UnsafeFromCodes(std::vector<DimCode> codes) {
-    return ElementId(std::move(codes));
-  }
-
-  /// InvalidArgument unless the codes fit `shape`: same arity, every level
-  /// within its dimension's cascade depth, every offset below 2^level.
-  /// Allocates nothing when they do.
+  /// InvalidArgument unless the id fits `shape`: same arity and every
+  /// level within its dimension's cascade depth.
   [[nodiscard]] Status Validate(const CubeShape& shape) const;
 
-  [[nodiscard]] uint32_t ndim() const { return static_cast<uint32_t>(codes_.size()); }
-  [[nodiscard]] const DimCode& dim(uint32_t m) const { return codes_[m]; }
-  [[nodiscard]] const std::vector<DimCode>& codes() const { return codes_; }
+  [[nodiscard]] uint32_t ndim() const { return ndim_; }
+  /// The heap-order code along `m`, in [0, 2n_m - 1).
+  [[nodiscard]] uint32_t code(uint32_t m) const { return codes_[m]; }
+  [[nodiscard]] uint32_t level(uint32_t m) const {
+    return static_cast<uint32_t>(std::bit_width(codes_[m] + 1)) - 1;
+  }
+  [[nodiscard]] DimCode dim(uint32_t m) const {
+    const uint32_t lvl = level(m);
+    return DimCode{lvl, codes_[m] + 1 - (uint32_t{1} << lvl)};
+  }
 
   /// True iff `level < log2(n_dim)` so the children along `dim` exist.
-  bool CanSplit(uint32_t dim, const CubeShape& shape) const;
+  /// Level K_m starts at code 2^K_m - 1 = n_m - 1.
+  [[nodiscard]] bool CanSplit(uint32_t dim, const CubeShape& shape) const {
+    return codes_[dim] + 1 < shape.extent(dim);
+  }
 
   /// Partial (P) or residual (R) child along `dim` (Eq. 23 mapping).
   Result<ElementId> Child(uint32_t dim, StepKind kind,
                           const CubeShape& shape) const;
 
+  /// Child() without the checks, for recursions that know CanSplit.
+  [[nodiscard]] ElementId ChildUnchecked(uint32_t dim, StepKind kind) const {
+    ElementId child = *this;
+    child.codes_[dim] = 2 * codes_[dim] + (kind == StepKind::kResidual ? 2 : 1);
+    return child;
+  }
+
   /// Parent along `dim`; requires level > 0 along `dim`.
   Result<ElementId> Parent(uint32_t dim) const;
+
+  /// Parent() without the checks, for recursions that know level > 0.
+  [[nodiscard]] ElementId ParentUnchecked(uint32_t dim) const {
+    ElementId parent = *this;
+    parent.codes_[dim] = (codes_[dim] - 1) / 2;
+    return parent;
+  }
 
   /// Sibling along `dim` (P <-> R); requires level > 0 along `dim`.
   Result<ElementId> Sibling(uint32_t dim) const;
 
-  /// True iff this element is the P child of its parent along `dim`.
+  /// True iff this element is the P child of its parent along `dim` (also
+  /// true at level 0, whose offset is even).
   bool IsPartialChild(uint32_t dim) const {
-    return (codes_[dim].offset & 1u) == 0;
+    return codes_[dim] == 0 || (codes_[dim] & 1u) != 0;
   }
 
   bool IsRoot() const;
@@ -116,20 +150,20 @@ class ElementId {
   /// e.g. "(2@0, 0@0, 1@1)" — level@offset per dimension.
   std::string ToString() const;
 
-  bool operator==(const ElementId& other) const {
-    return codes_ == other.codes_;
-  }
-  bool operator!=(const ElementId& other) const { return !(*this == other); }
+  bool operator==(const ElementId&) const = default;
   /// Lexicographic; a total order for deterministic iteration.
-  bool operator<(const ElementId& other) const { return codes_ < other.codes_; }
+  auto operator<=>(const ElementId&) const = default;
 
  private:
-  explicit ElementId(std::vector<DimCode> codes) : codes_(std::move(codes)) {}
+  friend class ElementIndexer;
 
-  std::vector<DimCode> codes_;
+  std::array<uint32_t, kMaxDims> codes_{};
+  uint32_t ndim_ = 0;
 };
 
-/// FNV-1a style hash for unordered containers.
+static_assert(std::is_trivially_copyable_v<ElementId>);
+
+/// FNV-1a over the codes, one word per dimension.
 struct ElementIdHash {
   size_t operator()(const ElementId& id) const;
 };

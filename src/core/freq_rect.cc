@@ -11,10 +11,7 @@ FreqRect FreqRect::Of(const ElementId& id, const CubeShape& shape) {
   FreqRect rect;
   rect.intervals_.resize(id.ndim());
   for (uint32_t m = 0; m < id.ndim(); ++m) {
-    const DimCode& c = id.dim(m);
-    const uint32_t shift = shape.log_extent(m) - c.level;
-    rect.intervals_[m].lo = static_cast<uint64_t>(c.offset) << shift;
-    rect.intervals_[m].hi = static_cast<uint64_t>(c.offset + 1) << shift;
+    rect.intervals_[m] = DimInterval(id, m, shape);
   }
   return rect;
 }
@@ -65,10 +62,7 @@ std::string FreqRect::ToString() const {
 bool IsAncestorOf(const ElementId& ancestor, const ElementId& descendant) {
   VECUBE_DCHECK(ancestor.ndim() == descendant.ndim());
   for (uint32_t m = 0; m < ancestor.ndim(); ++m) {
-    const DimCode& a = ancestor.dim(m);
-    const DimCode& d = descendant.dim(m);
-    if (a.level > d.level) return false;
-    if ((d.offset >> (d.level - a.level)) != a.offset) return false;
+    if (!IsPrefixCode(ancestor.code(m), descendant.code(m))) return false;
   }
   return true;
 }

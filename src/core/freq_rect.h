@@ -27,6 +27,16 @@ struct FreqInterval {
   bool operator==(const FreqInterval&) const = default;
 };
 
+/// The frequency interval of `id` along dimension `m` (Eq. 23): its
+/// dyadic interval [offset, offset + 1) / 2^level in units of 2^{-K_m}.
+inline FreqInterval DimInterval(const ElementId& id, uint32_t m,
+                                const CubeShape& shape) {
+  const DimCode c = id.dim(m);
+  const uint32_t shift = shape.log_extent(m) - c.level;
+  return FreqInterval{uint64_t{c.offset} << shift,
+                      uint64_t{c.offset + 1} << shift};
+}
+
 /// The frequency rectangle of a view element, one interval per dimension,
 /// each in units of 2^{-K_m} (i.e. spanning [0, n_m)).
 class FreqRect {

@@ -1,39 +1,9 @@
 #include "core/graph.h"
 
+#include "core/freq_rect.h"
 #include "util/logging.h"
 
 namespace vecube {
-
-namespace {
-
-// Enumerates all dyadic (level, offset) codes of one dimension with
-// log-extent K: (0,0), (1,0), (1,1), (2,0), ... — 2^{K+1} − 1 codes.
-std::vector<DimCode> AllDimCodes(uint32_t log_extent) {
-  std::vector<DimCode> codes;
-  for (uint32_t level = 0; level <= log_extent; ++level) {
-    for (uint32_t offset = 0; offset < (1u << level); ++offset) {
-      codes.push_back(DimCode{level, offset});
-    }
-  }
-  return codes;
-}
-
-void EnumerateRec(const CubeShape& shape, uint32_t dim,
-                  std::vector<DimCode>* prefix,
-                  const std::function<void(const ElementId&)>& fn) {
-  if (dim == shape.ndim()) {
-    auto id = ElementId::Make(*prefix, shape);
-    VECUBE_CHECK(id.ok());
-    fn(*id);
-    return;
-  }
-  for (const DimCode& code : AllDimCodes(shape.log_extent(dim))) {
-    (*prefix)[dim] = code;
-    EnumerateRec(shape, dim + 1, prefix, fn);
-  }
-}
-
-}  // namespace
 
 uint64_t ViewElementGraph::NumElements() const {
   uint64_t n = 1;
@@ -63,8 +33,12 @@ uint64_t ViewElementGraph::NumBlocks() const { return NumIntermediate(); }
 
 void ViewElementGraph::ForEachElement(
     const std::function<void(const ElementId&)>& fn) const {
-  std::vector<DimCode> prefix(shape_.ndim());
-  EnumerateRec(shape_, 0, &prefix, fn);
+  // Index order is lexicographic id order: dimension 0 has the largest
+  // place value, and code order is (level, offset) order.
+  const ElementIndexer indexer(shape_);
+  for (uint64_t index = 0; index < indexer.size(); ++index) {
+    fn(indexer.Decode(index));
+  }
 }
 
 std::vector<ElementId> ViewElementGraph::AggregatedViews() const {
@@ -108,106 +82,40 @@ Result<std::vector<ElementId>> ViewElementGraph::Children(const ElementId& id,
 }
 
 std::vector<ElementId> ViewElementGraph::Ancestors(const ElementId& id) const {
-  // Per dimension, the ancestors' codes are the prefixes of the code.
-  std::vector<std::vector<DimCode>> options(shape_.ndim());
-  for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    const DimCode& c = id.dim(m);
-    for (uint32_t level = 0; level <= c.level; ++level) {
-      options[m].push_back(DimCode{level, c.offset >> (c.level - level)});
-    }
-  }
   std::vector<ElementId> out;
-  std::vector<DimCode> current(shape_.ndim());
-  std::function<void(uint32_t)> rec = [&](uint32_t dim) {
-    if (dim == shape_.ndim()) {
-      auto candidate = ElementId::Make(current, shape_);
-      VECUBE_CHECK(candidate.ok());
-      if (*candidate != id) out.push_back(*candidate);
-      return;
-    }
-    for (const DimCode& code : options[dim]) {
-      current[dim] = code;
-      rec(dim + 1);
-    }
-  };
-  rec(0);
+  ForEachElement([&](const ElementId& a) {
+    if (a != id && IsAncestorOf(a, id)) out.push_back(a);
+  });
   return out;
 }
 
 std::vector<ElementId> ViewElementGraph::Descendants(
     const ElementId& id) const {
-  // Per dimension, descendants extend the code with any bit suffix.
-  std::vector<std::vector<DimCode>> options(shape_.ndim());
-  for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    const DimCode& c = id.dim(m);
-    for (uint32_t level = c.level; level <= shape_.log_extent(m); ++level) {
-      const uint32_t extra = level - c.level;
-      const uint32_t base = c.offset << extra;
-      for (uint32_t suffix = 0; suffix < (1u << extra); ++suffix) {
-        options[m].push_back(DimCode{level, base + suffix});
-      }
-    }
-  }
   std::vector<ElementId> out;
-  std::vector<DimCode> current(shape_.ndim());
-  std::function<void(uint32_t)> rec = [&](uint32_t dim) {
-    if (dim == shape_.ndim()) {
-      auto candidate = ElementId::Make(current, shape_);
-      VECUBE_CHECK(candidate.ok());
-      if (*candidate != id) out.push_back(*candidate);
-      return;
-    }
-    for (const DimCode& code : options[dim]) {
-      current[dim] = code;
-      rec(dim + 1);
-    }
-  };
-  rec(0);
+  ForEachElement([&](const ElementId& d) {
+    if (d != id && IsAncestorOf(id, d)) out.push_back(d);
+  });
   return out;
 }
 
 ElementIndexer::ElementIndexer(CubeShape shape) : shape_(std::move(shape)) {
-  radix_.resize(shape_.ndim());
   weight_.resize(shape_.ndim());
-  for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    radix_[m] = 2ull * shape_.extent(m) - 1;
-  }
   uint64_t w = 1;
   for (uint32_t m = shape_.ndim(); m-- > 0;) {
     weight_[m] = w;
-    w *= radix_[m];
+    w *= 2ull * shape_.extent(m) - 1;
   }
   size_ = w;
 }
 
-uint64_t ElementIndexer::Encode(const ElementId& id) const {
-  VECUBE_DCHECK(id.ndim() == shape_.ndim());
-  uint64_t index = 0;
-  for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    const DimCode& c = id.dim(m);
-    const uint64_t code_index = ((uint64_t{1} << c.level) - 1) + c.offset;
-    VECUBE_DCHECK(code_index < radix_[m]);
-    index += code_index * weight_[m];
-  }
-  return index;
-}
-
 ElementId ElementIndexer::Decode(uint64_t index) const {
   VECUBE_DCHECK(index < size_);
-  std::vector<DimCode> codes(shape_.ndim());
+  ElementId id = ElementId::Root(shape_.ndim());
   for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    const uint64_t code_index = index / weight_[m];
+    id.codes_[m] = static_cast<uint32_t>(index / weight_[m]);
     index %= weight_[m];
-    // Invert (1 << level) - 1 + offset: level = floor(log2(code_index + 1)).
-    uint32_t level = 0;
-    while ((uint64_t{2} << level) - 1 <= code_index) ++level;
-    codes[m].level = level;
-    codes[m].offset =
-        static_cast<uint32_t>(code_index - ((uint64_t{1} << level) - 1));
   }
-  auto id = ElementId::Make(std::move(codes), shape_);
-  VECUBE_CHECK(id.ok());
-  return *id;
+  return id;
 }
 
 }  // namespace vecube

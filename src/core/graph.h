@@ -16,6 +16,7 @@
 
 #include "core/element_id.h"
 #include "cube/shape.h"
+#include "util/logging.h"
 #include "util/result.h"
 
 namespace vecube {
@@ -53,10 +54,12 @@ class ViewElementGraph {
                                           uint32_t dim) const;
 
   /// All ancestors of `id` (elements that can generate it by aggregation),
-  /// excluding `id` itself. Exponential in d; for small shapes.
+  /// excluding `id` itself, in id order. Scans the whole graph; for small
+  /// shapes.
   std::vector<ElementId> Ancestors(const ElementId& id) const;
 
-  /// All descendants of `id` (elements it can generate), excluding itself.
+  /// All descendants of `id` (elements it can generate), excluding itself,
+  /// in id order. Scans the whole graph; for small shapes.
   std::vector<ElementId> Descendants(const ElementId& id) const;
 
  private:
@@ -65,8 +68,9 @@ class ViewElementGraph {
 
 /// Dense bijection between the N_ve elements of a shape and [0, N_ve),
 /// used by the selection DPs to replace hash maps with flat arrays.
-/// Per-dimension code index: (1 << level) - 1 + offset, in [0, 2n_m - 1);
-/// element index: mixed-radix combination over dimensions.
+/// The one encoder of ids: Σ code_m · weight_m over the heap-order codes
+/// (ElementId), mixed-radix with dimension 0 most significant, so index
+/// order is id order.
 class ElementIndexer {
  public:
   explicit ElementIndexer(CubeShape shape);
@@ -74,13 +78,20 @@ class ElementIndexer {
   [[nodiscard]] const CubeShape& shape() const { return shape_; }
   [[nodiscard]] uint64_t size() const { return size_; }
 
-  uint64_t Encode(const ElementId& id) const;
-  ElementId Decode(uint64_t index) const;
+  /// Inline: the planners' memo lookups encode once per visited node.
+  [[nodiscard]] uint64_t Encode(const ElementId& id) const {
+    VECUBE_DCHECK(id.Validate(shape_).ok());
+    uint64_t index = 0;
+    for (size_t m = 0; m < weight_.size(); ++m) {
+      index += id.code(static_cast<uint32_t>(m)) * weight_[m];
+    }
+    return index;
+  }
+  [[nodiscard]] ElementId Decode(uint64_t index) const;
 
  private:
   CubeShape shape_;
-  std::vector<uint64_t> radix_;   // 2n_m - 1 per dimension
-  std::vector<uint64_t> weight_;  // mixed-radix place values
+  std::vector<uint64_t> weight_;  // place values over radices 2n_m - 1
   uint64_t size_ = 1;
 };
 

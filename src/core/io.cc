@@ -18,7 +18,6 @@ namespace {
 constexpr char kMagicV1[8] = {'V', 'E', 'C', 'U', 'B', 'E', '0', '1'};
 constexpr char kMagicV2[8] = {'V', 'E', 'C', 'U', 'B', 'E', '0', '2'};
 constexpr char kFailpointScope[] = "snapshot";
-constexpr uint32_t kMaxDims = 24;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {

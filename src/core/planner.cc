@@ -1,8 +1,5 @@
 #include "core/planner.h"
 
-#include <algorithm>
-#include <array>
-
 #include "util/logging.h"
 
 namespace vecube {
@@ -25,14 +22,7 @@ Procedure3Planner::Node Unpack(uint64_t word) {
       static_cast<Procedure3Planner::Choice>(word & 3u),
       static_cast<uint32_t>(word >> 2) & 15u};
 }
-
-using Codes = std::array<DimCode, kMaxAssemblyDims>;
-
-Codes CodesOf(const ElementId& id) {
-  Codes codes{};
-  std::copy(id.codes().begin(), id.codes().end(), codes.begin());
-  return codes;
-}
+static_assert(kMaxDims <= 16, "split_dim is packed into 4 bits");
 }  // namespace
 
 template <typename Word>
@@ -50,7 +40,7 @@ void Procedure3Planner::WordMemo<Word>::Set(uint64_t index, Word word) {
 
 Procedure3Planner::Procedure3Planner(const CubeShape& shape)
     : shape_(shape), indexer_(shape) {
-  stored_.assign(1, StoredRef{0, kInfiniteCost});
+  stored_.assign(1, StoredRef{ElementId{}, kInfiniteCost});
   const bool dense = indexer_.size() <= kDenseMemoLimit;
   ancestor_memo_.Reset(indexer_.size(), dense);
   plan_memo_.Reset(indexer_.size(), dense);
@@ -58,75 +48,46 @@ Procedure3Planner::Procedure3Planner(const CubeShape& shape)
 
 Result<Procedure3Planner> Procedure3Planner::Make(
     const CubeShape& shape, const std::vector<ElementId>& ids) {
-  if (shape.ndim() > kMaxAssemblyDims) {
-    return Status::InvalidArgument(
-        "at most 16 dimensions supported for assembly planning");
-  }
   VECUBE_CHECK(ids.size() < std::numeric_limits<uint32_t>::max() - 1);
   Procedure3Planner planner(shape);
   for (const ElementId& id : ids) {
     VECUBE_RETURN_NOT_OK(id.Validate(shape));
-    const uint64_t index = planner.indexer_.Encode(id);
-    planner.stored_slot_[index] =
+    planner.stored_slot_[planner.indexer_.Encode(id)] =
         static_cast<uint32_t>(planner.stored_.size());
-    planner.stored_.push_back(StoredRef{index, id.DataVolume(shape)});
-    planner.stored_codes_.insert(planner.stored_codes_.end(),
-                                 id.codes().begin(), id.codes().end());
+    planner.stored_.push_back(StoredRef{id, id.DataVolume(shape)});
   }
   return planner;
 }
 
-uint64_t Procedure3Planner::EncodeRaw(const DimCode* codes) const {
-  uint64_t index = 0;
-  uint64_t weight = 1;
-  for (uint32_t m = shape_.ndim(); m-- > 0;) {
-    index += (((uint64_t{1} << codes[m].level) - 1) + codes[m].offset) * weight;
-    weight *= 2ull * shape_.extent(m) - 1;
-  }
-  return index;
-}
-
-uint64_t Procedure3Planner::VolumeRaw(const DimCode* codes) const {
-  uint64_t volume = 1;
-  for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    volume *= shape_.extent(m) >> codes[m].level;
-  }
-  return volume;
-}
-
-uint32_t Procedure3Planner::MinAncestorRaw(DimCode* codes) {
-  const uint64_t index = EncodeRaw(codes);
+uint32_t Procedure3Planner::MinAncestor(const ElementId& node) {
+  const uint64_t index = indexer_.Encode(node);
   if (const uint32_t hit = ancestor_memo_.Get(index); hit != 0) return hit;
   uint32_t best = 1;  // the "none" sentinel
   if (auto it = stored_slot_.find(index); it != stored_slot_.end()) {
     best = it->second + 1;
   }
   for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    if (codes[m].level == 0) continue;
-    const DimCode saved = codes[m];
-    codes[m] = DimCode{saved.level - 1, saved.offset >> 1};
-    const uint32_t parent = MinAncestorRaw(codes);
-    codes[m] = saved;
+    if (node.code(m) == 0) continue;
+    const uint32_t parent = MinAncestor(node.ParentUnchecked(m));
     if (stored_[parent - 1].volume < stored_[best - 1].volume) best = parent;
   }
   ancestor_memo_.Set(index, best);
   return best;
 }
 
-bool Procedure3Planner::HasFinerRelativeRaw(const DimCode* codes) const {
+bool Procedure3Planner::HasFinerRelative(const ElementId& node) const {
   const uint32_t ndim = shape_.ndim();
-  for (size_t base = 0; base < stored_codes_.size(); base += ndim) {
-    const DimCode* s = &stored_codes_[base];
+  for (size_t j = 1; j < stored_.size(); ++j) {
+    const ElementId& s = stored_[j].id;
     bool finer = false;
     uint32_t m = 0;
     for (; m < ndim; ++m) {
-      // Comparable along m: the coarser code is a dyadic prefix of the finer.
-      const DimCode a = codes[m];
-      const DimCode b = s[m];
-      if (a.level <= b.level) {
-        if ((b.offset >> (b.level - a.level)) != a.offset) break;
-        finer |= a.level < b.level;
-      } else if ((a.offset >> (a.level - b.level)) != b.offset) {
+      const uint32_t a = node.code(m);
+      const uint32_t b = s.code(m);
+      if (a == b) continue;
+      if (IsPrefixCode(a, b)) {
+        finer = true;
+      } else if (!IsPrefixCode(b, a)) {
         break;
       }
     }
@@ -135,17 +96,17 @@ bool Procedure3Planner::HasFinerRelativeRaw(const DimCode* codes) const {
   return false;
 }
 
-Procedure3Planner::Node Procedure3Planner::PlanRaw(DimCode* codes) {
-  const uint64_t index = EncodeRaw(codes);
+Procedure3Planner::Node Procedure3Planner::Plan(const ElementId& target) {
+  const uint64_t index = indexer_.Encode(target);
   if (const uint64_t word = plan_memo_.Get(index); word != 0) {
     return Unpack(word);
   }
 
   Node node;
-  const uint64_t vol = VolumeRaw(codes);
+  const uint64_t vol = target.DataVolume(shape_);
   // F option: aggregate down from the smallest stored ancestor (a stored
   // target is the ancestor==self case with cost 0).
-  const uint64_t ancestor_volume = stored_[MinAncestorRaw(codes) - 1].volume;
+  const uint64_t ancestor_volume = stored_[MinAncestor(target) - 1].volume;
   if (ancestor_volume != kInfiniteCost) {
     node.cost = ancestor_volume - vol;
     node.choice = Choice::kAggregate;
@@ -160,21 +121,22 @@ Procedure3Planner::Node Procedure3Planner::PlanRaw(DimCode* codes) {
   //    than n anywhere, all are ancestors of n of volume >= A (the best
   //    ancestor's), and the >= 2 leaves cost >= 2A > A - Vol(n) = F_n, or
   //    cannot be produced at all when n has no stored ancestor.
-  const bool may_synthesize = node.cost > vol && HasFinerRelativeRaw(codes);
+  const bool may_synthesize = node.cost > vol && HasFinerRelative(target);
   // Cheap first pass: bound each dimension's synthesis option by the
   // children's *aggregation-only* costs (no recursive exploration). This
   // often establishes the Vol(n) floor immediately — e.g. when both
   // children are stored — and lets the deep pass be skipped entirely.
   if (may_synthesize) {
+    const uint64_t child_vol = vol / 2;
     for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-      if (codes[m].level >= shape_.log_extent(m)) continue;
-      const DimCode saved = codes[m];
-      codes[m] = DimCode{saved.level + 1, saved.offset * 2};
-      const uint64_t ap = stored_[MinAncestorRaw(codes) - 1].volume;
-      const uint64_t child_vol = VolumeRaw(codes);
-      codes[m] = DimCode{saved.level + 1, saved.offset * 2 + 1};
-      const uint64_t ar = stored_[MinAncestorRaw(codes) - 1].volume;
-      codes[m] = saved;
+      if (!target.CanSplit(m, shape_)) continue;
+      const uint64_t ap =
+          stored_[MinAncestor(target.ChildUnchecked(m, StepKind::kPartial)) - 1]
+              .volume;
+      const uint64_t ar =
+          stored_[MinAncestor(target.ChildUnchecked(m, StepKind::kResidual)) -
+                  1]
+              .volume;
       if (ap == kInfiniteCost || ar == kInfiniteCost) continue;
       const uint64_t cost = vol + (ap - child_vol) + (ar - child_vol);
       if (cost < node.cost) {
@@ -187,13 +149,11 @@ Procedure3Planner::Node Procedure3Planner::PlanRaw(DimCode* codes) {
   }
   if (may_synthesize && node.cost > vol) {
     for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-      if (codes[m].level >= shape_.log_extent(m)) continue;
-      const DimCode saved = codes[m];
-      codes[m] = DimCode{saved.level + 1, saved.offset * 2};
-      const uint64_t tp = PlanRaw(codes).cost;
-      codes[m] = DimCode{saved.level + 1, saved.offset * 2 + 1};
-      const uint64_t tr = PlanRaw(codes).cost;
-      codes[m] = saved;
+      if (!target.CanSplit(m, shape_)) continue;
+      const uint64_t tp =
+          Plan(target.ChildUnchecked(m, StepKind::kPartial)).cost;
+      const uint64_t tr =
+          Plan(target.ChildUnchecked(m, StepKind::kResidual)).cost;
       if (tp == kInfiniteCost || tr == kInfiniteCost) continue;
       const uint64_t cost = vol + tp + tr;
       if (cost < node.cost) {
@@ -212,45 +172,26 @@ Procedure3Planner::Node Procedure3Planner::PlanRaw(DimCode* codes) {
   return node;
 }
 
-void Procedure3Planner::WarmPlanRaw(DimCode* codes,
-                                    std::unordered_set<uint64_t>* visited) {
-  const uint64_t index = EncodeRaw(codes);
-  if (!visited->insert(index).second) return;
-  const Node node = PlanRaw(codes);
-  if (node.choice != Choice::kSynthesize) return;
-  // Execution will recurse into exactly these two children. (The cheap
-  // first pass of PlanRaw can choose kSynthesize without ever having
-  // planned the children, so warming must descend explicitly.)
-  const uint32_t m = node.split_dim;
-  const DimCode saved = codes[m];
-  codes[m] = DimCode{saved.level + 1, saved.offset * 2};
-  WarmPlanRaw(codes, visited);
-  codes[m] = DimCode{saved.level + 1, saved.offset * 2 + 1};
-  WarmPlanRaw(codes, visited);
-  codes[m] = saved;
-}
-
 uint64_t Procedure3Planner::Cost(const ElementId& target) {
   // A code outside the shape would index past the memo tables.
   if (!target.Validate(shape_).ok()) return kInfiniteCost;
   return Plan(target).cost;
 }
 
-Procedure3Planner::Node Procedure3Planner::Plan(const ElementId& target) {
-  Codes codes = CodesOf(target);
-  return PlanRaw(codes.data());
-}
-
 ElementId Procedure3Planner::SourceOf(const ElementId& target) const {
-  const Codes codes = CodesOf(target);
-  return indexer_.Decode(
-      stored_[ancestor_memo_.Get(EncodeRaw(codes.data())) - 1].index);
+  return stored_[ancestor_memo_.Get(indexer_.Encode(target)) - 1].id;
 }
 
 void Procedure3Planner::Warm(const ElementId& target,
                              std::unordered_set<uint64_t>* visited) {
-  Codes codes = CodesOf(target);
-  WarmPlanRaw(codes.data(), visited);
+  if (!visited->insert(indexer_.Encode(target)).second) return;
+  const Node node = Plan(target);
+  if (node.choice != Choice::kSynthesize) return;
+  // Execution will recurse into exactly these two children. (The cheap
+  // first pass of Plan can choose kSynthesize without ever having planned
+  // the children, so warming must descend explicitly.)
+  Warm(target.ChildUnchecked(node.split_dim, StepKind::kPartial), visited);
+  Warm(target.ChildUnchecked(node.split_dim, StepKind::kResidual), visited);
 }
 
 Result<std::vector<ElementId>> Procedure3Planner::UsedElements(
@@ -265,17 +206,15 @@ Result<std::vector<ElementId>> Procedure3Planner::UsedElements(
   }
   // The warm walk visited exactly the nodes the recorded plans execute;
   // their aggregate leaves are the stored elements those plans read.
-  std::unordered_set<uint64_t> used;
+  std::vector<bool> used(stored_.size());
   for (const uint64_t index : visited) {
     if (Unpack(plan_memo_.Get(index)).choice == Choice::kAggregate) {
-      used.insert(stored_[ancestor_memo_.Get(index) - 1].index);
+      used[ancestor_memo_.Get(index) - 1] = true;
     }
   }
   std::vector<ElementId> out;
   for (size_t j = 1; j < stored_.size(); ++j) {
-    if (used.count(stored_[j].index) > 0) {
-      out.push_back(indexer_.Decode(stored_[j].index));
-    }
+    if (used[j]) out.push_back(stored_[j].id);
   }
   return out;
 }

@@ -10,17 +10,16 @@
 // hypothetical element sets with it, and the Section 7.2.2 refinement
 // keeps only the elements the recorded plans read (UsedElements).
 //
-// Implementation note: the recursions run on raw per-dimension code
-// buffers with memo tables keyed by the element's mixed-radix index
-// (ElementIndexer): one word per graph node, 0 meaning "not yet planned".
-// Up to kDenseMemoLimit nodes the tables are flat arrays calloc'd on the
-// first plan, so pages the planner never touches stay unbacked zero pages;
-// above it they are hash maps over the visited nodes. A node is expanded
-// into its synthesis cones only when some stored element is finer than it
-// and comparable with it (DESIGN.md §1, Procedure 3), so a plan visits the
-// nodes near its target rather than the whole graph. The raw buffers are
-// fixed kMaxAssemblyDims arrays; Make rejects shapes of higher arity
-// (CubeShape admits up to 24 dimensions, so the check is load-bearing).
+// Implementation note: the recursions run on ElementId values (a child or
+// parent is one code word changed), with memo tables keyed by the
+// element's ElementIndexer index: one word per graph node, 0 meaning "not
+// yet planned". Up to kDenseMemoLimit nodes the tables are flat arrays
+// calloc'd on the first plan, so pages the planner never touches stay
+// unbacked zero pages; above it they are hash maps over the visited nodes.
+// A node is expanded into its synthesis cones only when some stored
+// element is finer than it and comparable with it (DESIGN.md §1,
+// Procedure 3), so a plan visits the nodes near its target rather than
+// the whole graph.
 //
 // Planning is serial: the memo tables are unlocked. Once Warm() has
 // planned every node a target's execution visits, Plan and SourceOf on
@@ -48,9 +47,6 @@ namespace vecube {
 inline constexpr uint64_t kInfiniteCost =
     std::numeric_limits<uint64_t>::max();
 
-/// Highest store arity the planner's fixed code buffers support.
-inline constexpr uint32_t kMaxAssemblyDims = 16;
-
 /// Plans the cheapest assembly of any view element from a fixed set of
 /// stored elements. Plans are memoized across calls.
 class Procedure3Planner {
@@ -64,8 +60,7 @@ class Procedure3Planner {
     uint32_t split_dim = 0;  // kSynthesize
   };
 
-  /// InvalidArgument if the shape has more than kMaxAssemblyDims
-  /// dimensions or an id does not fit it.
+  /// InvalidArgument if an id does not fit the shape.
   static Result<Procedure3Planner> Make(const CubeShape& shape,
                                         const std::vector<ElementId>& ids);
 
@@ -97,7 +92,7 @@ class Procedure3Planner {
  private:
   // A stored element as the ancestor memo refers to it.
   struct StoredRef {
-    uint64_t index;   // encoded element index
+    ElementId id;
     uint64_t volume;  // kInfiniteCost for the "no ancestor" sentinel
   };
 
@@ -132,18 +127,14 @@ class Procedure3Planner {
 
   explicit Procedure3Planner(const CubeShape& shape);
 
-  uint64_t EncodeRaw(const DimCode* codes) const;
-  uint64_t VolumeRaw(const DimCode* codes) const;
   // The smallest stored ancestor-or-self, as an ancestor-memo word: 1 + its
   // position in stored_ (position 0 is the "none" sentinel).
-  uint32_t MinAncestorRaw(DimCode* codes);
-  Node PlanRaw(DimCode* codes);
-  // True when some stored element is comparable with `codes` in every
+  uint32_t MinAncestor(const ElementId& node);
+  // True when some stored element is comparable with `node` in every
   // dimension (one code a dyadic prefix of the other) and strictly finer in
   // at least one: a "finer relative". Without one, synthesis cannot beat
   // aggregation (DESIGN.md §1, Procedure 3).
-  [[nodiscard]] bool HasFinerRelativeRaw(const DimCode* codes) const;
-  void WarmPlanRaw(DimCode* codes, std::unordered_set<uint64_t>* visited);
+  [[nodiscard]] bool HasFinerRelative(const ElementId& node) const;
 
   CubeShape shape_;
   ElementIndexer indexer_;
@@ -151,8 +142,6 @@ class Procedure3Planner {
   // itself, behind the "none" sentinel at position 0.
   std::unordered_map<uint64_t, uint32_t> stored_slot_;
   std::vector<StoredRef> stored_;
-  // The codes of stored_[j + 1], ndim() per element, for the prune's scan.
-  std::vector<DimCode> stored_codes_;
   WordMemo<uint32_t> ancestor_memo_;
   WordMemo<uint64_t> plan_memo_;
 };

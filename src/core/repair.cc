@@ -4,31 +4,14 @@
 #include <utility>
 
 #include "core/assembly.h"
-#include "core/computer.h"
 
 namespace vecube {
-
-namespace {
-
-// Direct recomputation from the resident base cuboid, for targets the
-// assembly engine cannot plan (arity beyond kMaxAssemblyDims).
-Result<Tensor> RecomputeFromRoot(const ElementStore& store,
-                                 const ElementId& id) {
-  const ElementId root = ElementId::Root(store.shape().ndim());
-  const Tensor* cube;
-  VECUBE_ASSIGN_OR_RETURN(cube, store.Get(root));
-  ElementComputer computer(store.shape(), cube);
-  return computer.Compute(id);
-}
-
-}  // namespace
 
 Result<RepairReport> RepairStore(ElementStore* store, ThreadPool* pool) {
   if (store == nullptr) {
     return Status::InvalidArgument("store must be non-null");
   }
   RepairReport report;
-  const bool engine_usable = store->shape().ndim() <= kMaxAssemblyDims;
 
   // Fixpoint iteration: a pass that repairs anything may open paths for
   // elements that previously had none (e.g. a repaired sibling enables a
@@ -39,16 +22,9 @@ Result<RepairReport> RepairStore(ElementStore* store, ThreadPool* pool) {
     AssemblyEngine engine(store, pool);
     std::vector<std::pair<ElementId, Tensor>> derived;
     for (const ElementId& id : store->QuarantinedIds()) {
-      Result<Tensor> data = Status::Incomplete("not attempted");
-      if (engine_usable) {
-        OpCounter ops;
-        data = engine.Assemble(id, &ops);
-        report.assembly_ops += ops.adds;
-      }
-      if (!data.ok()) {
-        Result<Tensor> recomputed = RecomputeFromRoot(*store, id);
-        if (recomputed.ok()) data = std::move(recomputed);
-      }
+      OpCounter ops;
+      Result<Tensor> data = engine.Assemble(id, &ops);
+      report.assembly_ops += ops.adds;
       if (!data.ok()) continue;  // retried next pass if others repair
       derived.emplace_back(id, std::move(data).value());
     }

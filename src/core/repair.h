@@ -7,9 +7,7 @@
 // the P/R children to synthesize) survives. RepairStore walks the
 // quarantine list and re-derives each element from the healthy ones,
 // iterating to a fixpoint so repaired elements can in turn unlock
-// further repairs. Elements beyond the assembly engine's planning arity
-// fall back to direct recomputation from the base cuboid when it is
-// resident. Whatever remains unreachable stays quarantined and is
+// further repairs. Whatever remains unreachable stays quarantined and is
 // reported — never silently zeroed.
 
 #ifndef VECUBE_CORE_REPAIR_H_

@@ -20,7 +20,7 @@ Result<PointProjection> ProjectPoint(const ElementId& id,
     if (coords[m] >= shape.extent(m)) {
       return Status::OutOfRange("coordinate outside cube extent");
     }
-    const DimCode& c = id.dim(m);
+    const DimCode c = id.dim(m);
     // Analysis step t consumes coordinate bit t; its kind is offset bit
     // (level - 1 - t). Residual steps negate when the consumed bit is 1.
     for (uint32_t t = 0; t < c.level; ++t) {

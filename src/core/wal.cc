@@ -14,7 +14,6 @@ namespace {
 
 constexpr char kWalMagic[8] = {'V', 'E', 'C', 'U', 'B', 'E', 'W', 'L'};
 constexpr uint32_t kWalVersion = 1;
-constexpr uint32_t kMaxDims = 24;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -101,8 +100,7 @@ Result<WalScan> WriteAheadLog::Scan(const std::string& path,
   if (!ReadScalar(f, &version) || version != kWalVersion) {
     return Status::InvalidArgument(path + ": unsupported WAL version");
   }
-  if (!ReadScalar(f, &ndim) || ndim == 0 || ndim > kMaxDims ||
-      ndim != shape.ndim()) {
+  if (!ReadScalar(f, &ndim) || ndim != shape.ndim()) {
     return Status::InvalidArgument(path + ": WAL dimensionality mismatch");
   }
   for (uint32_t m = 0; m < ndim; ++m) {

@@ -11,15 +11,13 @@ Result<CubeShape> CubeShape::Make(std::vector<uint32_t> extents) {
   if (extents.empty()) {
     return Status::InvalidArgument("cube must have at least one dimension");
   }
-  // With d <= 24 and volume <= 2^40, the view-element count
-  // Π(2n_m - 1) < 2^d * volume <= 2^64 always fits in a uint64_t, which
-  // the element indexers rely on. Engines with fixed-arity planning
-  // buffers (assembly, Procedure 3, Algorithm 1) impose their own, lower
-  // limits and must reject higher-arity shapes themselves.
-  if (extents.size() > 24) {
+  // With d <= 16 and volume <= 2^40, the view-element count
+  // Π(2n_m - 1) < 2^d * volume <= 2^56 always fits in a uint64_t, which
+  // the element indexers rely on.
+  if (extents.size() > kMaxDims) {
     return Status::InvalidArgument(
-        "cube dimensionality is limited to 24 (got " +
-        std::to_string(extents.size()) + ")");
+        "cube dimensionality is limited to " + std::to_string(kMaxDims) +
+        " (got " + std::to_string(extents.size()) + ")");
   }
   uint64_t volume = 1;
   for (uint32_t e : extents) {

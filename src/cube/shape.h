@@ -16,14 +16,19 @@
 
 namespace vecube {
 
+/// Highest cube dimensionality. Element ids hold one code per dimension
+/// inline, and the planners pack a split dimension into 4 bits.
+inline constexpr uint32_t kMaxDims = 16;
+
 /// Immutable description of a d-dimensional cube: extents (each a power of
 /// two), row-major strides, and per-dimension log2 extents.
 class CubeShape {
  public:
   CubeShape() = default;
 
-  /// Validates that `extents` is non-empty and every extent is a power of
-  /// two >= 1, and that the total volume fits in 64 bits comfortably.
+  /// Validates that `extents` is non-empty with at most kMaxDims entries,
+  /// every extent is a power of two >= 1, and the total volume fits in 64
+  /// bits comfortably.
   static Result<CubeShape> Make(std::vector<uint32_t> extents);
 
   /// Convenience for tests/examples: d dimensions, all of extent n.

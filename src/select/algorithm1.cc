@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "core/freq_rect.h"
 #include "core/graph.h"
 #include "util/logging.h"
 
@@ -13,54 +14,54 @@ namespace vecube {
 
 namespace {
 
-constexpr uint32_t kMaxDims = 16;
 constexpr uint64_t kMaxGraphNodes = uint64_t{1} << 24;
 
 // Allocation-free description of one query's frequency rectangle.
 struct QueryGeom {
-  std::array<uint64_t, kMaxDims> lo;
-  std::array<uint64_t, kMaxDims> hi;
+  std::array<FreqInterval, kMaxDims> iv;
   uint64_t volume;
   double frequency;
 };
 
-// The DP works on raw per-dimension codes to avoid per-node allocation.
 class SpaceFrequencyDp {
  public:
   SpaceFrequencyDp(const CubeShape& shape, const QueryPopulation& population)
       : shape_(shape),
+        indexer_(shape),
         memo_(static_cast<uint64_t*>(
-            std::calloc(ElementIndexer(shape).size(), sizeof(uint64_t)))) {
+            std::calloc(indexer_.size(), sizeof(uint64_t)))) {
     VECUBE_CHECK(memo_ != nullptr);
-    d_ = shape.ndim();
-    for (uint32_t m = 0; m < d_; ++m) {
-      log_extent_[m] = shape.log_extent(m);
-      extent_[m] = shape.extent(m);
-    }
     for (const QuerySpec& q : population.queries()) {
       QueryGeom geom;
       geom.volume = 1;
-      for (uint32_t m = 0; m < d_; ++m) {
-        const DimCode& c = q.view.dim(m);
-        const uint32_t shift = log_extent_[m] - c.level;
-        geom.lo[m] = static_cast<uint64_t>(c.offset) << shift;
-        geom.hi[m] = static_cast<uint64_t>(c.offset + 1) << shift;
-        geom.volume *= geom.hi[m] - geom.lo[m];
+      for (uint32_t m = 0; m < shape.ndim(); ++m) {
+        geom.iv[m] = DimInterval(q.view, m, shape);
+        geom.volume *= geom.iv[m].width();
       }
       geom.frequency = q.frequency;
       queries_.push_back(geom);
     }
   }
 
-  double Solve(const ElementId& id) {
-    std::array<DimCode, kMaxDims> codes{};
-    std::copy(id.codes().begin(), id.codes().end(), codes.begin());
-    return Solve(codes.data());
+  double Solve(const ElementId& node) {
+    uint64_t& word = memo_[indexer_.Encode(node)];
+    if (word != 0) return std::bit_cast<double>(word & ~kVisited);
+    const double cost = Choose(node).cost;
+    word = std::bit_cast<uint64_t>(cost) | kVisited;
+    return cost;
   }
 
-  void Extract(std::vector<ElementId>* out) {
-    std::array<DimCode, kMaxDims> codes{};
-    ExtractRec(codes.data(), out);
+  // Procedure 2 over the solved memo. Each basis-tree node's choice is
+  // re-derived by Choose, whose child solves are now memo reads.
+  void Extract(const ElementId& node, std::vector<ElementId>* out) {
+    const int choice = Choose(node).choice;
+    if (choice == kKeep) {
+      out->push_back(node);
+      return;
+    }
+    const auto m = static_cast<uint32_t>(choice);
+    Extract(node.ChildUnchecked(m, StepKind::kPartial), out);
+    Extract(node.ChildUnchecked(m, StepKind::kResidual), out);
   }
 
  private:
@@ -79,37 +80,26 @@ class SpaceFrequencyDp {
     void operator()(uint64_t* words) const { std::free(words); }
   };
 
-  uint64_t EncodeIndex(const DimCode* codes) const {
-    uint64_t index = 0;
-    uint64_t weight = 1;
-    for (uint32_t m = d_; m-- > 0;) {
-      const uint64_t code_index =
-          ((uint64_t{1} << codes[m].level) - 1) + codes[m].offset;
-      index += code_index * weight;
-      weight *= 2ull * extent_[m] - 1;
-    }
-    return index;
-  }
-
   // C_n of Eq. 29 against all queries, allocation-free. Sets `*contained`
   // when every query that overlaps the element also contains it.
-  double SupportCostOf(const DimCode* codes, bool* contained) const {
-    // Element geometry in 2^-K units.
+  double SupportCostOf(const ElementId& node, bool* contained) const {
+    const uint32_t d = shape_.ndim();
+    // Left uninitialized: a zero fill per node costs as much as the geometry.
     std::array<uint64_t, kMaxDims> lo, hi;
     uint64_t volume = 1;
-    for (uint32_t m = 0; m < d_; ++m) {
-      const uint32_t shift = log_extent_[m] - codes[m].level;
-      lo[m] = static_cast<uint64_t>(codes[m].offset) << shift;
-      hi[m] = static_cast<uint64_t>(codes[m].offset + 1) << shift;
-      volume *= hi[m] - lo[m];
+    for (uint32_t m = 0; m < d; ++m) {
+      const FreqInterval iv = DimInterval(node, m, shape_);
+      lo[m] = iv.lo;
+      hi[m] = iv.hi;
+      volume *= iv.width();
     }
     double cost = 0.0;
     *contained = true;
     for (const QueryGeom& q : queries_) {
       uint64_t overlap = 1;
-      for (uint32_t m = 0; m < d_; ++m) {
-        const uint64_t olo = std::max(lo[m], q.lo[m]);
-        const uint64_t ohi = std::min(hi[m], q.hi[m]);
+      for (uint32_t m = 0; m < d; ++m) {
+        const uint64_t olo = std::max(lo[m], q.iv[m].lo);
+        const uint64_t ohi = std::min(hi[m], q.iv[m].hi);
         if (ohi <= olo) {
           overlap = 0;
           break;
@@ -127,65 +117,28 @@ class SpaceFrequencyDp {
   // Eqs. 30-31 at one node. When every overlapping query contains the node,
   // keeping it is optimal and its children are not solved (DESIGN.md §1,
   // Algorithm 1). Ties break toward keep, then toward the lowest dimension.
-  Best Choose(DimCode* codes) {
+  Best Choose(const ElementId& node) {
     bool contained = false;
-    Best best{SupportCostOf(codes, &contained), kKeep};
+    Best best{SupportCostOf(node, &contained), kKeep};
     if (contained) return best;
-    for (uint32_t m = 0; m < d_; ++m) {
-      if (codes[m].level >= log_extent_[m]) continue;
-      const DimCode saved = codes[m];
-      codes[m] = DimCode{saved.level + 1, saved.offset * 2};
-      const double tp = Solve(codes);
-      codes[m] = DimCode{saved.level + 1, saved.offset * 2 + 1};
-      const double tr = Solve(codes);
-      codes[m] = saved;
+    for (uint32_t m = 0; m < shape_.ndim(); ++m) {
+      if (!node.CanSplit(m, shape_)) continue;
+      const double tp = Solve(node.ChildUnchecked(m, StepKind::kPartial));
+      const double tr = Solve(node.ChildUnchecked(m, StepKind::kResidual));
       const double tm = tp + tr;
       if (tm < best.cost) best = Best{tm, static_cast<int>(m)};
     }
     return best;
   }
 
-  double Solve(DimCode* codes) {
-    uint64_t& word = memo_[EncodeIndex(codes)];
-    if (word != 0) return std::bit_cast<double>(word & ~kVisited);
-    const double cost = Choose(codes).cost;
-    word = std::bit_cast<uint64_t>(cost) | kVisited;
-    return cost;
-  }
-
-  // Procedure 2 over the solved memo. Each basis-tree node's choice is
-  // re-derived by Choose, whose child solves are now memo reads.
-  void ExtractRec(DimCode* codes, std::vector<ElementId>* out) {
-    const int choice = Choose(codes).choice;
-    if (choice == kKeep) {
-      std::vector<DimCode> vec(codes, codes + d_);
-      auto id = ElementId::Make(std::move(vec), shape_);
-      VECUBE_CHECK(id.ok());
-      out->push_back(*id);
-      return;
-    }
-    const auto m = static_cast<uint32_t>(choice);
-    const DimCode saved = codes[m];
-    codes[m] = DimCode{saved.level + 1, saved.offset * 2};
-    ExtractRec(codes, out);
-    codes[m] = DimCode{saved.level + 1, saved.offset * 2 + 1};
-    ExtractRec(codes, out);
-    codes[m] = saved;
-  }
-
   const CubeShape& shape_;
-  uint32_t d_ = 0;
-  std::array<uint32_t, kMaxDims> log_extent_{};
-  std::array<uint32_t, kMaxDims> extent_{};
+  ElementIndexer indexer_;
   std::vector<QueryGeom> queries_;
   std::unique_ptr<uint64_t[], FreeDeleter> memo_;
 };
 
 Status ValidateInputs(const CubeShape& shape,
                       const QueryPopulation& population) {
-  if (shape.ndim() > kMaxDims) {
-    return Status::InvalidArgument("at most 16 dimensions supported");
-  }
   if (ViewElementGraph(shape).NumElements() > kMaxGraphNodes) {
     return Status::InvalidArgument(
         "view element graph too large for the dense DP (> 2^24 nodes)");
@@ -205,8 +158,9 @@ Result<BasisSelection> SelectMinCostBasis(const CubeShape& shape,
   VECUBE_RETURN_NOT_OK(ValidateInputs(shape, population));
   SpaceFrequencyDp dp(shape, population);
   BasisSelection selection;
-  selection.predicted_cost = dp.Solve(ElementId::Root(shape.ndim()));
-  dp.Extract(&selection.basis);
+  const ElementId root = ElementId::Root(shape.ndim());
+  selection.predicted_cost = dp.Solve(root);
+  dp.Extract(root, &selection.basis);
   std::sort(selection.basis.begin(), selection.basis.end());
   return selection;
 }
@@ -221,8 +175,7 @@ Result<std::vector<double>> MinTilingCosts(
   std::vector<double> costs;
   costs.reserve(nodes.size());
   for (const ElementId& node : nodes) {
-    ElementId checked;
-    VECUBE_ASSIGN_OR_RETURN(checked, ElementId::Make(node.codes(), shape));
+    VECUBE_RETURN_NOT_OK(node.Validate(shape));
     costs.push_back(dp.Solve(node));
   }
   return costs;

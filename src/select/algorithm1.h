@@ -36,8 +36,8 @@ struct BasisSelection {
   double predicted_cost = 0.0;
 };
 
-/// Runs Algorithm 1. Cube dimensionality is limited to 16 and the graph
-/// size N_ve must fit in memory (about 2^24 nodes).
+/// Runs Algorithm 1. The graph size N_ve must fit in memory (about 2^24
+/// nodes).
 Result<BasisSelection> SelectMinCostBasis(const CubeShape& shape,
                                           const QueryPopulation& population);
 

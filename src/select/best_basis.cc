@@ -21,14 +21,13 @@ uint64_t CountSignificant(const Tensor& data, double threshold) {
   return count;
 }
 
-// The best-basis DP shares the analysis work through `data_cache`: each
-// element's tensor is computed once from its parent (the last split
-// dimension in id order), like ElementComputer but scoped to this search.
+// The best-basis DP. Each element's tensor is split from its parent's on
+// the way down; costs are memoized per element, though a child reached
+// again through another parent is still split before its memo hit.
 class BestBasisSearch {
  public:
-  BestBasisSearch(const CubeShape& shape, const Tensor& cube,
-                  double threshold)
-      : shape_(shape), cube_(cube), threshold_(threshold), indexer_(shape) {
+  BestBasisSearch(const CubeShape& shape, double threshold)
+      : shape_(shape), threshold_(threshold), indexer_(shape) {
     cost_.assign(indexer_.size(), kUnvisited);
     choice_.assign(indexer_.size(), kKeep);
   }
@@ -43,10 +42,9 @@ class BestBasisSearch {
       if (!id.CanSplit(m, shape_)) continue;
       Tensor p, r;
       VECUBE_CHECK(PartialPair(data, m, &p, &r).ok());
-      auto p_id = id.Child(m, StepKind::kPartial, shape_);
-      auto r_id = id.Child(m, StepKind::kResidual, shape_);
-      VECUBE_CHECK(p_id.ok() && r_id.ok());
-      const uint64_t split = Solve(*p_id, p) + Solve(*r_id, r);
+      const uint64_t split =
+          Solve(id.ChildUnchecked(m, StepKind::kPartial), p) +
+          Solve(id.ChildUnchecked(m, StepKind::kResidual), r);
       if (split < best) {
         best = split;
         best_choice = static_cast<int8_t>(m);
@@ -65,11 +63,8 @@ class BestBasisSearch {
       return;
     }
     const uint32_t m = static_cast<uint32_t>(choice_[index]);
-    auto p_id = id.Child(m, StepKind::kPartial, shape_);
-    auto r_id = id.Child(m, StepKind::kResidual, shape_);
-    VECUBE_CHECK(p_id.ok() && r_id.ok());
-    Extract(*p_id, out);
-    Extract(*r_id, out);
+    Extract(id.ChildUnchecked(m, StepKind::kPartial), out);
+    Extract(id.ChildUnchecked(m, StepKind::kResidual), out);
   }
 
  private:
@@ -77,7 +72,6 @@ class BestBasisSearch {
   static constexpr int8_t kKeep = -1;
 
   const CubeShape& shape_;
-  const Tensor& cube_;
   double threshold_;
   ElementIndexer indexer_;
   std::vector<uint64_t> cost_;
@@ -99,7 +93,7 @@ Result<CompressionBasis> SelectCompressionBasis(const CubeShape& shape,
     return Status::InvalidArgument(
         "view element graph too large for the best-basis search");
   }
-  BestBasisSearch search(shape, cube, threshold);
+  BestBasisSearch search(shape, threshold);
   CompressionBasis result;
   result.significant_coefficients =
       search.Solve(ElementId::Root(shape.ndim()), cube);

@@ -40,9 +40,6 @@ uint64_t LatticeAnswerCost(const CubeShape& shape, uint32_t query_mask,
 
 Result<LatticeSelection> HruGreedySelect(
     const CubeShape& shape, const LatticeGreedyOptions& options) {
-  if (shape.ndim() > 20) {
-    return Status::InvalidArgument("lattice of 2^d views too large");
-  }
   const std::vector<LatticeView> lattice = BuildLattice(shape);
 
   LatticeSelection selection;

@@ -54,18 +54,11 @@ Status InvariantChecker::CheckElementBounds(const ElementStore& store) {
                               std::to_string(shape_.ndim())));
     }
     for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-      const DimCode& code = id.dim(m);
-      if (code.level > shape_.log_extent(m)) {
+      if (id.level(m) > shape_.log_extent(m)) {
         return Finish(Violation(
             "element " + id.ToString() + " level " +
-            std::to_string(code.level) + " exceeds K_" + std::to_string(m) +
+            std::to_string(id.level(m)) + " exceeds K_" + std::to_string(m) +
             " = " + std::to_string(shape_.log_extent(m))));
-      }
-      if (code.offset >= (uint32_t{1} << code.level)) {
-        return Finish(Violation(
-            "element " + id.ToString() + " offset " +
-            std::to_string(code.offset) + " outside [0, 2^" +
-            std::to_string(code.level) + ") along dim " + std::to_string(m)));
       }
     }
     Result<const Tensor*> data = store.Get(id);

@@ -14,8 +14,7 @@ Result<QueryPopulation> QueryPopulation::Make(std::vector<QuerySpec> queries,
   }
   double total = 0.0;
   for (const QuerySpec& q : queries) {
-    ElementId checked;
-    VECUBE_ASSIGN_OR_RETURN(checked, ElementId::Make(q.view.codes(), shape));
+    VECUBE_RETURN_NOT_OK(q.view.Validate(shape));
     if (!std::isfinite(q.frequency)) {
       return Status::InvalidArgument("frequencies must be finite");
     }

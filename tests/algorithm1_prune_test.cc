@@ -39,7 +39,7 @@ class ExhaustiveSpaceFrequencyDp {
       Geom geom;
       geom.volume = 1;
       for (uint32_t m = 0; m < d_; ++m) {
-        const DimCode& c = q.view.dim(m);
+        const DimCode c = q.view.dim(m);
         const uint32_t shift = shape.log_extent(m) - c.level;
         geom.lo[m] = static_cast<uint64_t>(c.offset) << shift;
         geom.hi[m] = static_cast<uint64_t>(c.offset + 1) << shift;

@@ -242,8 +242,12 @@ TEST(AssemblyTest, ForeignShapeTargetIsUnreachable) {
   auto foreign = ElementId::Make({{6, 63}, {6, 63}}, *wide);
   ASSERT_TRUE(foreign.ok());
   EXPECT_EQ(engine.PlanCost(*foreign), kInfiniteCost);
-  EXPECT_EQ(engine.PlanCost(ElementId::UnsafeFromCodes({{1, 2}, {0, 0}})),
-            kInfiniteCost);
+  // Level 3 exceeds dimension 0's cascade depth of 2 in the engine's shape.
+  auto tall = CubeShape::Make({8, 4});
+  ASSERT_TRUE(tall.ok());
+  auto deep = ElementId::Make({{3, 5}, {0, 0}}, *tall);
+  ASSERT_TRUE(deep.ok());
+  EXPECT_EQ(engine.PlanCost(*deep), kInfiniteCost);
   EXPECT_TRUE(engine.Assemble(*foreign).status().IsInvalidArgument());
   EXPECT_TRUE(engine.AssembleBatch({*foreign}).status().IsInvalidArgument());
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
+
+#include "core/graph.h"
 
 namespace vecube {
 namespace {
@@ -11,6 +14,21 @@ CubeShape Shape(std::vector<uint32_t> extents) {
   auto s = CubeShape::Make(std::move(extents));
   EXPECT_TRUE(s.ok());
   return *s;
+}
+
+// Shapes whose every id the property checks below visit: a lone
+// one-cell dimension, mixed depths, extent-1 dims between deep ones, and
+// four binary dims.
+std::vector<CubeShape> PropertyShapes() {
+  return {Shape({1}), Shape({2, 8}), Shape({4, 1, 16}), Shape({2, 2, 2, 2})};
+}
+
+// Every id of `shape`, in ViewElementGraph enumeration order.
+std::vector<ElementId> AllIds(const CubeShape& shape) {
+  std::vector<ElementId> ids;
+  ViewElementGraph(shape).ForEachElement(
+      [&](const ElementId& id) { ids.push_back(id); });
+  return ids;
 }
 
 TEST(ElementIdTest, RootHasZeroCodes) {
@@ -29,6 +47,18 @@ TEST(ElementIdTest, MakeValidates) {
   EXPECT_FALSE(ElementId::Make({{3, 0}, {0, 0}}, shape).ok());  // level > K
   EXPECT_FALSE(ElementId::Make({{1, 2}, {0, 0}}, shape).ok());  // offset >= 2^k
   EXPECT_FALSE(ElementId::Make({{0, 0}}, shape).ok());          // arity
+
+  // dim(m) of every id round-trips through Make.
+  for (const CubeShape& s : PropertyShapes()) {
+    for (const ElementId& id : AllIds(s)) {
+      std::vector<DimCode> codes;
+      for (uint32_t m = 0; m < id.ndim(); ++m) codes.push_back(id.dim(m));
+      auto back = ElementId::Make(codes, s);
+      ASSERT_TRUE(back.ok()) << id.ToString();
+      EXPECT_EQ(*back, id);
+      EXPECT_TRUE(id.Validate(s).ok());
+    }
+  }
 }
 
 TEST(ElementIdTest, ChildMapping) {
@@ -44,6 +74,30 @@ TEST(ElementIdTest, ChildMapping) {
   auto rr = r->Child(0, StepKind::kResidual, shape);
   EXPECT_EQ(rp->dim(0), (DimCode{2, 2}));
   EXPECT_EQ(rr->dim(0), (DimCode{2, 3}));
+
+  // Every id and splittable dimension: P = (k+1, 2o), R = (k+1, 2o+1),
+  // and only the touched dimension changes.
+  for (const CubeShape& s : PropertyShapes()) {
+    for (const ElementId& id : AllIds(s)) {
+      for (uint32_t m = 0; m < id.ndim(); ++m) {
+        const DimCode c = id.dim(m);
+        if (!id.CanSplit(m, s)) {
+          EXPECT_EQ(c.level, s.log_extent(m));
+          continue;
+        }
+        auto cp = id.Child(m, StepKind::kPartial, s);
+        auto cr = id.Child(m, StepKind::kResidual, s);
+        ASSERT_TRUE(cp.ok() && cr.ok());
+        EXPECT_EQ(cp->dim(m), (DimCode{c.level + 1, 2 * c.offset}));
+        EXPECT_EQ(cr->dim(m), (DimCode{c.level + 1, 2 * c.offset + 1}));
+        for (uint32_t j = 0; j < id.ndim(); ++j) {
+          if (j == m) continue;
+          EXPECT_EQ(cp->dim(j), id.dim(j));
+          EXPECT_EQ(cr->dim(j), id.dim(j));
+        }
+      }
+    }
+  }
 }
 
 TEST(ElementIdTest, CannotSplitBeyondDepth) {
@@ -63,6 +117,27 @@ TEST(ElementIdTest, ParentInvertsChild) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, *c1);
   EXPECT_TRUE(root.Parent(0).status().IsFailedPrecondition());
+
+  // Every non-root code's parent is (k-1, o/2).
+  for (const CubeShape& s : PropertyShapes()) {
+    for (const ElementId& id : AllIds(s)) {
+      for (uint32_t m = 0; m < id.ndim(); ++m) {
+        const DimCode c = id.dim(m);
+        auto parent = id.Parent(m);
+        if (c.level == 0) {
+          EXPECT_TRUE(parent.status().IsFailedPrecondition());
+          continue;
+        }
+        ASSERT_TRUE(parent.ok());
+        EXPECT_EQ(parent->dim(m), (DimCode{c.level - 1, c.offset / 2}));
+        EXPECT_EQ(*parent->Child(m,
+                                 c.offset % 2 == 0 ? StepKind::kPartial
+                                                   : StepKind::kResidual,
+                                 s),
+                  id);
+      }
+    }
+  }
 }
 
 TEST(ElementIdTest, SiblingToggles) {
@@ -74,6 +149,21 @@ TEST(ElementIdTest, SiblingToggles) {
   EXPECT_EQ(*sibling->Sibling(0), *p);
   EXPECT_TRUE(p->IsPartialChild(0));
   EXPECT_FALSE(sibling->IsPartialChild(0));
+
+  // Every non-root code's sibling flips the offset's low bit.
+  for (const CubeShape& s : PropertyShapes()) {
+    for (const ElementId& id : AllIds(s)) {
+      for (uint32_t m = 0; m < id.ndim(); ++m) {
+        const DimCode c = id.dim(m);
+        EXPECT_EQ(id.IsPartialChild(m), c.offset % 2 == 0);
+        if (c.level == 0) continue;
+        auto sib = id.Sibling(m);
+        ASSERT_TRUE(sib.ok());
+        EXPECT_EQ(sib->dim(m), (DimCode{c.level, c.offset ^ 1u}));
+        EXPECT_EQ(*sib->Sibling(m), id);
+      }
+    }
+  }
 }
 
 TEST(ElementIdTest, AggregatedViewMasks) {
@@ -153,6 +243,24 @@ TEST(ElementIdTest, OrderingAndEquality) {
   EXPECT_TRUE(*a < *b);
   EXPECT_NE(*a, *b);
   EXPECT_EQ(*a, *ElementId::Make({{0, 0}, {1, 0}}, shape));
+
+  // Sorting every id reproduces the enumeration order, which is
+  // lexicographic in (level, offset) per dimension.
+  for (const CubeShape& s : PropertyShapes()) {
+    const std::vector<ElementId> ids = AllIds(s);
+    std::vector<ElementId> sorted = ids;
+    std::reverse(sorted.begin(), sorted.end());
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, ids);
+    for (size_t i = 1; i < ids.size(); ++i) {
+      std::vector<DimCode> a_codes, b_codes;
+      for (uint32_t m = 0; m < s.ndim(); ++m) {
+        a_codes.push_back(ids[i - 1].dim(m));
+        b_codes.push_back(ids[i].dim(m));
+      }
+      EXPECT_LT(a_codes, b_codes);
+    }
+  }
 }
 
 TEST(ElementIdTest, HashDistinguishes) {
@@ -162,6 +270,18 @@ TEST(ElementIdTest, HashDistinguishes) {
   set.insert(*ElementId::Make({{0, 0}, {1, 0}}, shape));
   set.insert(*ElementId::Make({{1, 0}, {0, 0}}, shape));  // duplicate
   EXPECT_EQ(set.size(), 2u);
+
+  // Equal ids hash equal, however they were built.
+  const ElementIdHash hash;
+  for (const CubeShape& s : PropertyShapes()) {
+    const ElementIndexer indexer(s);
+    for (const ElementId& id : AllIds(s)) {
+      std::vector<DimCode> codes;
+      for (uint32_t m = 0; m < id.ndim(); ++m) codes.push_back(id.dim(m));
+      EXPECT_EQ(hash(*ElementId::Make(codes, s)), hash(id));
+      EXPECT_EQ(hash(indexer.Decode(indexer.Encode(id))), hash(id));
+    }
+  }
 }
 
 TEST(ElementIdTest, ToString) {

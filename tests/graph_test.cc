@@ -125,18 +125,23 @@ TEST(GraphTest, NumBlocksMatchesIntermediate) {
 }
 
 TEST(IndexerTest, RoundTripAllElements) {
-  const CubeShape shape = Shape({4, 8});
-  ElementIndexer indexer(shape);
-  ViewElementGraph graph(shape);
-  EXPECT_EQ(indexer.size(), graph.NumElements());
-  std::set<uint64_t> seen;
-  graph.ForEachElement([&](const ElementId& id) {
-    const uint64_t index = indexer.Encode(id);
-    EXPECT_LT(index, indexer.size());
-    EXPECT_TRUE(seen.insert(index).second) << id.ToString();
-    EXPECT_EQ(indexer.Decode(index), id);
-  });
-  EXPECT_EQ(seen.size(), indexer.size());
+  for (const CubeShape& shape :
+       {Shape({4, 8}), Shape({1}), Shape({2, 8}), Shape({4, 1, 16}),
+        Shape({2, 2, 2, 2})}) {
+    ElementIndexer indexer(shape);
+    ViewElementGraph graph(shape);
+    EXPECT_EQ(indexer.size(), graph.NumElements());
+    // Encode is a bijection onto [0, N_ve) that follows enumeration order.
+    uint64_t expected = 0;
+    std::set<uint64_t> seen;
+    graph.ForEachElement([&](const ElementId& id) {
+      const uint64_t index = indexer.Encode(id);
+      EXPECT_EQ(index, expected++) << id.ToString();
+      EXPECT_TRUE(seen.insert(index).second) << id.ToString();
+      EXPECT_EQ(indexer.Decode(index), id);
+    });
+    EXPECT_EQ(seen.size(), indexer.size());
+  }
 }
 
 TEST(IndexerTest, RootEncodesDeterministically) {

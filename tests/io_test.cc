@@ -92,6 +92,29 @@ TEST(IoTest, BadMagicRejected) {
   std::remove(path.c_str());
 }
 
+TEST(IoTest, HeaderBeyondDimensionCapRejected) {
+  // Both format versions declare 17 dimensions of extent 2 and no
+  // elements; kMaxDims is 16, so neither header is accepted.
+  for (const char* magic : {"VECUBE01", "VECUBE02"}) {
+    const std::string path = TempPath("seventeen.vecube");
+    std::ofstream out(path, std::ios::binary);
+    out.write(magic, 8);
+    const uint32_t ndim = 17;
+    const uint32_t extent = 2;
+    out.write(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
+    for (uint32_t m = 0; m < ndim; ++m) {
+      out.write(reinterpret_cast<const char*>(&extent), sizeof(extent));
+    }
+    const uint64_t count = 0;
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.close();
+    auto loaded = LoadStore(path);
+    ASSERT_FALSE(loaded.ok()) << magic;
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << magic;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(IoTest, TruncatedFileRejected) {
   const std::string path = TempPath("truncated.vecube");
   const ElementStore store = MakeStore(3);

@@ -9,21 +9,24 @@ namespace vecube {
 
 namespace {
 constexpr uint64_t kMaxGraphNodes = uint64_t{1} << 24;
-constexpr uint32_t kMaxDims = 16;
+
+// The oracle recurses on (level, offset) pairs rather than on ElementId's
+// heap-order codes, so the two encodings check each other.
+std::array<DimCode, kMaxDims> RawCodes(const ElementId& id) {
+  std::array<DimCode, kMaxDims> codes{};
+  for (uint32_t m = 0; m < id.ndim(); ++m) codes[m] = id.dim(m);
+  return codes;
+}
 }  // namespace
 
 Result<Procedure3Calculator> Procedure3Calculator::Make(
     const CubeShape& shape, std::vector<ElementId> selected) {
-  if (shape.ndim() > kMaxDims) {
-    return Status::InvalidArgument("at most 16 dimensions supported");
-  }
   if (ViewElementGraph(shape).NumElements() > kMaxGraphNodes) {
     return Status::InvalidArgument(
         "view element graph too large for dense Procedure-3 memos");
   }
   for (const ElementId& id : selected) {
-    ElementId checked;
-    VECUBE_ASSIGN_OR_RETURN(checked, ElementId::Make(id.codes(), shape));
+    VECUBE_RETURN_NOT_OK(id.Validate(shape));
   }
   return Procedure3Calculator(shape, std::move(selected));
 }
@@ -177,8 +180,7 @@ void Procedure3Calculator::TraceUsedRaw(DimCode* codes,
 
 uint64_t Procedure3Calculator::Cost(const ElementId& target) {
   if (target.ndim() != shape_.ndim()) return kInfiniteCost;
-  std::array<DimCode, kMaxDims> codes{};
-  std::copy(target.codes().begin(), target.codes().end(), codes.begin());
+  std::array<DimCode, kMaxDims> codes = RawCodes(target);
   return SolveTRaw(codes.data());
 }
 
@@ -200,8 +202,7 @@ Result<std::vector<ElementId>> Procedure3Calculator::UsedElements(
       return Status::Incomplete("selected set cannot reconstruct " +
                                 q.view.ToString());
     }
-    std::array<DimCode, kMaxDims> codes{};
-    std::copy(q.view.codes().begin(), q.view.codes().end(), codes.begin());
+    std::array<DimCode, kMaxDims> codes = RawCodes(q.view);
     TraceUsedRaw(codes.data(), &used);
   }
   std::vector<ElementId> out;

@@ -18,13 +18,13 @@ TEST(ShapeTest, MakeRejectsEmpty) {
 }
 
 TEST(ShapeTest, MakeRejectsTooManyDims) {
-  // Shapes above the 16-dim planner limit are representable (the planning
-  // engines reject them at their own boundary); the hard shape cap at 24
-  // keeps the view-element count Π(2n-1) within uint64_t.
+  // kMaxDims is the one dimension cap: element ids hold that many codes
+  // inline, so no shape above it is representable.
   EXPECT_FALSE(CubeShape::Make(std::vector<uint32_t>(25, 2)).ok());
-  EXPECT_TRUE(CubeShape::Make(std::vector<uint32_t>(24, 2)).ok());
-  EXPECT_TRUE(CubeShape::Make(std::vector<uint32_t>(17, 2)).ok());
+  EXPECT_FALSE(CubeShape::Make(std::vector<uint32_t>(24, 2)).ok());
+  EXPECT_FALSE(CubeShape::Make(std::vector<uint32_t>(17, 2)).ok());
   EXPECT_TRUE(CubeShape::Make(std::vector<uint32_t>(16, 2)).ok());
+  EXPECT_EQ(kMaxDims, 16u);
 }
 
 TEST(ShapeTest, ExtentOneIsAllowed) {

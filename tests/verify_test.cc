@@ -109,23 +109,38 @@ TEST(InvariantCheckerTest, HaarAndSplitChecksPassOnRandomCube) {
 // ---------------------------------------------------------------------------
 // Injected corruption: every class of violation must fire.
 
-TEST(InvariantCheckerTest, FiresOnOutOfRangeOffset) {
+TEST(InvariantCheckerTest, FiresOnExtentsDisagreeingWithGeometry) {
   Fixture f = MakeFixture({4, 4}, 21);
   ElementStore store(f.shape);
-  // (k=1, o=5) along dim 0: offset 5 is outside [0, 2^1). The data extents
-  // only depend on the level, so Put accepts it — exactly the kind of
-  // silent rot the bounds check exists for.
-  ElementId bad = ElementId::UnsafeFromCodes({{1, 5}, {0, 0}});
+  // (k=3, o=5) along dim 0 is a valid id of an [8, 4] cube but exceeds
+  // K_0 = 2 here: it has no data extents, so Put refuses it.
+  auto wide = CubeShape::Make({8, 4});
+  ASSERT_TRUE(wide.ok());
+  auto deep = ElementId::Make({{3, 5}, {0, 0}}, *wide);
+  ASSERT_TRUE(deep.ok());
+  auto one = Tensor::Zeros({1, 4});
+  ASSERT_TRUE(one.ok());
+  EXPECT_TRUE(store.Put(*deep, *one).IsInvalidArgument());
+
+  // What does rot in place is a resident tensor replaced behind Put's
+  // back: (k=1, o=1) must hold 2 x 4 cells.
+  auto r = ElementId::Make({{1, 1}, {0, 0}}, f.shape);
+  ASSERT_TRUE(r.ok());
   auto data = Tensor::Zeros({2, 4});
   ASSERT_TRUE(data.ok());
-  ASSERT_TRUE(store.Put(bad, *data).ok());
+  ASSERT_TRUE(store.Put(*r, *data).ok());
+  auto slot = store.GetMutable(*r);
+  ASSERT_TRUE(slot.ok());
+  auto wrong = Tensor::Zeros({4, 2});
+  ASSERT_TRUE(wrong.ok());
+  **slot = *wrong;
 
   InvariantChecker checker(f.shape);
   Status st = checker.CheckElementBounds(store);
   EXPECT_TRUE(st.IsInternal());
   EXPECT_EQ(checker.report().violations, 1u);
   ASSERT_FALSE(checker.report().messages.empty());
-  EXPECT_NE(checker.report().messages[0].find("offset"), std::string::npos);
+  EXPECT_NE(checker.report().messages[0].find("disagree"), std::string::npos);
 }
 
 TEST(InvariantCheckerTest, FiresOnCorruptedRootData) {

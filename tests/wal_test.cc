@@ -103,6 +103,29 @@ TEST_F(WalTest, ShapeMismatchRejected) {
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(WriteAheadLog::Scan(path_, *other).ok());
   EXPECT_FALSE(WriteAheadLog::Open(path_, *other).ok());
+
+  // A header declaring 17 dimensions is wider than any CubeShape (kMaxDims
+  // is 16), so it matches no cube, not even the widest.
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write("VECUBEWL", 8);
+    const uint32_t version = 1;
+    const uint32_t ndim = 17;
+    const uint32_t extent = 2;
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
+    for (uint32_t m = 0; m < ndim; ++m) {
+      out.write(reinterpret_cast<const char*>(&extent), sizeof(extent));
+    }
+    const uint64_t base_lsn = 0;
+    const uint32_t crc = 0;
+    out.write(reinterpret_cast<const char*>(&base_lsn), sizeof(base_lsn));
+    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  }
+  auto widest = CubeShape::MakeSquare(kMaxDims, 2);
+  ASSERT_TRUE(widest.ok());
+  EXPECT_TRUE(WriteAheadLog::Scan(path_, *widest).status().IsInvalidArgument());
+  EXPECT_FALSE(WriteAheadLog::Open(path_, *widest).ok());
 }
 
 TEST_F(WalTest, TornTailDetectedAndTruncatedOnOpen) {

@@ -94,6 +94,13 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          gate, verify_fill, bounded follower retries and
                          deadline accounting cannot be forked into a
                          second copy of the leader/follower loop.
+  one-node-encoder       Under src/, only src/core/element_id.{h,cc} and
+                         src/core/graph.{h,cc} may compute a dyadic
+                         node's heap-order code (``(1 << level) - 1``) or
+                         a dimension's ``2 * extent - 1`` node radix.
+                         Everything else reads ElementId's codes and
+                         encodes through ElementIndexer, so the node
+                         space has one encoding and one encoder.
 
 Usage:
   tools/vecube_check.py [--root DIR] [--backend auto|ast|lexer]
@@ -137,6 +144,7 @@ RULES = (
     "detached-threads",
     "escape-hatch-allowlist",
     "single-flight-in-server",
+    "one-node-encoder",
 )
 
 DISABLE_RE = re.compile(r"//\s*vecube-check:\s*disable=([\w,-]+)")
@@ -250,6 +258,21 @@ SINGLE_FLIGHT_FILES = {
 }
 SINGLE_FLIGHT_RE = re.compile(
     r"\b(?:LookupOrBegin|WaitFill|CompleteFill|AbortFill)\s*\(")
+
+# --- one-node-encoder -------------------------------------------------
+ENCODER_FILES = {
+    "src/core/element_id.h",
+    "src/core/element_id.cc",
+    "src/core/graph.h",
+    "src/core/graph.cc",
+}
+# `<< level) - 1` (any spelling of the level operand), or
+# `2 * extent - 1` (any integer suffix on the 2, any extent accessor).
+HEAP_CODE_RE = re.compile(
+    r"<<\s*[\w.\[\]>:-]*\blevel\w*(?:\([^)]*\))?\s*\)\s*-\s*1(?!\d)")
+NODE_RADIX_RE = re.compile(
+    r"\b2(?:[uU]|[uU]?[lL]{1,2})?\s*\*\s*[\w.\[\]>:-]*extent\w*"
+    r"(?:\([^)]*\)|\[[^\]]*\])?\s*-\s*1(?!\d)")
 
 # --- escape-hatch-allowlist -------------------------------------------
 ESCAPE_HATCH = "VECUBE_NO_THREAD_SAFETY_ANALYSIS"
@@ -800,6 +823,19 @@ def check_single_flight(src: SourceFile, findings: list):
                 "loop"))
 
 
+def check_node_encoder(src: SourceFile, findings: list):
+    if not src.rel.startswith("src/") or src.rel in ENCODER_FILES:
+        return
+    for lineno, code in enumerate(src.code_lines, start=1):
+        if (HEAP_CODE_RE.search(code) or NODE_RADIX_RE.search(code)) and \
+                not src.suppressed(lineno, "one-node-encoder"):
+            findings.append(Finding(
+                src.rel, lineno, "one-node-encoder",
+                "dyadic node encoding outside core/element_id and "
+                "core/graph; read ElementId::code() and encode through "
+                "ElementIndexer instead of another encoder copy"))
+
+
 def load_allowlist(root: Path) -> dict:
     """path -> [justification]; '#' comments and blank lines skipped."""
     entries = {}
@@ -902,6 +938,7 @@ def run_rules(root: Path, sources: dict, backend: str,
         check_detach(src, findings)
         check_escape_hatches(src, allowlist, findings)
         check_single_flight(src, findings)
+        check_node_encoder(src, findings)
     return findings
 
 
