@@ -81,17 +81,43 @@ AssemblyEngine::AssemblyEngine(const ElementStore* store, ThreadPool* pool,
   VECUBE_CHECK(store != nullptr);
 }
 
+ShardPlan AssemblyEngine::PlanCascade(const std::vector<uint32_t>& extents,
+                                      const std::vector<CascadeStep>& steps)
+    const {
+  // Split only cascades with enough cells to amortize the per-task setup
+  // (the threshold the kernels use for pool fan-out); a smaller one runs
+  // as a single in-place task on the caller's lane.
+  uint64_t cells = 1;
+  for (const uint32_t e : extents) cells *= e;
+  const uint32_t shards = cells >= kParallelKernelCells ? num_shards_ : 1;
+  return ShardPlan::Build(extents, steps, shards);
+}
+
 Result<Tensor> AssemblyEngine::RunCascade(const Tensor& source,
                                           const std::vector<CascadeStep>& steps,
                                           OpCounter* ops,
                                           const QueryContext* ctx) {
-  // Split only cascades with enough cells to amortize the per-task setup
-  // (the threshold the kernels use for pool fan-out); a smaller one runs
-  // as a single in-place task on the caller's lane.
-  const uint32_t shards =
-      source.size() >= kParallelKernelCells ? num_shards_ : 1;
-  return shard_exec_.Execute(
-      source, ShardPlan::Build(source.extents(), steps, shards), ops, ctx);
+  return shard_exec_.Execute(source, PlanCascade(source.extents(), steps),
+                             ops, ctx);
+}
+
+std::vector<ShardPlan> AssemblyEngine::CascadePlans(const ElementId& target) {
+  const Procedure3Planner::Node node = planner_.Plan(target);
+  if (node.choice == Procedure3Planner::Choice::kAggregate) {
+    const ElementId source = planner_.SourceOf(target);
+    if (source == target) return {};
+    return {PlanCascade(source.DataExtents(shape_),
+                        DescentSteps(source, target))};
+  }
+  if (node.choice != Procedure3Planner::Choice::kSynthesize) return {};
+  std::vector<ShardPlan> plans;
+  for (const StepKind kind : {StepKind::kPartial, StepKind::kResidual}) {
+    Result<ElementId> child = target.Child(node.split_dim, kind, shape_);
+    if (!child.ok()) return {};
+    std::vector<ShardPlan> sub = CascadePlans(*child);
+    for (ShardPlan& plan : sub) plans.push_back(std::move(plan));
+  }
+  return plans;
 }
 
 void AssemblyEngine::Invalidate() {

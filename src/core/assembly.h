@@ -107,6 +107,11 @@ class AssemblyEngine {
   /// Drops all memoized plans (call after the store changes).
   void Invalidate();
 
+  /// The shard plan of every aggregate descent that Assemble(target)
+  /// runs, in execution order (a synthesis node's partial child first).
+  /// Empty when the target is stored or cannot be reconstructed.
+  std::vector<ShardPlan> CascadePlans(const ElementId& target);
+
   /// Resolved shard budget (after the "0 = pool size" default).
   [[nodiscard]] uint32_t num_shards() const { return num_shards_; }
 
@@ -128,8 +133,13 @@ class AssemblyEngine {
   Result<const Tensor*> Execute(const ElementId& target, Tensor* slot,
                                 BatchCache* cache, OpCounter* ops,
                                 const QueryContext* ctx);
-  // Aggregate-descent cascade: a ShardPlan of up to num_shards_ tasks
-  // (one below kParallelKernelCells source cells) run on shard_exec_.
+  // The plan of an aggregate descent over a source of `extents`: up to
+  // num_shards_ tasks per stage (one below kParallelKernelCells source
+  // cells).
+  [[nodiscard]] ShardPlan PlanCascade(
+      const std::vector<uint32_t>& extents,
+      const std::vector<CascadeStep>& steps) const;
+  // Aggregate-descent cascade: PlanCascade run on shard_exec_.
   // Bit-identical at any shard count, with identical analytic booking
   // into `ops`.
   Result<Tensor> RunCascade(const Tensor& source,

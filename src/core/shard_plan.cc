@@ -1,9 +1,11 @@
 #include "core/shard_plan.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "haar/fused.h"
+#include "haar/simd.h"
 #include "util/bits.h"
 #include "util/logging.h"
 
@@ -30,23 +32,16 @@ uint64_t Volume(const std::vector<uint32_t>& extents) {
 }
 
 // True iff every `local`-shaped subrectangle of a `global`-shaped
-// row-major tensor is one contiguous run: all dimensions after the first
-// restricted one are full, and nothing iterates before it.
+// row-major tensor is one contiguous run: every dimension before the
+// innermost restricted one has local extent 1.
 bool SubrectContiguous(const std::vector<uint32_t>& global,
                        const std::vector<uint32_t>& local) {
-  size_t first = global.size();
+  size_t last = 0;
   for (size_t m = 0; m < global.size(); ++m) {
-    if (local[m] != global[m]) {
-      first = m;
-      break;
-    }
+    if (local[m] != global[m]) last = m;
   }
-  if (first == global.size()) return true;
-  for (size_t m = 0; m < first; ++m) {
-    if (global[m] != 1) return false;
-  }
-  for (size_t m = first + 1; m < global.size(); ++m) {
-    if (local[m] != global[m]) return false;
+  for (size_t m = 0; m < last; ++m) {
+    if (local[m] != 1) return false;
   }
   return true;
 }
@@ -113,132 +108,117 @@ void ScatterSubrect(const double* src, const std::vector<uint32_t>& dst_extents,
   }
 }
 
-}  // namespace
+// Analytic adds of `steps` over `volume` cells: each step costs its
+// output volume.
+uint64_t CascadeCost(uint64_t volume, size_t steps) {
+  uint64_t cost = 0;
+  for (size_t s = 0; s < steps; ++s) {
+    volume /= 2;
+    cost += volume;
+  }
+  return cost;
+}
 
-ShardPlan ShardPlan::Build(const std::vector<uint32_t>& extents,
-                           const std::vector<CascadeStep>& steps,
-                           uint32_t max_shards) {
-  ShardPlan plan;
-  plan.in_extents_ = extents;
+// The outermost dimension of extent > 1: splits along it (and nothing
+// before it) keep a subrectangle one contiguous run.
+uint32_t LeadDim(const std::vector<uint32_t>& extents) {
+  for (size_t m = 0; m < extents.size(); ++m) {
+    if (extents[m] > 1) return static_cast<uint32_t>(m);
+  }
+  return 0;
+}
+
+std::string Dims(const std::vector<uint32_t>& extents) {
+  std::string out;
+  for (size_t m = 0; m < extents.size(); ++m) {
+    if (m > 0) out += 'x';
+    out += std::to_string(extents[m]);
+  }
+  return out;
+}
+
+// One stage over `extents`, which `steps` must be valid for, in at most
+// `shards` (a power of two) tasks.
+ShardStage BuildStage(const std::vector<uint32_t>& extents,
+                      const std::vector<CascadeStep>& steps,
+                      uint32_t shards) {
+  ShardStage st;
   const size_t nd = extents.size();
+  st.in_extents = extents;
+  st.out_extents = extents;
+  for (const CascadeStep& step : steps) st.out_extents[step.dim] /= 2;
 
-  // Apply the steps to a copy: yields the output shape and confirms the
-  // list is valid for this shape (the engine's planner guarantees it; a
-  // failed check just degrades to a single task and the unsharded path).
-  std::vector<uint32_t> cur = extents;
-  bool valid = true;
-  for (const CascadeStep& step : steps) {
-    if (step.dim >= nd || cur[step.dim] < 2 || cur[step.dim] % 2 != 0) {
-      valid = false;
-      break;
-    }
-    cur[step.dim] /= 2;
+  // The merge dimension is always the last step's, and the deferral depth
+  // is capped by its trailing run: the deferred steps must be a suffix of
+  // the stage's order or the per-cell association trees would change.
+  const uint32_t mstar = steps.empty() ? 0 : steps.back().dim;
+  uint32_t trail = 0;
+  for (auto it = steps.rbegin(); it != steps.rend() && it->dim == mstar;
+       ++it) {
+    ++trail;
   }
-  plan.out_extents_ = valid ? cur : extents;
-
-  bool dyadic = valid && nd > 0;
-  for (const uint32_t e : extents) {
-    if (!IsPowerOfTwo(e)) dyadic = false;
-  }
-
-  uint32_t shards = 1;
-  if (dyadic && !steps.empty() && max_shards > 1) {
-    shards = uint32_t{1} << FloorLog2(max_shards);
-  }
-
-  // Concat splits: greedy outermost-first over the output extents, so a
-  // split confined to dimension 0 keeps subrectangles contiguous.
-  std::vector<uint32_t> split(nd, 1);
+  const uint32_t trail_cap =
+      trail >= 31 ? (uint32_t{1} << 31) : (uint32_t{1} << trail);
+  st.split.assign(nd, 1);
   uint32_t rem = shards;
-  for (size_t m = 0; m < nd && rem > 1; ++m) {
-    split[m] = std::min(rem, plan.out_extents_[m]);
-    rem /= split[m];
-  }
-
-  // Merge split: only along the dimension of the LAST step, and only as
-  // deep as its trailing run — the deferred steps must be a suffix of the
-  // global order or the per-cell association trees would change.
-  uint32_t mstar = 0;
   uint32_t merge = 1;
-  if (rem > 1) {
-    mstar = steps.back().dim;
-    uint32_t trail = 0;
-    for (auto it = steps.rbegin(); it != steps.rend() && it->dim == mstar;
-         ++it) {
-      ++trail;
-    }
-    // rem > 1 implies every output extent is fully split, so the lane
-    // extent cap along mstar is 2^levels[mstar].
-    const uint32_t lane_cap = extents[mstar] / split[mstar];
-    const uint32_t trail_cap =
-        trail >= 31 ? (uint32_t{1} << 31) : (uint32_t{1} << trail);
-    merge = std::min({rem, trail_cap, lane_cap});
+  auto take_merge = [&] {
+    merge = std::min({rem, trail_cap, extents[mstar] / st.split[mstar]});
+    rem /= merge;
+  };
+  // Lead-dimension splits first: they keep task inputs contiguous.
+  const uint32_t lead = LeadDim(extents);
+  st.split[lead] = std::min(rem, st.out_extents[lead]);
+  rem /= st.split[lead];
+  if (rem > 1 && !steps.empty() && mstar == lead) take_merge();
+  for (size_t m = lead + 1; m < nd && rem > 1; ++m) {
+    st.split[m] = std::min(rem, st.out_extents[m]);
+    rem /= st.split[m];
   }
-  const uint32_t dlev = ExactLog2(merge);
-  plan.merge_levels_ = dlev;
-  plan.merge_kinds_.reserve(dlev);
-  for (uint32_t l = 0; l < dlev; ++l) {
-    plan.merge_kinds_.push_back(steps[steps.size() - dlev + l].kind);
-  }
-  plan.local_steps_.assign(steps.begin(), steps.end() - dlev);
+  // rem > 1 here means every output extent is fully split.
+  if (rem > 1 && !steps.empty() && merge == 1) take_merge();
 
-  plan.local_in_extents_.resize(nd);
+  const uint32_t dlev = ExactLog2(merge);
+  st.merge_dim = mstar;
+  st.merge_levels = dlev;
+  for (uint32_t l = 0; l < dlev; ++l) {
+    st.merge_kinds.push_back(steps[steps.size() - dlev + l].kind);
+  }
+  st.local_steps.assign(steps.begin(), steps.end() - dlev);
+
+  st.local_in_extents.resize(nd);
   for (size_t m = 0; m < nd; ++m) {
-    plan.local_in_extents_[m] = extents[m] / split[m];
+    st.local_in_extents[m] = extents[m] / st.split[m];
   }
-  if (merge > 1) plan.local_in_extents_[mstar] /= merge;
-  plan.local_out_extents_ = plan.local_in_extents_;
-  for (const CascadeStep& step : plan.local_steps_) {
-    plan.local_out_extents_[step.dim] /= 2;
+  if (merge > 1) st.local_in_extents[mstar] /= merge;
+  st.local_out_extents = st.local_in_extents;
+  for (const CascadeStep& step : st.local_steps) {
+    st.local_out_extents[step.dim] /= 2;
   }
-  plan.local_volume_ = Volume(plan.local_in_extents_);
-  plan.local_out_volume_ = Volume(plan.local_out_extents_);
-  {
-    uint64_t v = plan.local_volume_;
-    for (size_t s = 0; s < plan.local_steps_.size(); ++s) {
-      v /= 2;
-      plan.local_cost_ += v;
-    }
-  }
+  st.local_volume = Volume(st.local_in_extents);
+  st.local_out_volume = Volume(st.local_out_extents);
+  st.local_cost = CascadeCost(st.local_volume, st.local_steps.size());
 
   uint32_t groups = 1;
-  for (size_t m = 0; m < nd; ++m) groups *= split[m];
-  const uint32_t num_tasks = groups * merge;
+  for (size_t m = 0; m < nd; ++m) groups *= st.split[m];
   for (uint32_t l = 0; l < dlev; ++l) {
-    plan.combine_cost_ +=
-        uint64_t{groups} * (merge >> (l + 1)) * plan.local_out_volume_;
+    st.combine_cost +=
+        uint64_t{groups} * (merge >> (l + 1)) * st.local_out_volume;
   }
 
-  if (valid) {
-    // The decomposition must book exactly what the unsharded cascade
-    // books — this is the ops-invariance contract shard_test pins.
-    uint64_t global_cost = 0;
-    uint64_t v = Volume(extents);
-    for (size_t s = 0; s < steps.size(); ++s) {
-      v /= 2;
-      global_cost += v;
-    }
-    VECUBE_CHECK(uint64_t{num_tasks} * plan.local_cost_ +
-                     plan.combine_cost_ ==
-                 global_cost)
-        << "shard decomposition does not partition the cascade cost";
-  }
-
-  plan.in_contiguous_ = SubrectContiguous(extents, plan.local_in_extents_);
-  plan.out_contiguous_ =
-      merge == 1 &&
-      SubrectContiguous(plan.out_extents_, plan.local_out_extents_);
+  st.in_contiguous = SubrectContiguous(extents, st.local_in_extents);
+  // A group's result covers the local output shape: its one-lane block.
+  st.out_contiguous = SubrectContiguous(st.out_extents, st.local_out_extents);
 
   const std::vector<uint64_t> in_strides = RowMajorStrides(extents);
-  const std::vector<uint64_t> out_strides =
-      RowMajorStrides(plan.out_extents_);
-  plan.tasks_.reserve(num_tasks);
+  const std::vector<uint64_t> out_strides = RowMajorStrides(st.out_extents);
+  st.tasks.reserve(uint64_t{groups} * merge);
   std::vector<uint32_t> g(nd, 0);
   for (uint32_t grid = 0; grid < groups; ++grid) {
     uint32_t idx = grid;
     for (size_t m = nd; m-- > 0;) {
-      g[m] = idx % split[m];
-      idx /= split[m];
+      g[m] = idx % st.split[m];
+      idx /= st.split[m];
     }
     for (uint32_t lane = 0; lane < merge; ++lane) {
       ShardTask task;
@@ -247,21 +227,117 @@ ShardPlan ShardPlan::Build(const std::vector<uint32_t>& extents,
       task.in_begin.resize(nd);
       task.out_begin.resize(nd);
       for (size_t m = 0; m < nd; ++m) {
-        task.in_begin[m] = g[m] * plan.local_in_extents_[m];
-        task.out_begin[m] = g[m] * plan.local_out_extents_[m];
+        task.in_begin[m] = g[m] * st.local_in_extents[m];
+        task.out_begin[m] = g[m] * st.local_out_extents[m];
       }
       if (merge > 1) {
         task.in_begin[mstar] =
-            (g[mstar] * merge + lane) * plan.local_in_extents_[mstar];
+            (g[mstar] * merge + lane) * st.local_in_extents[mstar];
       }
       for (size_t m = 0; m < nd; ++m) {
         task.in_offset += task.in_begin[m] * in_strides[m];
         task.out_offset += task.out_begin[m] * out_strides[m];
       }
-      plan.tasks_.push_back(std::move(task));
+      st.tasks.push_back(std::move(task));
     }
   }
+  return st;
+}
+
+}  // namespace
+
+ShardPlan ShardPlan::Build(const std::vector<uint32_t>& extents,
+                           const std::vector<CascadeStep>& steps,
+                           uint32_t max_shards) {
+  ShardPlan plan;
+  const size_t nd = extents.size();
+  VECUBE_CHECK(nd > 0) << "shard plan over a rank-0 tensor";
+
+  // Apply the steps to a copy: confirms the list is valid for this shape
+  // (the engine's planner guarantees it).
+  std::vector<uint32_t> cur = extents;
+  for (const CascadeStep& step : steps) {
+    VECUBE_CHECK(step.dim < nd && cur[step.dim] >= 2 &&
+                 cur[step.dim] % 2 == 0)
+        << "cascade step list is invalid for the shard plan's extents";
+    cur[step.dim] /= 2;
+  }
+
+  bool dyadic = true;
+  for (const uint32_t e : extents) {
+    if (!IsPowerOfTwo(e)) dyadic = false;
+  }
+  uint32_t shards = 1;
+  if (dyadic && !steps.empty() && max_shards > 1) {
+    shards = uint32_t{1} << FloorLog2(max_shards);
+  }
+
+  // Stage at the leading run: when the steps that open the cascade along
+  // the lead dimension leave it fewer rows than shards, a one-stage plan
+  // would split an inner dimension and gather; run the prefix alone on
+  // contiguous merge lanes instead. The rest runs over the 2^-run-sized
+  // intermediate in shards >> run tasks, so its tasks carry as many
+  // cells as the first stage's: fewer would not repay waking the pool,
+  // and the caller's combine has just written that intermediate.
+  const uint32_t lead = LeadDim(extents);
+  size_t run = 0;
+  while (run < steps.size() && steps[run].dim == lead) ++run;
+  if (run > 0 && run < steps.size() && (extents[lead] >> run) < shards) {
+    const std::vector<CascadeStep> prefix(steps.begin(), steps.begin() + run);
+    const std::vector<CascadeStep> rest(steps.begin() + run, steps.end());
+    plan.stages_.push_back(BuildStage(extents, prefix, shards));
+    plan.stages_.push_back(BuildStage(plan.stages_.front().out_extents, rest,
+                                      std::max(shards >> run, 1u)));
+  } else {
+    plan.stages_.push_back(BuildStage(extents, steps, shards));
+  }
+
+  // The decomposition must book exactly what the unsharded cascade
+  // books, per stage and in sum — the ops-invariance contract shard_test
+  // pins.
+  uint64_t volume = Volume(extents);
+  for (const ShardStage& st : plan.stages_) {
+    const size_t count = st.local_steps.size() + st.merge_levels;
+    VECUBE_CHECK(st.total_cost() == CascadeCost(volume, count))
+        << "shard stage does not partition its cascade cost";
+    volume >>= count;
+  }
+  VECUBE_CHECK(plan.total_cost() == CascadeCost(Volume(extents), steps.size()))
+      << "shard decomposition does not partition the cascade cost";
   return plan;
+}
+
+uint32_t ShardPlan::parallelism() const {
+  size_t most = 0;
+  for (const ShardStage& st : stages_) most = std::max(most, st.tasks.size());
+  return static_cast<uint32_t>(most);
+}
+
+uint64_t ShardPlan::total_cost() const {
+  uint64_t cost = 0;
+  for (const ShardStage& st : stages_) cost += st.total_cost();
+  return cost;
+}
+
+std::string ShardPlan::ToString() const {
+  std::string out;
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    const ShardStage& st = stages_[s];
+    if (s > 0) out += " | ";
+    out += "stage " + std::to_string(s + 1) + "/" +
+           std::to_string(stages_.size()) + ": " + Dims(st.in_extents) +
+           "->" + Dims(st.out_extents) +
+           " tasks=" + std::to_string(st.tasks.size()) +
+           " concat=" + Dims(st.split) + " merge=";
+    out += st.merge_levels == 0
+               ? std::string("none")
+               : std::to_string(st.merge_levels) + "@dim" +
+                     std::to_string(st.merge_dim);
+    out += " local=" + Dims(st.local_in_extents) + "/" +
+           std::to_string(st.local_steps.size()) + " steps" +
+           (st.in_contiguous ? " in-place" : " gather");
+  }
+  return out;
 }
 
 ThreadedShardExecutor::ThreadedShardExecutor(ThreadPool* pool) : pool_(pool) {
@@ -297,66 +373,56 @@ void ThreadedShardExecutor::ReleaseLane(uint32_t slot) {
   lanes_[slot]->busy.store(false, std::memory_order_release);
 }
 
-Status ThreadedShardExecutor::RunTask(const Tensor& source,
-                                      const ShardPlan& plan,
-                                      const ShardTask& task, double* out_raw,
+Status ThreadedShardExecutor::RunTask(const double* in,
+                                      const ShardStage& stage,
+                                      const ShardTask& task, double* out,
                                       double* lane_buf, ShardScratch* scratch,
                                       const QueryContext* ctx) const {
-  // Gather the task's subrectangle — or read the source in place when the
-  // decomposition kept it contiguous (the common dimension-0 split).
+  // Read the task's subrectangle in place when the split kept it
+  // contiguous (every lead-dimension split), else gather it.
   const double* lane_in;
-  if (plan.in_contiguous()) {
-    lane_in = source.raw() + task.in_offset;
+  if (stage.in_contiguous) {
+    lane_in = in + task.in_offset;
   } else {
-    double* gathered = scratch->Take(plan.local_volume());
-    PackSubrect(source.raw(), plan.in_extents(), task.in_begin,
-                plan.local_in_extents(), gathered);
+    double* gathered = scratch->Take(stage.local_volume);
+    PackSubrect(in, stage.in_extents, task.in_begin, stage.local_in_extents,
+                gathered);
     lane_in = gathered;
   }
 
   double* dst;
-  if (plan.merge_levels() > 0) {
+  if (stage.merge_levels > 0) {
     // Combine lane: results land group-major in the lane buffer; tasks
     // are enumerated group-major too, so the slot index is the task's
     // position.
     const uint64_t slot =
-        (uint64_t{task.group} << plan.merge_levels()) + task.lane;
-    dst = lane_buf + slot * plan.local_out_volume();
-  } else if (plan.out_contiguous()) {
-    dst = out_raw + task.out_offset;
+        (uint64_t{task.group} << stage.merge_levels) + task.lane;
+    dst = lane_buf + slot * stage.local_out_volume;
+  } else if (stage.out_contiguous) {
+    dst = out + task.out_offset;
   } else {
-    dst = scratch->Take(plan.local_out_volume());
+    dst = scratch->Take(stage.local_out_volume);
   }
 
-  VECUBE_RETURN_NOT_OK(ExecuteCascadeSerial(lane_in, plan.local_in_extents(),
-                                            plan.local_steps(), dst, scratch,
+  VECUBE_RETURN_NOT_OK(ExecuteCascadeSerial(lane_in, stage.local_in_extents,
+                                            stage.local_steps, dst, scratch,
                                             ctx));
 
-  if (plan.merge_levels() == 0 && !plan.out_contiguous()) {
-    ScatterSubrect(dst, plan.out_extents(), task.out_begin,
-                   plan.local_out_extents(), out_raw);
+  if (stage.merge_levels == 0 && !stage.out_contiguous) {
+    ScatterSubrect(dst, stage.out_extents, task.out_begin,
+                   stage.local_out_extents, out);
   }
   return Status::OK();
 }
 
-Result<Tensor> ThreadedShardExecutor::Execute(const Tensor& source,
-                                              const ShardPlan& plan,
-                                              OpCounter* ops,
-                                              const QueryContext* ctx) {
-  if (source.extents() != plan.in_extents()) {
-    return Status::InvalidArgument(
-        "shard plan was built for a different source shape");
-  }
-  Tensor out;
-  VECUBE_ASSIGN_OR_RETURN(out, Tensor::Uninitialized(plan.out_extents()));
-  double* out_raw = out.raw();
-  const std::vector<ShardTask>& tasks = plan.tasks();
-
-  const uint32_t lanes_per_group = uint32_t{1} << plan.merge_levels();
+Status ThreadedShardExecutor::RunStage(const double* in,
+                                       const ShardStage& stage, double* out,
+                                       const QueryContext* ctx) {
+  const std::vector<ShardTask>& tasks = stage.tasks;
   TensorBuffer lane_storage;
   double* lane_buf = nullptr;
-  if (plan.merge_levels() > 0) {
-    lane_storage.resize(tasks.size() * plan.local_out_volume());
+  if (stage.merge_levels > 0) {
+    lane_storage.resize(tasks.size() * stage.local_out_volume);
     lane_buf = lane_storage.data();
   }
 
@@ -380,7 +446,7 @@ Result<Tensor> ThreadedShardExecutor::Execute(const Tensor& source,
       if (interrupted.load(std::memory_order_relaxed)) break;
       scratch->Reset();
       Status status =
-          RunTask(source, plan, tasks[t], out_raw, lane_buf, scratch, ctx);
+          RunTask(in, stage, tasks[t], out, lane_buf, scratch, ctx);
       if (!status.ok()) {
         task_status[t] = std::move(status);
         // order: relaxed — see the load above.
@@ -405,44 +471,68 @@ Result<Tensor> ThreadedShardExecutor::Execute(const Tensor& source,
     }
     return Status::Cancelled("shard execution interrupted");
   }
+  if (stage.merge_levels == 0) return Status::OK();
 
   // Combine DAG: merge_levels pairwise elementwise levels, front-packed
   // in place (slot p <- slot 2p ± slot 2p+1; every slot is read at
-  // iteration p/2, before iteration p overwrites it). Lane order is the
-  // coordinate order along the merge dimension, so left = lower
-  // coordinate, exactly the deferred steps' operand order.
-  if (plan.merge_levels() > 0) {
-    const uint64_t cells = plan.local_out_volume();
-    const uint64_t groups = tasks.size() >> plan.merge_levels();
-    uint32_t lanes = lanes_per_group;
-    for (uint32_t l = 0; l < plan.merge_levels(); ++l) {
-      const bool add = plan.merge_kinds()[l] == StepKind::kPartial;
+  // iteration p/2, before iteration p overwrites it, and slot 0 is
+  // updated with dst == left, which the row kernels allow). Lane order
+  // is the coordinate order along the merge dimension, so left = lower
+  // coordinate, exactly the deferred steps' operand order. The last
+  // level writes a contiguous group block straight into `out`.
+  const HaarVecOps& vec = VecOps();
+  const uint64_t cells = stage.local_out_volume;
+  const uint64_t groups = tasks.size() >> stage.merge_levels;
+  for (uint64_t g = 0; g < groups; ++g) {
+    const ShardTask& head = tasks[g << stage.merge_levels];
+    double* base = lane_buf + (g << stage.merge_levels) * cells;
+    uint32_t lanes = uint32_t{1} << stage.merge_levels;
+    for (uint32_t l = 0; l < stage.merge_levels; ++l) {
+      const bool add = stage.merge_kinds[l] == StepKind::kPartial;
       const uint32_t half = lanes / 2;
-      for (uint64_t g = 0; g < groups; ++g) {
-        double* base = lane_buf + (g << plan.merge_levels()) * cells;
-        for (uint32_t p = 0; p < half; ++p) {
-          const double* left = base + uint64_t{2} * p * cells;
-          const double* right = left + cells;
-          double* dst = base + uint64_t{p} * cells;
-          if (add) {
-            for (uint64_t i = 0; i < cells; ++i) dst[i] = left[i] + right[i];
-          } else {
-            for (uint64_t i = 0; i < cells; ++i) dst[i] = left[i] - right[i];
-          }
+      for (uint32_t p = 0; p < half; ++p) {
+        const double* left = base + uint64_t{2} * p * cells;
+        double* dst = base + uint64_t{p} * cells;
+        if (half == 1 && stage.out_contiguous) dst = out + head.out_offset;
+        if (add) {
+          vec.add_rows(left, left + cells, dst, cells);
+        } else {
+          vec.sub_rows(left, left + cells, dst, cells);
         }
       }
       lanes = half;
     }
-    for (uint64_t g = 0; g < groups; ++g) {
-      const ShardTask& head = tasks[g << plan.merge_levels()];
-      const double* result = lane_buf + (g << plan.merge_levels()) * cells;
-      if (cells == 1) {
-        out_raw[head.out_offset] = result[0];
-      } else {
-        ScatterSubrect(result, plan.out_extents(), head.out_begin,
-                       plan.local_out_extents(), out_raw);
-      }
+    if (!stage.out_contiguous) {
+      ScatterSubrect(base, stage.out_extents, head.out_begin,
+                     stage.local_out_extents, out);
     }
+  }
+  return Status::OK();
+}
+
+Result<Tensor> ThreadedShardExecutor::Execute(const Tensor& source,
+                                              const ShardPlan& plan,
+                                              OpCounter* ops,
+                                              const QueryContext* ctx) {
+  if (source.extents() != plan.in_extents()) {
+    return Status::InvalidArgument(
+        "shard plan was built for a different source shape");
+  }
+  Tensor out;
+  VECUBE_ASSIGN_OR_RETURN(out, Tensor::Uninitialized(plan.out_extents()));
+  // A two-stage plan hands the first stage's output to the second
+  // through one intermediate, 2^-run the source's size.
+  TensorBuffer intermediate;
+  const double* in = source.raw();
+  const std::vector<ShardStage>& stages = plan.stages();
+  for (size_t s = 0; s < stages.size(); ++s) {
+    double* dst = out.raw();
+    if (s + 1 < stages.size()) {
+      intermediate.resize(Volume(stages[s].out_extents));
+      dst = intermediate.data();
+    }
+    VECUBE_RETURN_NOT_OK(RunStage(in, stages[s], dst, ctx));
+    in = dst;
   }
 
   // Book the whole cascade analytically on the calling thread: the plan's

@@ -18,6 +18,16 @@ Result<Tensor> UniformIntegerCube(const CubeShape& shape, Rng* rng,
   return t;
 }
 
+Result<Tensor> MixedMagnitudeCube(const CubeShape& shape, Rng* rng) {
+  Tensor t;
+  VECUBE_ASSIGN_OR_RETURN(t, Tensor::Uninitialized(shape.extents()));
+  for (uint64_t i = 0; i < t.size(); ++i) {
+    const double unit = rng->UniformDouble(-1.0, 1.0);
+    t[i] = std::ldexp(unit, static_cast<int>(rng->UniformU64(20)));
+  }
+  return t;
+}
+
 Result<Tensor> SparseRandomCube(const CubeShape& shape, Rng* rng,
                                 double nonzero_fraction, int64_t lo,
                                 int64_t hi) {

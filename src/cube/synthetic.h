@@ -23,6 +23,11 @@ namespace vecube {
 Result<Tensor> UniformIntegerCube(const CubeShape& shape, Rng* rng,
                                   int64_t lo = 0, int64_t hi = 100);
 
+/// Every cell UniformDouble(-1, 1) scaled by 2^k, k uniform in [0, 20):
+/// real values over six decades, so sums round and any reassociation of
+/// an add tree shows in the result bits (the integer cubes hide it).
+Result<Tensor> MixedMagnitudeCube(const CubeShape& shape, Rng* rng);
+
 /// A sparse cube: `nonzero_fraction` of cells get a uniform integer value,
 /// the rest are 0. Cell positions drawn without clustering.
 Result<Tensor> SparseRandomCube(const CubeShape& shape, Rng* rng,

@@ -36,6 +36,13 @@ namespace {
 // suspect false store-to-load dependencies (4K aliasing).
 constexpr uint64_t kPingPongStaggerCells = 72;  // 576 bytes
 
+// Cell cap of a chunk that spans consecutive slabs of an innermost group
+// (inner == 1), chosen from a per-dimension CascadeSum sweep (DESIGN.md
+// §11): one row per chunk ran the innermost dimension 2-10x slower than
+// the others, while a scratch-budget-sized span slowed multi-dimension
+// groups down.
+constexpr uint64_t kInnermostChunkCells = 2048;
+
 // One P1/R1 pass inside a fused group, described over the group's
 // dimension window [lo..hi] (the "mid" shape): the step dimension has
 // extent `n`, `group_outer` mid cells precede it and `deeper` follow it,
@@ -169,13 +176,16 @@ void RunPass(const Pass& p, const double* src, uint64_t src_unit, double* dst,
 
 // Chunk geometry of one group over a tensor with the group's entry
 // extents: (outer slab, inner tile) decomposition, tile width under the
-// scratch budget, and the per-buffer ping-pong size.
+// scratch budget, and the per-buffer ping-pong size. An innermost group
+// (inner == 1) stores each slab as one contiguous run, so its chunk spans
+// `slabs` consecutive slabs, up to kInnermostChunkCells cells.
 struct GroupGeom {
   uint64_t outer = 1;
   uint64_t inner = 1;
   uint64_t exit_volume = 1;   // window cells after the group
   uint64_t tile_width = 1;
   uint64_t tiles = 1;
+  uint64_t slabs = 1;         // consecutive outer slabs per chunk
   uint64_t chunks = 1;
   uint64_t scratch_cells = 0;  // per ping buffer
 };
@@ -191,18 +201,25 @@ GroupGeom ComputeGeom(const std::vector<uint32_t>& entry_extents,
   geo.tile_width =
       std::clamp<uint64_t>(budget / (g.entry_volume / 2), 1, geo.inner);
   geo.tiles = (geo.inner + geo.tile_width - 1) / geo.tile_width;
-  geo.chunks = geo.outer * geo.tiles;
-  geo.scratch_cells = (g.entry_volume / 2) * geo.tile_width;
+  if (geo.inner == 1) {
+    geo.slabs = std::clamp<uint64_t>(kInnermostChunkCells / g.entry_volume,
+                                     1, geo.outer);
+  }
+  geo.chunks = (geo.outer + geo.slabs - 1) / geo.slabs * geo.tiles;
+  geo.scratch_cells = (g.entry_volume / 2) * geo.tile_width * geo.slabs;
   return geo;
 }
 
 // Runs chunk `c` of group `g`: the whole pass pipeline for one
-// (slab, tile) unit, ping-ponging intermediates through `bufs` (each
+// (slabs, tile) unit, ping-ponging intermediates through `bufs` (each
 // >= geo.scratch_cells; untouched when the group is single-pass).
+// Spanned slabs are adjacent in memory, so they run as one pass with
+// `group_outer` scaled: the same pairs in the same order.
 void RunChunk(const Group& g, const GroupGeom& geo, uint64_t c,
               const double* in_raw, double* out_raw, double* const bufs[2],
               const HaarVecOps& vec) {
-  const uint64_t o = c / geo.tiles;
+  const uint64_t o = c / geo.tiles * geo.slabs;
+  const uint64_t slabs = std::min(geo.slabs, geo.outer - o);
   const uint64_t j0 = (c % geo.tiles) * geo.tile_width;
   const uint64_t w = std::min(geo.tile_width, geo.inner - j0);
   const double* src = in_raw + o * g.entry_volume * geo.inner + j0;
@@ -220,7 +237,9 @@ void RunChunk(const Group& g, const GroupGeom& geo, uint64_t c,
       dst_unit = w;
       flip ^= 1;
     }
-    RunPass(g.passes[k], src, src_unit, dst, dst_unit, w, vec);
+    Pass pass = g.passes[k];
+    pass.group_outer *= slabs;
+    RunPass(pass, src, src_unit, dst, dst_unit, w, vec);
     src = dst;
     src_unit = dst_unit;
   }

@@ -15,7 +15,11 @@
 //      reads the group's input in place, middle passes stay packed in
 //      scratch, and the last pass writes straight into the group's output
 //      (the caller's output for the last group, a scratch grant
-//      otherwise). A single-step group is one such pass per chunk.
+//      otherwise). A single-step group is one such pass per chunk. A
+//      group whose window ends at the innermost dimension (inner == 1)
+//      holds each slab as one contiguous run, so its chunk spans
+//      consecutive slabs up to a fixed cell cap — the same pass with its
+//      outer count scaled, instead of one short row per chunk.
 //
 // There is one executor, internal::ExecuteCascadeSerial: it runs on the
 // calling thread out of one ShardScratch. AssemblyEngine reaches it
@@ -50,7 +54,7 @@ namespace vecube {
 /// pass. Semantically identical to applying PartialSum / PartialResidual
 /// per step (bit-exact results, identical OpCounter::adds), including the
 /// Status returned for invalid steps. `ctx` (optional) is polled at
-/// (slab, tile) chunk granularity; an expired/cancelled context unwinds
+/// (slabs, tile) chunk granularity; an expired/cancelled context unwinds
 /// with its Check() status — results are never partially published.
 Result<Tensor> CascadeAnalysis(const Tensor& input,
                                const std::vector<CascadeStep>& steps,

@@ -29,9 +29,11 @@
 
 namespace vecube {
 
-/// Function table for the vectorizable Haar inner loops. All row forms
-/// require dst ranges disjoint from sources; pair forms read 2n input
-/// cells and write n outputs per stream.
+/// Function table for the vectorizable Haar inner loops. Row forms
+/// require dst ranges disjoint from sources, except that add_rows and
+/// sub_rows also run in place with dst == a exactly (each cell is read
+/// before it is written); pair forms read 2n input cells and write n
+/// outputs per stream.
 struct HaarVecOps {
   /// dst[j] = a[j] + b[j], j in [0, n).
   void (*add_rows)(const double* a, const double* b, double* dst,

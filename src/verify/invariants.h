@@ -74,7 +74,8 @@ class InvariantChecker {
  public:
   explicit InvariantChecker(CubeShape shape, InvariantOptions options = {});
 
-  /// (k,o) bounds and extent agreement for every resident element.
+  /// Store shape and data-extent agreement for every resident element
+  /// ((k,o) bounds themselves are enforced by ElementStore::Put).
   Status CheckElementBounds(const ElementStore& store);
 
   /// Analysis/synthesis round trip on sampled lines of `tensor` along

@@ -170,6 +170,37 @@ TEST_F(CliPipeline, FsckReportsHealthCorruptionAndRepair) {
   EXPECT_NE(output.find("UNREPAIRABLE"), std::string::npos) << output;
 }
 
+TEST_F(CliPipeline, AssemblePrintsGatherFreeSplitForDimensionZeroView) {
+  // A 16^4 cube-only store: aggregating dimensions 0 and 1 descends from
+  // the root, so at --shards 4 its dim-0 run is a first stage on
+  // contiguous merge lanes and the dim-1 run a one-task second stage over
+  // the 1/16-sized intermediate; neither gathers.
+  {
+    std::ofstream out(csv_, std::ios::trunc);
+    out << "a,b,c,d,m\n0,0,0,0,1\n15,3,7,1,2\n8,8,8,8,3\n";
+  }
+  std::string output;
+  ASSERT_EQ(RunCli("build --csv " + csv_ + " --extents 16,16,16,16 --out " +
+                       store_,
+                   &output),
+            0)
+      << output;
+  ASSERT_EQ(RunCli("assemble --store " + store_ +
+                       " --mask 3 --shards 4 --threads 4",
+                   &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("cascade 0: stage 1/2: 16x16x16x16->1x16x16x16 "
+                        "tasks=4 concat=1x1x1x1 merge=2@dim0"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("stage 2/2: 1x16x16x16->1x1x16x16 tasks=1"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("gather"), std::string::npos) << output;
+  EXPECT_EQ(output.find("cascade 1:"), std::string::npos) << output;
+}
+
 TEST_F(CliPipeline, PaddedBuild) {
   // Extents 3,4 pad to 4,4; out-of-domain keys would fail, in-domain work.
   std::string output;

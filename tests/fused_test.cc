@@ -1,14 +1,15 @@
 // Fused cascade kernels (haar/fused.h): bit-exactness against the
 // step-at-a-time path across dims, levels, dispatch tables, and scratch
-// budgets; op-count pinning for every kernel; grain selection for
-// degenerate geometries. The thread and shard axes of the same cascades
-// are swept in shard_test.cc (ShardSweep), the one route that fans a
-// cascade out.
+// budgets, on integer and real-valued cubes; op-count pinning for every
+// kernel; grain selection for degenerate geometries. The thread and
+// shard axes of the same cascades are swept in shard_test.cc
+// (ShardSweep), the one route that fans a cascade out.
 
 #include "haar/fused.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -74,42 +75,59 @@ struct ForceScalar {
   ~ForceScalar() { internal::OverrideVecOpsForTesting(nullptr); }
 };
 
+// The integer and the real-valued cube of one sweep: integer cells hide
+// a reassociated add tree (their sums are exact), real cells show it.
+std::vector<std::pair<const char*, Tensor>> SweepCubes(const CubeShape& shape,
+                                                       uint64_t seed,
+                                                       int64_t bound) {
+  std::vector<std::pair<const char*, Tensor>> cubes;
+  Rng rng(seed);
+  auto integer = UniformIntegerCube(shape, &rng, -bound, bound);
+  EXPECT_TRUE(integer.ok());
+  cubes.emplace_back("integer", std::move(*integer));
+  auto real = MixedMagnitudeCube(shape, &rng);
+  EXPECT_TRUE(real.ok());
+  cubes.emplace_back("real", std::move(*real));
+  return cubes;
+}
+
 // --- Tentpole: exhaustive fused-vs-unfused bit-exactness sweep ----------
 
 TEST(FusedSweep, AllDimLevelPairsAcrossThreadsDispatchAndBudget) {
   auto shape = CubeShape::Make({8, 4, 2, 8});
   ASSERT_TRUE(shape.ok());
-  Rng rng(11);
-  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
-  ASSERT_TRUE(cube.ok());
+  for (auto& [label, cube_value] : SweepCubes(*shape, 11, 9)) {
+    SCOPED_TRACE(label);
+    const Tensor* cube = &cube_value;
 
-  const uint32_t depth[4] = {3, 2, 1, 3};
-  for (uint32_t dim = 0; dim < 4; ++dim) {
-    for (uint32_t levels = 1; levels <= depth[dim]; ++levels) {
-      const std::vector<CascadeStep> steps(
-          levels, CascadeStep{dim, StepKind::kPartial});
-      OpCounter ref_ops;
-      Tensor ref;
-      {
-        ForceScalar scalar;
-        auto r = UnfusedCascade(*cube, steps, &ref_ops);
-        ASSERT_TRUE(r.ok());
-        ref = *r;
-      }
-      for (const bool force_scalar : {true, false}) {
-        std::optional<ForceScalar> forced;
-        if (force_scalar) forced.emplace();
-        for (const uint64_t budget : {uint64_t{0}, uint64_t{4},
-                                      uint64_t{64}}) {
-          BudgetOverride b(budget);
-          OpCounter ops;
-          auto fused = CascadeSum(*cube, dim, levels, &ops);
-          ASSERT_TRUE(fused.ok());
-          EXPECT_TRUE(BitIdentical(ref, *fused))
-              << "dim=" << dim << " levels=" << levels
-              << " scalar=" << force_scalar << " budget=" << budget;
-          EXPECT_EQ(ops.adds, ref_ops.adds);
-          EXPECT_EQ(ops.muls, ref_ops.muls);
+    const uint32_t depth[4] = {3, 2, 1, 3};
+    for (uint32_t dim = 0; dim < 4; ++dim) {
+      for (uint32_t levels = 1; levels <= depth[dim]; ++levels) {
+        const std::vector<CascadeStep> steps(
+            levels, CascadeStep{dim, StepKind::kPartial});
+        OpCounter ref_ops;
+        Tensor ref;
+        {
+          ForceScalar scalar;
+          auto r = UnfusedCascade(*cube, steps, &ref_ops);
+          ASSERT_TRUE(r.ok());
+          ref = *r;
+        }
+        for (const bool force_scalar : {true, false}) {
+          std::optional<ForceScalar> forced;
+          if (force_scalar) forced.emplace();
+          for (const uint64_t budget : {uint64_t{0}, uint64_t{4},
+                                        uint64_t{64}}) {
+            BudgetOverride b(budget);
+            OpCounter ops;
+            auto fused = CascadeSum(*cube, dim, levels, &ops);
+            ASSERT_TRUE(fused.ok());
+            EXPECT_TRUE(BitIdentical(ref, *fused))
+                << "dim=" << dim << " levels=" << levels
+                << " scalar=" << force_scalar << " budget=" << budget;
+            EXPECT_EQ(ops.adds, ref_ops.adds);
+            EXPECT_EQ(ops.muls, ref_ops.muls);
+          }
         }
       }
     }
@@ -119,45 +137,47 @@ TEST(FusedSweep, AllDimLevelPairsAcrossThreadsDispatchAndBudget) {
 TEST(FusedSweep, MixedPartialResidualStepListsMatchUnfused) {
   auto shape = CubeShape::Make({8, 8, 4, 4});
   ASSERT_TRUE(shape.ok());
-  Rng rng(23);
-  auto cube = UniformIntegerCube(*shape, &rng, -50, 50);
-  ASSERT_TRUE(cube.ok());
+  for (auto& [label, cube_value] : SweepCubes(*shape, 23, 50)) {
+    SCOPED_TRACE(label);
+    const Tensor* cube = &cube_value;
+    Rng rng(24);  // the same step lists for both cubes
 
-  for (uint32_t trial = 0; trial < 24; ++trial) {
-    // A random valid step list over the evolving extents, mixing P and R.
-    std::vector<uint32_t> extents = cube->extents();
-    std::vector<CascadeStep> steps;
-    const uint64_t length = 1 + rng.NextU64() % 9;
-    for (uint64_t s = 0; s < length; ++s) {
-      std::vector<uint32_t> eligible;
-      for (uint32_t m = 0; m < extents.size(); ++m) {
-        if (extents[m] >= 2) eligible.push_back(m);
+    for (uint32_t trial = 0; trial < 24; ++trial) {
+      // A random valid step list over the evolving extents, mixing P and R.
+      std::vector<uint32_t> extents = cube->extents();
+      std::vector<CascadeStep> steps;
+      const uint64_t length = 1 + rng.NextU64() % 9;
+      for (uint64_t s = 0; s < length; ++s) {
+        std::vector<uint32_t> eligible;
+        for (uint32_t m = 0; m < extents.size(); ++m) {
+          if (extents[m] >= 2) eligible.push_back(m);
+        }
+        if (eligible.empty()) break;
+        const uint32_t dim =
+            eligible[static_cast<size_t>(rng.NextU64() % eligible.size())];
+        const StepKind kind =
+            rng.NextU64() % 2 == 0 ? StepKind::kPartial : StepKind::kResidual;
+        steps.push_back(CascadeStep{dim, kind});
+        extents[dim] /= 2;
       }
-      if (eligible.empty()) break;
-      const uint32_t dim =
-          eligible[static_cast<size_t>(rng.NextU64() % eligible.size())];
-      const StepKind kind =
-          rng.NextU64() % 2 == 0 ? StepKind::kPartial : StepKind::kResidual;
-      steps.push_back(CascadeStep{dim, kind});
-      extents[dim] /= 2;
-    }
 
-    OpCounter ref_ops;
-    Tensor ref;
-    {
-      ForceScalar scalar;
-      auto r = UnfusedCascade(*cube, steps, &ref_ops);
-      ASSERT_TRUE(r.ok());
-      ref = *r;
-    }
-    for (const uint64_t budget : {uint64_t{0}, uint64_t{8}}) {
-      BudgetOverride b(budget);
-      OpCounter ops;
-      auto fused = CascadeAnalysis(*cube, steps, &ops);
-      ASSERT_TRUE(fused.ok());
-      EXPECT_TRUE(BitIdentical(ref, *fused))
-          << "trial=" << trial << " budget=" << budget;
-      EXPECT_EQ(ops.adds, ref_ops.adds);
+      OpCounter ref_ops;
+      Tensor ref;
+      {
+        ForceScalar scalar;
+        auto r = UnfusedCascade(*cube, steps, &ref_ops);
+        ASSERT_TRUE(r.ok());
+        ref = *r;
+      }
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{8}}) {
+        BudgetOverride b(budget);
+        OpCounter ops;
+        auto fused = CascadeAnalysis(*cube, steps, &ops);
+        ASSERT_TRUE(fused.ok());
+        EXPECT_TRUE(BitIdentical(ref, *fused))
+            << "trial=" << trial << " budget=" << budget;
+        EXPECT_EQ(ops.adds, ref_ops.adds);
+      }
     }
   }
 }
@@ -165,31 +185,63 @@ TEST(FusedSweep, MixedPartialResidualStepListsMatchUnfused) {
 TEST(FusedSweep, AggregateDimsMatchesUnfusedForEveryDimSubset) {
   auto shape = CubeShape::Make({8, 4, 2, 8});
   ASSERT_TRUE(shape.ok());
-  Rng rng(31);
-  auto cube = UniformIntegerCube(*shape, &rng, -9, 9);
-  ASSERT_TRUE(cube.ok());
+  for (auto& [label, cube_value] : SweepCubes(*shape, 31, 9)) {
+    SCOPED_TRACE(label);
+    const Tensor* cube = &cube_value;
 
-  for (uint32_t mask = 1; mask < 16; ++mask) {
-    std::vector<CascadeStep> steps;
-    for (uint32_t m = 0; m < 4; ++m) {
-      if ((mask & (1u << m)) == 0) continue;
-      for (uint32_t e = cube->extent(m); e > 1; e /= 2) {
-        steps.push_back(CascadeStep{m, StepKind::kPartial});
+    for (uint32_t mask = 1; mask < 16; ++mask) {
+      std::vector<CascadeStep> steps;
+      for (uint32_t m = 0; m < 4; ++m) {
+        if ((mask & (1u << m)) == 0) continue;
+        for (uint32_t e = cube->extent(m); e > 1; e /= 2) {
+          steps.push_back(CascadeStep{m, StepKind::kPartial});
+        }
+      }
+      OpCounter ref_ops;
+      Tensor ref;
+      {
+        ForceScalar scalar;
+        auto r = UnfusedCascade(*cube, steps, &ref_ops);
+        ASSERT_TRUE(r.ok());
+        ref = *r;
+      }
+      OpCounter ops;
+      auto fused = CascadeAnalysis(*cube, steps, &ops);
+      ASSERT_TRUE(fused.ok());
+      EXPECT_TRUE(BitIdentical(ref, *fused)) << "mask=" << mask;
+      EXPECT_EQ(ops.adds, ref_ops.adds);
+    }
+  }
+}
+
+TEST(FusedSweep, InnermostChunksSpanSlabsWithARaggedTail) {
+  // Innermost-dimension groups run chunks of consecutive slabs; with
+  // 3000 two- or four-cell slabs (not a dyadic cube shape, which
+  // CascadeSum accepts) the last chunk is partial.
+  for (const uint32_t extent : {2u, 4u}) {
+    for (const bool real : {false, true}) {
+      auto cube = Tensor::Uninitialized({3, 1000, extent});
+      ASSERT_TRUE(cube.ok());
+      Rng rng(41);
+      for (uint64_t i = 0; i < cube->size(); ++i) {
+        (*cube)[i] = real ? std::ldexp(rng.UniformDouble(-1.0, 1.0),
+                                       static_cast<int>(rng.UniformU64(20)))
+                          : static_cast<double>(rng.UniformU64(19)) - 9.0;
+      }
+      const uint32_t levels = extent == 2 ? 1 : 2;
+      const std::vector<CascadeStep> steps(
+          levels, CascadeStep{2, StepKind::kPartial});
+      auto ref = UnfusedCascade(*cube, steps);
+      ASSERT_TRUE(ref.ok());
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
+        BudgetOverride b(budget);
+        auto fused = CascadeSum(*cube, 2, levels);
+        ASSERT_TRUE(fused.ok());
+        EXPECT_TRUE(BitIdentical(*ref, *fused))
+            << "real=" << real << " extent=" << extent
+            << " budget=" << budget;
       }
     }
-    OpCounter ref_ops;
-    Tensor ref;
-    {
-      ForceScalar scalar;
-      auto r = UnfusedCascade(*cube, steps, &ref_ops);
-      ASSERT_TRUE(r.ok());
-      ref = *r;
-    }
-    OpCounter ops;
-    auto fused = CascadeAnalysis(*cube, steps, &ops);
-    ASSERT_TRUE(fused.ok());
-    EXPECT_TRUE(BitIdentical(ref, *fused)) << "mask=" << mask;
-    EXPECT_EQ(ops.adds, ref_ops.adds);
   }
 }
 
@@ -410,6 +462,33 @@ TEST(SimdDispatch, Avx2TableBitIdenticalToScalar) {
     scalar.pair_synth(pa, pb, out_s.data(), n);
     avx2->pair_synth(pa, pb, out_v.data(), n);
     same("pair_synth");
+  }
+}
+
+TEST(SimdDispatch, AddAndSubRowsRunInPlaceOnEveryTable) {
+  // The shard combine DAG updates its first slot with dst == left; both
+  // tables must give the out-of-place result for that exact alias.
+  std::vector<const HaarVecOps*> tables{&internal::ScalarVecOps()};
+  if (internal::Avx2VecOpsOrNull() != nullptr) {
+    tables.push_back(internal::Avx2VecOpsOrNull());
+  }
+  Rng rng(19);
+  for (const HaarVecOps* table : tables) {
+    for (const uint64_t n : {1u, 3u, 4u, 5u, 8u, 17u, 1000u}) {
+      std::vector<double> a(n), b(n), expected(n);
+      for (double& v : a) v = rng.UniformDouble(-1.0, 1.0) * 1e6;
+      for (double& v : b) v = rng.UniformDouble(-1.0, 1.0);
+      for (const bool add : {true, false}) {
+        auto rows = add ? table->add_rows : table->sub_rows;
+        rows(a.data(), b.data(), expected.data(), n);
+        std::vector<double> in_place = a;
+        rows(in_place.data(), b.data(), in_place.data(), n);
+        EXPECT_EQ(std::memcmp(in_place.data(), expected.data(),
+                              n * sizeof(double)),
+                  0)
+            << table->name << (add ? " add_rows" : " sub_rows") << " n=" << n;
+      }
+    }
   }
 }
 

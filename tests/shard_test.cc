@@ -1,11 +1,12 @@
 // Dyadic shard decomposition (core/shard_plan.h): exhaustive bit-exactness
 // and op-count pinning against the step-at-a-time oracle across (shape,
-// step pattern, shards, threads, dispatch); ShardPlan structural
-// invariants (cost partition, merge legality, coverage); combine-stage
-// stress under concurrent executors (TSan); QueryContext cancellation
-// unwinding mid-shard; ShardScratch ownership semantics; the engine's
-// one cascade route at every num_shards, above and below
-// kParallelKernelCells.
+// step pattern, shards, threads, dispatch), on integer and real-valued
+// inputs (only the latter show a reassociated add tree); ShardPlan
+// structural invariants (cost partition, merge legality, coverage,
+// stages); combine-stage stress under concurrent executors (TSan);
+// QueryContext cancellation unwinding mid-shard; ShardScratch ownership
+// semantics; the engine's one cascade route at every num_shards, above
+// and below kParallelKernelCells.
 
 #include "core/shard_plan.h"
 
@@ -91,6 +92,26 @@ Tensor RandomTensor(const std::vector<uint32_t>& extents, uint64_t seed) {
   return std::move(cube).value();
 }
 
+// Real-valued cells: unlike integer cells, their sums round, so a
+// reassociated add tree changes result bits.
+Tensor RealTensor(const std::vector<uint32_t>& extents, uint64_t seed) {
+  auto shape = CubeShape::Make(extents);
+  EXPECT_TRUE(shape.ok());
+  Rng rng(seed);
+  auto cube = MixedMagnitudeCube(*shape, &rng);
+  EXPECT_TRUE(cube.ok());
+  return std::move(cube).value();
+}
+
+// The integer and the real-valued input of one sweep point.
+std::vector<std::pair<const char*, Tensor>> SweepInputs(
+    const std::vector<uint32_t>& extents, uint64_t seed) {
+  std::vector<std::pair<const char*, Tensor>> inputs;
+  inputs.emplace_back("integer", RandomTensor(extents, seed));
+  inputs.emplace_back("real", RealTensor(extents, seed));
+  return inputs;
+}
+
 uint64_t AnalyticCost(const Tensor& input,
                       const std::vector<CascadeStep>& steps) {
   uint64_t cost = 0;
@@ -133,6 +154,10 @@ std::vector<Pattern> SweepPatterns() {
       {"interleaved_residuals", {8, 4, 4}, {r0, p1, r2, p0, r1, p2}},
       // Offset-style descent: most-significant residual first per dim.
       {"descent_like", {16, 8}, {r0, p0, p0, p0, r1, p1, p1}},
+      // Leading dim-0 run below the shard count: two stages.
+      {"staged_descent", {8, 4, 8}, {p0, p0, p0, p1, p1, r2, p2}},
+      // Leading extent-1 dimension: dim 1 leads and carries the stages.
+      {"unit_lead_dim", {1, 16, 4}, {p1, p1, p1, r1, p2}},
   };
 }
 
@@ -140,38 +165,39 @@ std::vector<Pattern> SweepPatterns() {
 
 TEST(ShardSweep, BitIdenticalAndOpsPinnedAcrossShardsThreadsDispatch) {
   for (const Pattern& pat : SweepPatterns()) {
-    SCOPED_TRACE(pat.name);
-    const Tensor input = RandomTensor(pat.extents, 42);
-    OpCounter ref_ops;
-    Tensor ref;
-    {
-      ForceScalar scalar;
-      auto r = UnfusedCascade(input, pat.steps, &ref_ops);
-      ASSERT_TRUE(r.ok());
-      ref = *r;
-    }
-    ASSERT_EQ(ref_ops.adds, AnalyticCost(input, pat.steps));
+    for (const auto& [kind, input] : SweepInputs(pat.extents, 42)) {
+      SCOPED_TRACE(testing::Message() << pat.name << " " << kind);
+      OpCounter ref_ops;
+      Tensor ref;
+      {
+        ForceScalar scalar;
+        auto r = UnfusedCascade(input, pat.steps, &ref_ops);
+        ASSERT_TRUE(r.ok());
+        ref = *r;
+      }
+      ASSERT_EQ(ref_ops.adds, AnalyticCost(input, pat.steps));
 
-    for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
-      const ShardPlan plan = ShardPlan::Build(input.extents(), pat.steps,
-                                              shards);
-      ASSERT_LE(plan.parallelism(), shards);
-      ASSERT_EQ(plan.total_cost(), ref_ops.adds)
-          << "decomposition must partition the analytic cost";
-      for (const uint32_t threads : {1u, 2u, 4u}) {
-        for (const bool scalar : {false, true}) {
-          SCOPED_TRACE(testing::Message()
-                       << "shards=" << shards << " threads=" << threads
-                       << " scalar=" << scalar);
-          std::optional<ForceScalar> force;
-          if (scalar) force.emplace();
-          ThreadPool pool(threads);
-          ThreadedShardExecutor exec(&pool);
-          OpCounter ops;
-          auto out = exec.Execute(input, plan, &ops, nullptr);
-          ASSERT_TRUE(out.ok()) << out.status().ToString();
-          EXPECT_TRUE(BitIdentical(*out, ref));
-          EXPECT_EQ(ops.adds, ref_ops.adds);
+      for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
+        const ShardPlan plan =
+            ShardPlan::Build(input.extents(), pat.steps, shards);
+        ASSERT_LE(plan.parallelism(), shards);
+        ASSERT_EQ(plan.total_cost(), ref_ops.adds)
+            << "decomposition must partition the analytic cost";
+        for (const uint32_t threads : {1u, 2u, 4u}) {
+          for (const bool scalar : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "shards=" << shards << " threads=" << threads
+                         << " scalar=" << scalar);
+            std::optional<ForceScalar> force;
+            if (scalar) force.emplace();
+            ThreadPool pool(threads);
+            ThreadedShardExecutor exec(&pool);
+            OpCounter ops;
+            auto out = exec.Execute(input, plan, &ops, nullptr);
+            ASSERT_TRUE(out.ok()) << out.status().ToString();
+            EXPECT_TRUE(BitIdentical(*out, ref));
+            EXPECT_EQ(ops.adds, ref_ops.adds);
+          }
         }
       }
     }
@@ -184,23 +210,25 @@ TEST(ShardSweep, TinyFusedBudgetStillBitIdentical) {
   const Pattern pat{"budget", {8, 8}, {CascadeStep{0, StepKind::kPartial},
                                        CascadeStep{1, StepKind::kResidual},
                                        CascadeStep{1, StepKind::kPartial}}};
-  const Tensor input = RandomTensor(pat.extents, 7);
-  Tensor ref;
-  {
-    ForceScalar scalar;
-    auto r = UnfusedCascade(input, pat.steps);
-    ASSERT_TRUE(r.ok());
-    ref = *r;
-  }
-  BudgetOverride budget(1);
-  for (const uint32_t shards : {2u, 4u, 8u}) {
-    const ShardPlan plan =
-        ShardPlan::Build(input.extents(), pat.steps, shards);
-    ThreadPool pool(2);
-    ThreadedShardExecutor exec(&pool);
-    auto out = exec.Execute(input, plan, nullptr, nullptr);
-    ASSERT_TRUE(out.ok());
-    EXPECT_TRUE(BitIdentical(*out, ref)) << "shards=" << shards;
+  for (const auto& [kind, input] : SweepInputs(pat.extents, 7)) {
+    Tensor ref;
+    {
+      ForceScalar scalar;
+      auto r = UnfusedCascade(input, pat.steps);
+      ASSERT_TRUE(r.ok());
+      ref = *r;
+    }
+    BudgetOverride budget(1);
+    for (const uint32_t shards : {2u, 4u, 8u}) {
+      const ShardPlan plan =
+          ShardPlan::Build(input.extents(), pat.steps, shards);
+      ThreadPool pool(2);
+      ThreadedShardExecutor exec(&pool);
+      auto out = exec.Execute(input, plan, nullptr, nullptr);
+      ASSERT_TRUE(out.ok());
+      EXPECT_TRUE(BitIdentical(*out, ref))
+          << kind << " shards=" << shards;
+    }
   }
 }
 
@@ -211,10 +239,12 @@ TEST(ShardPlanTest, SingleShardIsIdentityDecomposition) {
   const std::vector<CascadeStep> steps{{0, StepKind::kPartial}};
   const ShardPlan plan = ShardPlan::Build(extents, steps, 1);
   EXPECT_EQ(plan.parallelism(), 1u);
-  EXPECT_EQ(plan.merge_levels(), 0u);
-  EXPECT_EQ(plan.local_in_extents(), extents);
-  EXPECT_EQ(plan.local_steps(), steps);
-  EXPECT_TRUE(plan.in_contiguous());
+  ASSERT_EQ(plan.stages().size(), 1u);
+  const ShardStage& stage = plan.stages()[0];
+  EXPECT_EQ(stage.merge_levels, 0u);
+  EXPECT_EQ(stage.local_in_extents, extents);
+  EXPECT_EQ(stage.local_steps, steps);
+  EXPECT_TRUE(stage.in_contiguous);
 }
 
 TEST(ShardPlanTest, ShardCountRoundsDownToPowerOfTwo) {
@@ -225,45 +255,74 @@ TEST(ShardPlanTest, ShardCountRoundsDownToPowerOfTwo) {
 }
 
 TEST(ShardPlanTest, ConcatSplitsExhaustOutputBeforeMerging) {
-  // Output extents {4, 4}: 8 shards need 8 concat splits <= 16 available,
-  // so no combine stage.
+  // Output extents {4, 4}: 8 shards need 8 concat splits <= 16 available.
+  // The leading dim-0 step leaves 4 < 8 rows, so that step runs as its
+  // own stage (a 4-way concat plus one merge level along dim 0, reading
+  // the source in place); the dim-1 step then runs on the half-sized
+  // intermediate in 8 >> 1 = 4 pure concat splits, no combine stage.
   const ShardPlan plan = ShardPlan::Build(
       {8, 8}, {{0, StepKind::kPartial}, {1, StepKind::kPartial}}, 8);
   EXPECT_EQ(plan.parallelism(), 8u);
-  EXPECT_EQ(plan.merge_levels(), 0u);
-  EXPECT_EQ(plan.local_steps().size(), 2u);
+  ASSERT_EQ(plan.stages().size(), 2u);
+  EXPECT_EQ(plan.stages()[0].merge_levels, 1u);
+  EXPECT_TRUE(plan.stages()[0].in_contiguous);
+  const ShardStage& last = plan.stages()[1];
+  EXPECT_EQ(last.tasks.size(), 4u);
+  EXPECT_EQ(last.merge_levels, 0u);
+  EXPECT_EQ(last.local_steps.size(), 1u);
 }
 
 TEST(ShardPlanTest, MergeOnlyAlongLastSteppedDimension) {
-  // Full aggregation of {8, 8} ending in dim-1 steps: merge splits must
-  // defer dim-1 steps only, and the local list is a prefix of the global.
+  // Full aggregation of {8, 8} ending in dim-1 steps: the dim-0 run is a
+  // stage of its own, and the dim-1 stage (32 >> 3 = 4 tasks) defers
+  // dim-1 steps only; each stage's local list is a prefix of its steps,
+  // and the stages' steps concatenate back to the global list.
   const std::vector<CascadeStep> steps{
       {0, StepKind::kPartial}, {0, StepKind::kPartial},
       {0, StepKind::kPartial}, {1, StepKind::kPartial},
       {1, StepKind::kPartial}, {1, StepKind::kResidual}};
-  const ShardPlan plan = ShardPlan::Build({8, 8}, steps, 4);
-  EXPECT_EQ(plan.parallelism(), 4u);
-  EXPECT_EQ(plan.merge_levels(), 2u);
-  ASSERT_EQ(plan.merge_kinds().size(), 2u);
-  EXPECT_EQ(plan.merge_kinds()[0], StepKind::kPartial);
-  EXPECT_EQ(plan.merge_kinds()[1], StepKind::kResidual);
-  ASSERT_EQ(plan.local_steps().size(), steps.size() - 2);
-  for (size_t s = 0; s < plan.local_steps().size(); ++s) {
-    EXPECT_EQ(plan.local_steps()[s], steps[s]);
+  const ShardPlan plan = ShardPlan::Build({8, 8}, steps, 32);
+  EXPECT_EQ(plan.parallelism(), 32u);
+  const ShardStage& last = plan.stages().back();
+  EXPECT_EQ(last.tasks.size(), 4u);
+  EXPECT_EQ(last.merge_dim, 1u);
+  EXPECT_EQ(last.merge_levels, 2u);
+  ASSERT_EQ(last.merge_kinds.size(), 2u);
+  EXPECT_EQ(last.merge_kinds[0], StepKind::kPartial);
+  EXPECT_EQ(last.merge_kinds[1], StepKind::kResidual);
+  size_t s = 0;
+  for (const ShardStage& stage : plan.stages()) {
+    for (const CascadeStep& step : stage.local_steps) {
+      ASSERT_LT(s, steps.size());
+      EXPECT_EQ(step, steps[s++]);
+    }
+    for (const StepKind kind : stage.merge_kinds) {
+      ASSERT_LT(s, steps.size());
+      EXPECT_EQ(steps[s].dim, stage.merge_dim);
+      EXPECT_EQ(steps[s++].kind, kind);
+    }
   }
+  EXPECT_EQ(s, steps.size());
 }
 
 TEST(ShardPlanTest, MergeDepthCappedByTrailingRun) {
   // The last step's dimension has a trailing run of exactly one step, so
-  // at most one merge level is legal no matter how many shards are asked
-  // for (deferring any dim-0 step would reorder the global suffix).
+  // at most one merge level along it is legal no matter how many shards
+  // are asked for (deferring any dim-0 step there would reorder the
+  // suffix). The dim-0 steps merge only inside their own first stage;
+  // the dim-1 stage gets 64 >> 3 = 8 of the shards.
   const std::vector<CascadeStep> steps{{0, StepKind::kPartial},
                                        {0, StepKind::kPartial},
                                        {0, StepKind::kPartial},
                                        {1, StepKind::kPartial}};
-  const ShardPlan plan = ShardPlan::Build({8, 2}, steps, 8);
-  EXPECT_LE(plan.merge_levels(), 1u);
-  EXPECT_EQ(plan.parallelism(), 2u);
+  const ShardPlan plan = ShardPlan::Build({8, 2}, steps, 64);
+  ASSERT_EQ(plan.stages().size(), 2u);
+  EXPECT_EQ(plan.stages()[0].local_steps.size() +
+                plan.stages()[0].merge_levels,
+            3u);
+  const ShardStage& last = plan.stages().back();
+  EXPECT_LE(last.merge_levels, 1u);
+  EXPECT_EQ(last.tasks.size(), 2u);
 }
 
 TEST(ShardPlanTest, TasksTileTheSourceDisjointly) {
@@ -272,32 +331,35 @@ TEST(ShardPlanTest, TasksTileTheSourceDisjointly) {
                                        {1, StepKind::kPartial}};
   const ShardPlan plan = ShardPlan::Build({8, 8, 4}, steps, 8);
   ASSERT_GT(plan.parallelism(), 1u);
-  // Every source cell is covered by exactly one task subrectangle.
-  std::set<uint64_t> covered;
-  const std::vector<uint32_t>& local = plan.local_in_extents();
-  for (const ShardTask& task : plan.tasks()) {
-    std::vector<uint32_t> idx(local.size(), 0);
-    for (;;) {
-      uint64_t flat = 0;
-      for (size_t m = 0; m < local.size(); ++m) {
-        flat = flat * plan.in_extents()[m] + task.in_begin[m] + idx[m];
-      }
-      EXPECT_TRUE(covered.insert(flat).second) << "overlap at " << flat;
-      size_t m = local.size();
-      bool done = true;
-      while (m-- > 0) {
-        if (++idx[m] < local[m]) {
-          done = false;
-          break;
+  // In every stage, every input cell is covered by exactly one task
+  // subrectangle.
+  for (const ShardStage& stage : plan.stages()) {
+    std::set<uint64_t> covered;
+    const std::vector<uint32_t>& local = stage.local_in_extents;
+    for (const ShardTask& task : stage.tasks) {
+      std::vector<uint32_t> idx(local.size(), 0);
+      for (;;) {
+        uint64_t flat = 0;
+        for (size_t m = 0; m < local.size(); ++m) {
+          flat = flat * stage.in_extents[m] + task.in_begin[m] + idx[m];
         }
-        idx[m] = 0;
+        EXPECT_TRUE(covered.insert(flat).second) << "overlap at " << flat;
+        size_t m = local.size();
+        bool done = true;
+        while (m-- > 0) {
+          if (++idx[m] < local[m]) {
+            done = false;
+            break;
+          }
+          idx[m] = 0;
+        }
+        if (done) break;
       }
-      if (done) break;
     }
+    uint64_t volume = 1;
+    for (const uint32_t e : stage.in_extents) volume *= e;
+    EXPECT_EQ(covered.size(), volume);
   }
-  uint64_t volume = 1;
-  for (const uint32_t e : plan.in_extents()) volume *= e;
-  EXPECT_EQ(covered.size(), volume);
 }
 
 TEST(ShardPlanTest, NonDyadicShapeDegradesToSingleTask) {
@@ -317,6 +379,104 @@ TEST(ShardPlanTest, CostPartitionHoldsAcrossShardCounts) {
     const ShardPlan plan = ShardPlan::Build(input.extents(), steps, shards);
     EXPECT_EQ(plan.total_cost(), analytic) << "shards=" << shards;
   }
+}
+
+// Steps of an aggregate descent from the cold_assembly basis element
+// (0, 2@0, 0, 0) of a 32^4 cube (extents 32x8x32x32) to the view that
+// aggregates the dimensions of `mask`: per dimension, most significant
+// first, every remaining level a P1 step.
+std::vector<CascadeStep> ColdDescent(uint32_t mask) {
+  const uint32_t levels[4] = {5, 3, 5, 5};
+  std::vector<CascadeStep> steps;
+  for (uint32_t m = 0; m < 4; ++m) {
+    if ((mask >> m & 1u) == 0) continue;
+    for (uint32_t l = 0; l < levels[m]; ++l) {
+      steps.push_back({m, StepKind::kPartial});
+    }
+  }
+  return steps;
+}
+
+TEST(ShardPlanTest, ColdAssemblyDimensionZeroDescentsArePinned) {
+  // The four cold_assembly views that aggregate dimension 0 without
+  // synthesis, at the 4-shard budget: the dim-0 run is a first stage on
+  // contiguous merge lanes over the 2 MiB source, and the rest runs as
+  // one in-place task over the 1/32-sized intermediate. Nothing gathers.
+  const std::vector<uint32_t> source{32, 8, 32, 32};
+  const std::pair<uint32_t, const char*> pinned[] = {
+      {3,
+       "stage 1/2: 32x8x32x32->1x8x32x32 tasks=4 concat=1x1x1x1 merge=2@dim0 "
+       "local=8x8x32x32/3 steps in-place | "
+       "stage 2/2: 1x8x32x32->1x1x32x32 tasks=1 concat=1x1x1x1 merge=none "
+       "local=1x8x32x32/3 steps in-place"},
+      {7,
+       "stage 1/2: 32x8x32x32->1x8x32x32 tasks=4 concat=1x1x1x1 merge=2@dim0 "
+       "local=8x8x32x32/3 steps in-place | "
+       "stage 2/2: 1x8x32x32->1x1x1x32 tasks=1 concat=1x1x1x1 merge=none "
+       "local=1x8x32x32/8 steps in-place"},
+      {11,
+       "stage 1/2: 32x8x32x32->1x8x32x32 tasks=4 concat=1x1x1x1 merge=2@dim0 "
+       "local=8x8x32x32/3 steps in-place | "
+       "stage 2/2: 1x8x32x32->1x1x32x1 tasks=1 concat=1x1x1x1 merge=none "
+       "local=1x8x32x32/8 steps in-place"},
+      {15,
+       "stage 1/2: 32x8x32x32->1x8x32x32 tasks=4 concat=1x1x1x1 merge=2@dim0 "
+       "local=8x8x32x32/3 steps in-place | "
+       "stage 2/2: 1x8x32x32->1x1x1x1 tasks=1 concat=1x1x1x1 merge=none "
+       "local=1x8x32x32/13 steps in-place"},
+  };
+  for (const auto& [mask, expected] : pinned) {
+    const std::vector<CascadeStep> steps = ColdDescent(mask);
+    const ShardPlan plan = ShardPlan::Build(source, steps, 4);
+    EXPECT_EQ(plan.ToString(), expected) << "mask=" << mask;
+    uint64_t analytic = 0;
+    uint64_t volume = uint64_t{32} * 8 * 32 * 32;
+    for (size_t s = 0; s < steps.size(); ++s) analytic += volume >>= 1;
+    EXPECT_EQ(plan.total_cost(), analytic) << "mask=" << mask;
+  }
+}
+
+TEST(ShardPlanTest, LeadDimensionMergePrecedesInnerConcat) {
+  // A cascade that ends in a dim-0 run merges along dim 0 before it
+  // splits an inner dimension, so every task reads the source in place.
+  const std::vector<CascadeStep> steps(5, {0, StepKind::kPartial});
+  const ShardPlan plan = ShardPlan::Build({32, 16, 32, 32}, steps, 4);
+  ASSERT_EQ(plan.stages().size(), 1u);
+  const ShardStage& stage = plan.stages()[0];
+  EXPECT_EQ(stage.tasks.size(), 4u);
+  EXPECT_EQ(stage.merge_dim, 0u);
+  EXPECT_EQ(stage.merge_levels, 2u);
+  EXPECT_EQ(stage.split, (std::vector<uint32_t>{1, 1, 1, 1}));
+  EXPECT_TRUE(stage.in_contiguous);
+  EXPECT_TRUE(stage.out_contiguous);
+}
+
+TEST(ShardPlanTest, LeadingUnitDimensionsAreSkipped) {
+  // Dimension 0 has extent 1, so dimension 1 leads: its leading run is
+  // staged and both stages read in place.
+  const std::vector<CascadeStep> steps{{1, StepKind::kPartial},
+                                       {1, StepKind::kPartial},
+                                       {1, StepKind::kPartial},
+                                       {2, StepKind::kPartial}};
+  const ShardPlan plan = ShardPlan::Build({1, 8, 4, 8}, steps, 4);
+  ASSERT_EQ(plan.stages().size(), 2u);
+  EXPECT_EQ(plan.stages()[0].merge_dim, 1u);
+  EXPECT_EQ(plan.stages()[0].merge_levels, 2u);
+  for (const ShardStage& stage : plan.stages()) {
+    EXPECT_TRUE(stage.in_contiguous);
+  }
+}
+
+TEST(ShardPlanTest, NoStageWhenTheLeadingRunLeavesEnoughRows) {
+  // 32 >> 2 = 8 rows >= 4 shards: one stage of dim-0 concat splits.
+  const std::vector<CascadeStep> steps{{0, StepKind::kPartial},
+                                       {0, StepKind::kPartial},
+                                       {1, StepKind::kPartial}};
+  const ShardPlan plan = ShardPlan::Build({32, 8}, steps, 4);
+  ASSERT_EQ(plan.stages().size(), 1u);
+  EXPECT_EQ(plan.stages()[0].split, (std::vector<uint32_t>{4, 1}));
+  EXPECT_TRUE(plan.stages()[0].in_contiguous);
+  EXPECT_EQ(plan.stages()[0].merge_levels, 0u);
 }
 
 // --- ShardScratch -------------------------------------------------------
@@ -352,7 +512,7 @@ TEST(ShardStressTest, ConcurrentExecutorsShareLanesSafely) {
   for (int s = 0; s < 4; ++s) steps.push_back({0, StepKind::kPartial});
   for (int s = 0; s < 4; ++s) steps.push_back({1, StepKind::kPartial});
   const ShardPlan plan = ShardPlan::Build(input.extents(), steps, 8);
-  ASSERT_GT(plan.merge_levels(), 0u);
+  ASSERT_GT(plan.stages().front().merge_levels, 0u);
 
   Tensor ref;
   {
@@ -468,11 +628,20 @@ class ShardedEngineTest : public ::testing::Test {
         CubeOnlySet(shape_));
     ASSERT_TRUE(store.ok());
     store_.emplace(std::move(*store));
+    auto real_cube = MixedMagnitudeCube(shape_, &rng);
+    ASSERT_TRUE(real_cube.ok());
+    real_cube_ = std::move(*real_cube);
+    auto real_store = ElementComputer(shape_, &real_cube_).Materialize(
+        CubeOnlySet(shape_));
+    ASSERT_TRUE(real_store.ok());
+    real_store_.emplace(std::move(*real_store));
   }
 
   CubeShape shape_;
   Tensor cube_;
   std::optional<ElementStore> store_;
+  Tensor real_cube_;
+  std::optional<ElementStore> real_store_;
 };
 
 TEST_F(ShardedEngineTest, AssembleBitExactAndOpsInvariantAcrossShards) {
@@ -527,28 +696,98 @@ TEST_F(ShardedEngineTest, BatchOpsInvariantAcrossShardsAndThreads) {
     ASSERT_TRUE(view.ok());
     targets.push_back(*view);
   }
-  AssemblyEngine reference(&*store_);
-  OpCounter ref_ops;
-  auto ref = reference.AssembleBatch(targets, &ref_ops);
-  ASSERT_TRUE(ref.ok());
+  for (const ElementStore* store : {&*store_, &*real_store_}) {
+    AssemblyEngine reference(store);
+    OpCounter ref_ops;
+    auto ref = reference.AssembleBatch(targets, &ref_ops);
+    ASSERT_TRUE(ref.ok());
 
-  for (const uint32_t shards : {1u, 4u}) {
-    for (const uint32_t threads : {2u, 4u}) {
-      ThreadPool pool(threads);
-      AssemblyEngine engine(&*store_, &pool, shards);
-      OpCounter ops;
-      auto out = engine.AssembleBatch(targets, &ops);
-      ASSERT_TRUE(out.ok());
-      ASSERT_EQ(out->size(), ref->size());
-      for (size_t i = 0; i < ref->size(); ++i) {
-        EXPECT_TRUE(BitIdentical((*out)[i], (*ref)[i]))
-            << "shards=" << shards << " threads=" << threads << " i=" << i;
+    for (const uint32_t shards : {1u, 4u}) {
+      for (const uint32_t threads : {2u, 4u}) {
+        ThreadPool pool(threads);
+        AssemblyEngine engine(store, &pool, shards);
+        OpCounter ops;
+        auto out = engine.AssembleBatch(targets, &ops);
+        ASSERT_TRUE(out.ok());
+        ASSERT_EQ(out->size(), ref->size());
+        for (size_t i = 0; i < ref->size(); ++i) {
+          EXPECT_TRUE(BitIdentical((*out)[i], (*ref)[i]))
+              << "real=" << (store == &*real_store_) << " shards=" << shards
+              << " threads=" << threads << " i=" << i;
+        }
+        // The cost-sorted, shard-decomposed batch must book exactly the
+        // serial batch's shared-work total.
+        EXPECT_EQ(ops.adds, ref_ops.adds)
+            << "shards=" << shards << " threads=" << threads;
       }
-      // The cost-sorted, shard-decomposed batch must book exactly the
-      // serial batch's shared-work total.
-      EXPECT_EQ(ops.adds, ref_ops.adds)
-          << "shards=" << shards << " threads=" << threads;
     }
+  }
+}
+
+TEST_F(ShardedEngineTest, ColdAssemblyBasisEveryViewMatchesSerialEngine) {
+  // cold_assembly's selected basis {(0, 1@1, 0, 0), (0, 2@0, 0, 0),
+  // (0, 2@1, 0, 0)} on a 16^4 cube: all 16 views mix staged descents,
+  // lead-dimension merges, innermost cascades and synthesis. The
+  // reference is the pool-less engine (one in-place task per descent),
+  // not ElementComputer: on real-valued data a store path legitimately
+  // associates differently from computing off the cube.
+  auto shape = CubeShape::Make({16, 16, 16, 16});
+  ASSERT_TRUE(shape.ok());
+  std::vector<ElementId> basis;
+  for (const auto& codes :
+       std::vector<std::vector<DimCode>>{
+           {{0, 0}, {1, 1}, {0, 0}, {0, 0}},
+           {{0, 0}, {2, 0}, {0, 0}, {0, 0}},
+           {{0, 0}, {2, 1}, {0, 0}, {0, 0}}}) {
+    auto id = ElementId::Make(codes, *shape);
+    ASSERT_TRUE(id.ok());
+    basis.push_back(*id);
+  }
+  for (const bool real : {false, true}) {
+    Rng rng(31);
+    auto cube = real ? MixedMagnitudeCube(*shape, &rng)
+                     : UniformIntegerCube(*shape, &rng, -9, 9);
+    ASSERT_TRUE(cube.ok());
+    auto store = ElementComputer(*shape, &*cube).Materialize(basis);
+    ASSERT_TRUE(store.ok());
+    AssemblyEngine reference(&*store);
+    std::vector<Tensor> expected;
+    for (uint32_t mask = 0; mask < 16; ++mask) {
+      auto view = reference.AssembleView(mask);
+      ASSERT_TRUE(view.ok()) << "mask=" << mask;
+      expected.push_back(std::move(*view));
+    }
+    auto check = [&](uint32_t shards, uint32_t threads, bool scalar,
+                     uint64_t budget) {
+      BudgetOverride fused_budget(budget);
+      std::optional<ForceScalar> force;
+      if (scalar) force.emplace();
+      ThreadPool pool(threads);
+      AssemblyEngine engine(&*store, &pool, shards);
+      for (uint32_t mask = 0; mask < 16; ++mask) {
+        auto view = ElementId::AggregatedView(mask, *shape);
+        ASSERT_TRUE(view.ok());
+        OpCounter ops;
+        auto out = engine.Assemble(*view, &ops);
+        ASSERT_TRUE(out.ok());
+        EXPECT_TRUE(BitIdentical(*out, expected[mask]))
+            << "real=" << real << " budget=" << budget << " shards=" << shards
+            << " threads=" << threads << " scalar=" << scalar
+            << " mask=" << mask;
+        EXPECT_EQ(ops.adds, engine.PlanCost(*view)) << "mask=" << mask;
+      }
+    };
+    for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
+      for (const uint32_t threads : {1u, 4u}) {
+        for (const bool scalar : {false, true}) {
+          check(shards, threads, scalar, 0);
+        }
+      }
+    }
+    // A 1-cell fused budget splits every group and tile; it is slow, so
+    // one staged and one unstaged point cover it.
+    check(4, 1, false, 1);
+    check(1, 1, false, 1);
   }
 }
 

@@ -26,15 +26,15 @@ void CountGather(uint64_t cells) {
 
 }  // namespace
 
-Status ThreadedShardExecutor::RunTask(const Tensor& source,
-                                      const ShardPlan& plan,
-                                      const ShardTask& task, double* out_raw,
+Status ThreadedShardExecutor::RunTask(const double* in,
+                                      const ShardStage& stage,
+                                      const ShardTask& task, double* out,
                                       double* lane_buf, ShardScratch* scratch,
                                       const QueryContext* ctx) const {
-  CountGather(plan.local_volume());  // reaches the lock
-  (void)source;
+  CountGather(stage.local_volume);  // reaches the lock
+  (void)in;
   (void)task;
-  (void)out_raw;
+  (void)out;
   (void)lane_buf;
   (void)scratch;
   (void)ctx;

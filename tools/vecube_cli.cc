@@ -20,8 +20,10 @@
 //   vecube_cli assemble --store STORE --mask MASK [--shards S]
 //                       [--threads T]
 //       Assemble the aggregated view through the dyadic shard-parallel
-//       path (DESIGN.md §14) and print timing, the operation count, and
-//       the resolved shard budget — without dumping cells. --shards 0
+//       path (DESIGN.md §14) and print timing, the operation count, the
+//       resolved shard budget, and the shard plan of each aggregate
+//       descent (stages, splits, in-place or gathered reads) — without
+//       dumping cells. --shards 0
 //       (default) follows the pool size; results and op counts are
 //       identical at every (shards, threads) combination.
 //
@@ -311,6 +313,11 @@ int CmdAssemble(const std::map<std::string, std::string>& flags) {
               engine.num_shards(), threads,
               static_cast<unsigned long long>(plan_cost),
               static_cast<unsigned long long>(ops.adds), ms);
+  // The split each aggregate descent took (DESIGN.md §14).
+  const std::vector<vecube::ShardPlan> plans = engine.CascadePlans(*target);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    std::printf("cascade %zu: %s\n", i, plans[i].ToString().c_str());
+  }
   return 0;
 }
 
