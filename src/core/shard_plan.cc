@@ -17,6 +17,10 @@ using internal::ExecuteCascadeSerial;
 
 namespace {
 
+// Least output cells per lane when a stage's combine DAG is split across
+// the pool: a smaller share costs more to fan out than its adds take.
+constexpr uint64_t kCombineSplitCells = 2048;
+
 std::vector<uint64_t> RowMajorStrides(const std::vector<uint32_t>& extents) {
   std::vector<uint64_t> strides(extents.size(), 1);
   for (size_t m = extents.size(); m-- > 1;) {
@@ -351,7 +355,12 @@ ThreadedShardExecutor::ThreadedShardExecutor(ThreadPool* pool) : pool_(pool) {
 }
 
 ShardScratch* ThreadedShardExecutor::ClaimLane(uint32_t* slot) {
-  for (uint32_t i = 0; i < lanes_.size(); ++i) {
+  // Start at the lane this thread held last: a lane's slabs sit in the
+  // cache of the core that last wrote them, and a thread that takes over
+  // another core's lane fetches every intermediate from there.
+  static thread_local uint32_t last = 0;
+  for (uint32_t k = 0; k < lanes_.size(); ++k) {
+    const uint32_t i = static_cast<uint32_t>((last + k) % lanes_.size());
     bool expected = false;
     // order: acquire — pairs with the release in ReleaseLane so the
     // lane's slab bookkeeping written by the previous owner is visible.
@@ -359,6 +368,7 @@ ShardScratch* ThreadedShardExecutor::ClaimLane(uint32_t* slot) {
                                                 std::memory_order_acquire,
                                                 std::memory_order_relaxed)) {
       *slot = i;
+      last = i;
       return &lanes_[i]->scratch;
     }
   }
@@ -479,31 +489,46 @@ Status ThreadedShardExecutor::RunStage(const double* in,
   // updated with dst == left, which the row kernels allow). Lane order
   // is the coordinate order along the merge dimension, so left = lower
   // coordinate, exactly the deferred steps' operand order. The last
-  // level writes a contiguous group block straight into `out`.
+  // level writes a contiguous group block straight into `out`. A cell
+  // depends only on the same cell of its group's slots, so the lanes
+  // split the cell range [begin, end) and every cell keeps its operands.
   const HaarVecOps& vec = VecOps();
   const uint64_t cells = stage.local_out_volume;
   const uint64_t groups = tasks.size() >> stage.merge_levels;
-  for (uint64_t g = 0; g < groups; ++g) {
-    const ShardTask& head = tasks[g << stage.merge_levels];
-    double* base = lane_buf + (g << stage.merge_levels) * cells;
-    uint32_t lanes = uint32_t{1} << stage.merge_levels;
-    for (uint32_t l = 0; l < stage.merge_levels; ++l) {
-      const bool add = stage.merge_kinds[l] == StepKind::kPartial;
-      const uint32_t half = lanes / 2;
-      for (uint32_t p = 0; p < half; ++p) {
-        const double* left = base + uint64_t{2} * p * cells;
-        double* dst = base + uint64_t{p} * cells;
-        if (half == 1 && stage.out_contiguous) dst = out + head.out_offset;
-        if (add) {
-          vec.add_rows(left, left + cells, dst, cells);
-        } else {
-          vec.sub_rows(left, left + cells, dst, cells);
+  auto combine = [&](uint64_t begin, uint64_t end) {
+    for (uint64_t g = 0; g < groups; ++g) {
+      double* base = lane_buf + (g << stage.merge_levels) * cells + begin;
+      double* last = stage.out_contiguous
+                         ? out + tasks[g << stage.merge_levels].out_offset +
+                               begin
+                         : base;
+      uint32_t lanes = uint32_t{1} << stage.merge_levels;
+      for (uint32_t l = 0; l < stage.merge_levels; ++l) {
+        const bool add = stage.merge_kinds[l] == StepKind::kPartial;
+        const uint32_t half = lanes / 2;
+        for (uint32_t p = 0; p < half; ++p) {
+          const double* left = base + uint64_t{2} * p * cells;
+          double* dst = half == 1 ? last : base + uint64_t{p} * cells;
+          if (add) {
+            vec.add_rows(left, left + cells, dst, end - begin);
+          } else {
+            vec.sub_rows(left, left + cells, dst, end - begin);
+          }
         }
+        lanes = half;
       }
-      lanes = half;
     }
-    if (!stage.out_contiguous) {
-      ScatterSubrect(base, stage.out_extents, head.out_begin,
+  };
+  if (pool_ != nullptr && pool_->num_threads() > 1 &&
+      groups * cells >= kCombineSplitCells) {
+    pool_->ParallelFor(cells, kCombineSplitCells / groups, combine);
+  } else {
+    combine(0, cells);
+  }
+  if (!stage.out_contiguous) {
+    for (uint64_t g = 0; g < groups; ++g) {
+      ScatterSubrect(lane_buf + (g << stage.merge_levels) * cells,
+                     stage.out_extents, tasks[g << stage.merge_levels].out_begin,
                      stage.local_out_extents, out);
     }
   }

@@ -49,8 +49,7 @@ std::vector<uint32_t> HalvedExtents(const Tensor& input, uint32_t dim) {
 // the least row count per chunk carrying kParallelKernelCells cells
 // (internal::KernelRowGrain).
 void RunRows(ThreadPool* pool, uint64_t rows, uint64_t inner,
-             uint64_t total_cells,
-             const std::function<void(uint64_t, uint64_t)>& body) {
+             uint64_t total_cells, ThreadPool::ChunkFn body) {
   if (pool == nullptr || pool->num_threads() <= 1 ||
       total_cells < kParallelKernelCells) {
     body(0, rows);

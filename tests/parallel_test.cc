@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "api/session.h"
@@ -23,18 +25,69 @@
 namespace vecube {
 namespace {
 
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  constexpr uint64_t kN = 10000;
-  std::vector<uint8_t> hit(kN, 0);
+// Longer than the pool's spin window, so every idle worker has parked.
+constexpr std::chrono::milliseconds kPastSpinWindow{5};
+
+// Runs one ParallelFor over [0, n) and checks that every index was
+// visited exactly once.
+void ExpectCoversOnce(ThreadPool& pool, uint64_t n, uint64_t grain) {
+  std::vector<uint8_t> hit(n, 0);
   std::atomic<uint64_t> total{0};
-  pool.ParallelFor(kN, 1, [&](uint64_t begin, uint64_t end) {
+  pool.ParallelFor(n, grain, [&](uint64_t begin, uint64_t end) {
     for (uint64_t i = begin; i < end; ++i) ++hit[i];  // chunks are disjoint
     total.fetch_add(end - begin);
   });
-  EXPECT_EQ(total.load(), kN);
-  for (uint64_t i = 0; i < kN; ++i) ASSERT_EQ(hit[i], 1) << i;
+  EXPECT_EQ(total.load(), n);
+  for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(hit[i], 1) << i;
+}
+
+TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 4u);
+  ExpectCoversOnce(pool, 10000, 1);
+}
+
+TEST(ThreadPoolTest, HotPoolCoversRangeExactlyOnce) {
+  // Back-to-back fan-outs find the workers still spinning.
+  ThreadPool pool(4);
+  for (uint64_t n = 1; n < 600; n += 7) ExpectCoversOnce(pool, n, 1 + n % 5);
+}
+
+TEST(ThreadPoolTest, ParkedPoolCoversRangeExactlyOnce) {
+  // Each fan-out has to wake workers that parked during the sleep.
+  ThreadPool pool(4);
+  for (int round = 0; round < 8; ++round) {
+    std::this_thread::sleep_for(kPastSpinWindow);
+    ExpectCoversOnce(pool, 1000 + round, 1);
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentExternalCallersCoverRangeExactlyOnce) {
+  ThreadPool pool(4);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&pool, c] {
+      for (int round = 0; round < 50; ++round) {
+        ExpectCoversOnce(pool, 257 + 31 * c + round, 1 + round % 3);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+}
+
+TEST(ThreadPoolTest, DestroyRightAfterFanOut) {
+  for (int round = 0; round < 20; ++round) {
+    ThreadPool pool(4);
+    ExpectCoversOnce(pool, 64, 1);
+  }  // workers are still spinning when the pool is destroyed
+}
+
+TEST(ThreadPoolTest, DestroyAfterWorkersPark) {
+  for (int round = 0; round < 3; ++round) {
+    ThreadPool pool(4);
+    ExpectCoversOnce(pool, 64, 1);
+    std::this_thread::sleep_for(kPastSpinWindow);
+  }
 }
 
 TEST(ThreadPoolTest, EmptyAndTinyRanges) {
@@ -62,6 +115,28 @@ TEST(ThreadPoolTest, NestedParallelForCompletes) {
     }
   });
   EXPECT_EQ(total.load(), 800u);
+}
+
+TEST(ThreadPoolTest, NestedParallelForWhileEveryWorkerIsBusy) {
+  // All four lanes hold an outer chunk (the barrier admits none until
+  // every lane has arrived), then each starts a nested loop: a nested
+  // loop must complete on its caller alone or with lanes that are done.
+  ThreadPool pool(4);
+  std::atomic<uint32_t> arrived{0};
+  std::vector<std::vector<uint8_t>> hits(4, std::vector<uint8_t>(500, 0));
+  pool.ParallelFor(4, 1, [&](uint64_t begin, uint64_t end) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 4) std::this_thread::yield();
+    for (uint64_t t = begin; t < end; ++t) {
+      std::vector<uint8_t>& hit = hits[t];
+      pool.ParallelFor(hit.size(), 1, [&hit](uint64_t b, uint64_t e) {
+        for (uint64_t i = b; i < e; ++i) ++hit[i];
+      });
+    }
+  });
+  for (const std::vector<uint8_t>& hit : hits) {
+    for (uint8_t h : hit) ASSERT_EQ(h, 1);
+  }
 }
 
 class ParallelKernelFixture : public ::testing::Test {

@@ -50,11 +50,14 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          fsync, no sleeps — and no second lock (the
                          shard tier is the innermost lock level; see
                          DESIGN.md §12).
-  no-unbounded-wait      No bare ``CondVar::Wait`` may be *reachable*
-                         from the serving path (WaitFill, AssembleBatch,
-                         Admit, the session/dynamic/range query entry
-                         points, ParallelFor): every wait a query can
-                         block on must be a bounded ``WaitFor`` slice so
+  no-unbounded-wait      No untimed wait may be *reachable* from the
+                         serving path (WaitFill, AssembleBatch, Admit,
+                         the session/dynamic/range query entry points,
+                         ParallelFor): no bare ``CondVar::Wait``, no
+                         ``std::atomic<T>::wait`` or ``atomic_wait``, and
+                         no raw futex wait with a null timeout. Every
+                         wait a query can block on must be a bounded
+                         slice (``WaitFor``, a timed futex wait) so
                          deadlines and cancellation are always honored
                          (DESIGN.md §13). Call-graph reachability, like
                          hit-path-no-locks.
@@ -183,9 +186,10 @@ SHARD_SCRATCH_BAN_RE = re.compile(
 )
 
 # --- no-unbounded-wait -------------------------------------------------
-# Everywhere a query can block. A bare `.Wait(` reachable from any of
-# these can outlive the query's deadline; only timed `WaitFor` slices
-# (re-checking the QueryContext each wake) are allowed (DESIGN.md §13).
+# Everywhere a query can block. An untimed wait reachable from any of
+# these can outlive the query's deadline; only timed slices (re-checking
+# their condition, and the QueryContext, each wake) are allowed
+# (DESIGN.md §13).
 SERVING_WAIT_ROOTS = (
     "ViewCache::WaitFill",
     "AssemblyEngine::AssembleBatch",
@@ -199,8 +203,15 @@ SERVING_WAIT_ROOTS = (
     "ElementServer::Serve",
     "ThreadPool::ParallelFor",
 )
-# `.Wait(` / `->Wait(` exactly — WaitFor( and WaitFill( do not match.
-UNBOUNDED_WAIT_RE = re.compile(r"(?:\.|->)\s*Wait\s*\(")
+# Waits that take no timeout: CondVar::Wait and std::atomic<T>::wait
+# (`.Wait(` / `.wait(` exactly — WaitFor( and WaitFill( do not match),
+# the free atomic_wait functions, and a raw futex wait whose timeout
+# argument (the one after the expected value) is null.
+UNBOUNDED_WAIT_RE = re.compile(
+    r"(?:\.|->)\s*[Ww]ait\s*\("
+    r"|\batomic_(?:flag_)?wait(?:_explicit)?\s*\("
+    r"|\bFUTEX_WAIT\w*\s*,[^,]*,\s*(?:nullptr|NULL|0)\s*[,)]"
+)
 
 # --- epoch-pin-raii ----------------------------------------------------
 EPOCH_PIN_FILES = {
@@ -684,10 +695,10 @@ def check_unbounded_wait(index: FunctionIndex, sources: dict,
                     not src.suppressed(lineno, "no-unbounded-wait"):
                 findings.append(Finding(
                     fn.rel, lineno, "no-unbounded-wait",
-                    f"bare CondVar::Wait inside {fn.qualname}, which is "
+                    f"untimed wait inside {fn.qualname}, which is "
                     "reachable from the serving path; use a bounded "
-                    "WaitFor slice that re-checks the QueryContext "
-                    "(DESIGN.md §13)"))
+                    "slice (WaitFor, a timed futex wait) that re-checks "
+                    "its condition (DESIGN.md §13)"))
 
 
 def check_epoch_pin(src: SourceFile, findings: list):
