@@ -2,39 +2,39 @@
 // with online adaptation.
 //
 // Query traffic starts concentrated on "sales by product" dashboards,
-// then shifts to "sales by week" reporting. The DynamicAssembler observes
-// access frequencies, detects the drift, re-runs Algorithm 1 against the
-// live distribution, and migrates the materialized element set by
-// assembling the new elements from the old ones. The per-phase average
-// operation counts show the system re-tuning itself.
+// then shifts to "sales by week" reporting. An OlapSession with online
+// adaptation on observes access frequencies, detects the drift, re-runs
+// Algorithm 1 against the live distribution, and migrates the
+// materialized element set by assembling the new elements from the old
+// ones. The per-phase average operation counts show the system re-tuning
+// itself.
 
 #include <cstdio>
 
+#include "api/session.h"
 #include "cube/shape.h"
 #include "cube/synthetic.h"
-#include "select/dynamic.h"
 #include "util/rng.h"
 
 using namespace vecube;  // NOLINT — example brevity
 
 namespace {
 
-double RunPhase(DynamicAssembler* assembler, const ElementId& hot,
+double RunPhase(OlapSession* session, const ElementId& hot,
                 const ElementId& cold, int queries, Rng* rng) {
-  uint64_t total_ops = 0;
+  const uint64_t ops_before = session->stats().assembly_ops;
   for (int i = 0; i < queries; ++i) {
     // 90% of traffic on the hot view, 10% on the cold one.
     const ElementId& view = (rng->UniformDouble() < 0.9) ? hot : cold;
-    OpCounter ops;
-    auto answer = assembler->Query(view, &ops);
+    auto answer = session->Element(view);
     if (!answer.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
                    answer.status().ToString().c_str());
       std::exit(1);
     }
-    total_ops += ops.adds;
   }
-  return static_cast<double>(total_ops) / queries;
+  return static_cast<double>(session->stats().assembly_ops - ops_before) /
+         queries;
 }
 
 }  // namespace
@@ -46,14 +46,14 @@ int main() {
   auto cube = UniformIntegerCube(*shape, &data_rng, 0, 50);
   if (!cube.ok()) return 1;
 
-  DynamicOptions options;
+  OlapSessionOptions options;
   options.min_queries_between_reconfigs = 24;
   options.drift_threshold = 0.35;
   options.access_decay = 0.95;
-  // Allow 1.5x the cube volume so hot views can be kept redundantly.
-  options.storage_budget_cells = shape->volume() * 3 / 2;
-  auto assembler = DynamicAssembler::Make(*shape, *cube, options);
-  if (!assembler.ok()) return 1;
+  // Allow half the cube volume again so hot views can be kept redundantly.
+  options.redundancy_budget_cells = shape->volume() / 2;
+  auto session = OlapSession::FromCube(*shape, *cube, options);
+  if (!session.ok()) return 1;
 
   // Phase 1: product dashboards (aggregate stores and weeks).
   auto by_product = ElementId::AggregatedView(0b110, *shape);
@@ -66,7 +66,7 @@ int main() {
   std::printf("Cube %s; starting store: {A}, %llu cells\n\n",
               shape->ToString().c_str(),
               static_cast<unsigned long long>(
-                  (*assembler)->store().StorageCells()));
+                  (*session)->store().StorageCells()));
 
   std::printf("%-34s %14s %16s %10s\n", "phase", "avg ops/query",
               "store cells", "reconfigs");
@@ -81,21 +81,21 @@ int main() {
   };
   for (const auto& phase : phases) {
     const double avg =
-        RunPhase(assembler->get(), *phase.hot, *by_product_week, 200,
+        RunPhase(session->get(), *phase.hot, *by_product_week, 200,
                  &traffic);
     std::printf("%-34s %14.1f %16llu %10llu\n", phase.name, avg,
                 static_cast<unsigned long long>(
-                    (*assembler)->store().StorageCells()),
+                    (*session)->store().StorageCells()),
                 static_cast<unsigned long long>(
-                    (*assembler)->reconfiguration_count()));
+                    (*session)->stats().optimizations));
   }
 
   std::printf("\nServed %llu queries with %llu reconfigurations; final "
               "store holds %zu elements.\n",
-              static_cast<unsigned long long>((*assembler)->queries_served()),
+              static_cast<unsigned long long>((*session)->stats().queries),
               static_cast<unsigned long long>(
-                  (*assembler)->reconfiguration_count()),
-              (*assembler)->store().size());
+                  (*session)->stats().optimizations),
+              (*session)->store().size());
   std::printf("Ops per query dropped within each phase after the assembler "
               "adapted to the observed access pattern.\n");
   return 0;

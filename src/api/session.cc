@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
-#include "core/basis.h"
-#include "core/computer.h"
 #include "core/update.h"
-#include "select/algorithm1.h"
-#include "select/algorithm2.h"
+#include "select/adapt.h"
+#include "util/failpoint.h"
 #include "util/io_file.h"
 #include "util/logging.h"
 
@@ -35,6 +33,16 @@ Result<Tensor> TakeRoot(ElementStore* store) {
   VECUBE_ASSIGN_OR_RETURN(
       root, store->GetMutable(ElementId::Root(store->shape().ndim())));
   return std::move(*root);
+}
+
+Status ValidateOptions(const OlapSessionOptions& options) {
+  if (!(options.access_decay > 0.0 && options.access_decay <= 1.0)) {
+    return Status::InvalidArgument("access_decay must be in (0, 1]");
+  }
+  if (!(options.drift_threshold >= 0.0)) {
+    return Status::InvalidArgument("drift_threshold must be >= 0");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -100,9 +108,7 @@ Result<std::unique_ptr<OlapSession>> OlapSession::FromCube(
   if (cube.extents() != shape.extents()) {
     return Status::InvalidArgument("cube extents do not match shape");
   }
-  if (options.access_decay <= 0.0 || options.access_decay > 1.0) {
-    return Status::InvalidArgument("access_decay must be in (0, 1]");
-  }
+  VECUBE_RETURN_NOT_OK(ValidateOptions(options));
   std::unique_ptr<OlapSession> session(
       new OlapSession(shape, std::move(cube), options));
   VECUBE_RETURN_NOT_OK(
@@ -224,9 +230,7 @@ Result<std::unique_ptr<OlapSession>> OlapSession::OpenDurable(
     return Status::InvalidArgument(
         "OpenDurable requires durability.enabled and a directory");
   }
-  if (options.access_decay <= 0.0 || options.access_decay > 1.0) {
-    return Status::InvalidArgument("access_decay must be in (0, 1]");
-  }
+  VECUBE_RETURN_NOT_OK(ValidateOptions(options));
 
   // The SUM element store is the shape authority. Per-element corruption
   // comes back as quarantine marks, not as a load failure.
@@ -443,51 +447,85 @@ Status OlapSession::Optimize() {
   // The tracker must reflect every query recorded so far, including
   // records still sitting in the write-behind buffer.
   access_log_.Drain();
-  QueryPopulation population;
   if (declared_workload_.has_value()) {
-    population = *declared_workload_;
-  } else if (options_.track_accesses && tracker_.total_accesses() > 0) {
-    VECUBE_ASSIGN_OR_RETURN(
-        population, FixedPopulation(tracker_.Distribution(), shape_));
-  } else {
+    std::vector<std::pair<ElementId, double>> declared;
+    for (const QuerySpec& q : declared_workload_->queries()) {
+      declared.emplace_back(q.view, q.frequency);
+    }
+    return Reconfigure(*declared_workload_, std::move(declared));
+  }
+  if (!options_.track_accesses || tracker_.total_accesses() == 0) {
     return Status::FailedPrecondition(
         "no workload declared and no queries observed yet");
   }
+  auto observed = tracker_.Distribution();
+  QueryPopulation population;
+  VECUBE_ASSIGN_OR_RETURN(population, FixedPopulation(observed, shape_));
+  return Reconfigure(population, std::move(observed));
+}
 
-  BasisSelection selection;
-  VECUBE_ASSIGN_OR_RETURN(selection, SelectMinCostBasis(shape_, population));
-  std::vector<ElementId> target_set = selection.basis;
-
-  const uint64_t budget =
-      StorageVolume(target_set, shape_) + options_.redundancy_budget_cells;
-  if (options_.redundancy_budget_cells > 0) {
-    GreedyOptions greedy;
-    greedy.storage_target_cells = budget;
-    greedy.pool = CandidatePool::kAggregatedViews;
-    std::vector<GreedyStep> frontier;
-    VECUBE_ASSIGN_OR_RETURN(
-        frontier, GreedySelect(shape_, population, target_set, greedy));
-    target_set = frontier.back().selected;
+void OlapSession::RecordAccess(const ElementId& id) {
+  if (!options_.track_accesses) return;
+  access_log_.Record(id);
+  if (options_.drift_threshold <= 0.0 ||
+      stats_.queries - queries_at_last_reconfig_ <
+          options_.min_queries_between_reconfigs) {
+    return;
   }
+  // Drift is measured against the complete observed history, including
+  // records still in the write-behind buffer.
+  access_log_.Drain();
+  if (tracker_.L1Drift(baseline_distribution_) < options_.drift_threshold) {
+    return;
+  }
+  auto observed = tracker_.Distribution();
+  Result<QueryPopulation> population = FixedPopulation(observed, shape_);
+  Status status = population.ok()
+                      ? Reconfigure(*population, std::move(observed))
+                      : population.status();
+  // The query was answered; a failed adaptation is a background-health
+  // event, not a query error.
+  if (!status.ok()) {
+    last_reconfig_error_ = std::move(status);
+    ++stats_.reconfig_failures;
+  }
+}
 
-  // Materialize the new set from the cube (shared-prefix cascades).
-  ElementComputer computer(shape_, &cube_);
+Status OlapSession::Reconfigure(
+    const QueryPopulation& population,
+    std::vector<std::pair<ElementId, double>> baseline) {
+  if (Failpoints::Hit("dynamic.reconfigure").has_value()) {
+    return Status::Internal(
+        "injected reconfiguration failure (failpoint dynamic.reconfigure)");
+  }
+  std::vector<ElementId> target_set;
+  VECUBE_ASSIGN_OR_RETURN(
+      target_set, SelectElementSet(shape_, population,
+                                   options_.redundancy_budget_cells));
+  // Migrate: assemble the new set from the current store (never from the
+  // base cube), both sides before either is swapped in.
+  OpCounter ops;
   ElementStore next(shape_);
-  VECUBE_ASSIGN_OR_RETURN(next, computer.Materialize(target_set));
-  store_ = std::move(next);
-  if (count_cube_.has_value()) {
+  VECUBE_ASSIGN_OR_RETURN(
+      next, MigrateStore(shape_, engine_.get(), target_set, &ops));
+  std::optional<ElementStore> next_counts;
+  if (count_store_.has_value()) {
     // The COUNT side mirrors the SUM side's element set.
-    ElementComputer count_computer(shape_, &*count_cube_);
-    ElementStore next_counts(shape_);
-    VECUBE_ASSIGN_OR_RETURN(next_counts,
-                            count_computer.Materialize(target_set));
-    count_store_ = std::move(next_counts);
+    VECUBE_ASSIGN_OR_RETURN(
+        next_counts,
+        MigrateStore(shape_, count_engine_.get(), target_set, &ops));
   }
+  store_ = std::move(next);
+  if (next_counts.has_value()) count_store_ = std::move(next_counts);
+  RebuildEngines();
   // The materialized set changed wholesale; cached entries keep correct
   // values but stale rebuild costs, so flush rather than patch.
   if (cache_ != nullptr) cache_->InvalidateAll();
-  RebuildEngines();
+  baseline_distribution_ = std::move(baseline);
+  queries_at_last_reconfig_ = stats_.queries;
+  last_reconfig_error_ = Status::OK();
   ++stats_.optimizations;
+  stats_.migration_ops += ops.adds;
   VECUBE_RETURN_NOT_OK(VerifyFullState());
   if (wal_ != nullptr) {
     // The element set changed wholesale; a recovery replay onto the old
@@ -562,12 +600,12 @@ Result<Tensor> OlapSession::AvgByMask(uint32_t aggregated_mask,
   VECUBE_ASSIGN_OR_RETURN(counts, count_server_->Serve(view, exact));
   ++stats_.queries;
   stats_.assembly_ops += sums.ops + counts.ops;
-  if (options_.track_accesses) access_log_.Record(view);
   Tensor avg = std::move(sums.data).Take();
   const Tensor& count = counts.data.get();
   for (uint64_t i = 0; i < avg.size(); ++i) {
     avg[i] = count[i] > 0.0 ? avg[i] / count[i] : 0.0;
   }
+  RecordAccess(view);
   return avg;
 }
 
@@ -592,9 +630,10 @@ Result<Tensor> OlapSession::Element(const ElementId& id,
   VECUBE_ASSIGN_OR_RETURN(answer, server_->Serve(id, exact));
   ++stats_.queries;
   stats_.assembly_ops += answer.ops;
-  if (options_.track_accesses) access_log_.Record(id);
   // One copy per hit (a shared answer), none per uncached fill.
-  return std::move(answer.data).Take();
+  Tensor data = std::move(answer.data).Take();
+  RecordAccess(id);
+  return data;
 }
 
 Result<QueryAnswer> OlapSession::Query(const ElementId& id,
@@ -604,7 +643,7 @@ Result<QueryAnswer> OlapSession::Query(const ElementId& id,
   VECUBE_ASSIGN_OR_RETURN(answer, server_->Serve(id, ctx));
   ++stats_.queries;
   stats_.assembly_ops += answer.ops;
-  if (options_.track_accesses) access_log_.Record(id);
+  RecordAccess(id);
   return answer;
 }
 

@@ -1,16 +1,25 @@
 // OlapSession: the one-stop public API.
 //
 // Wraps the full pipeline — cube construction, workload-driven view
-// element selection (Algorithms 1 and 2), materialization, dynamic
-// assembly, and range aggregation — behind a single object with sane
-// defaults, for applications that do not need to compose the lower-level
-// pieces themselves.
+// element selection (Algorithms 1 and 2), migration of the element set,
+// dynamic assembly, online adaptation, and range aggregation — behind a
+// single object with sane defaults, for applications that do not need to
+// compose the lower-level pieces themselves.
 //
 //   auto session = OlapSession::FromRelation(relation, shape);
 //   session->DeclareWorkload(population);   // or just start querying
-//   session->Optimize();                    // select + materialize
+//   session->Optimize();                    // select + migrate
 //   auto view = session->ViewByMask(0b101);
 //   auto sum  = session->RangeSum(range);
+//
+// The adaptation loop of Section 5 ("the frequencies of access can be
+// observed on-line, allowing the system to dynamically reconfigure") is
+// one private routine: select with Algorithm 1 (and Algorithm 2 under the
+// redundancy budget), assemble the new element set from the current store
+// as one batch, swap it in, flush the view cache, and checkpoint when
+// durable. Optimize() runs it on demand; with drift_threshold set, a query
+// whose observed traffic has drifted far enough from the distribution the
+// current set was selected for runs it too, after answering.
 //
 // Thread safety (DESIGN.md §12): an OlapSession is a single-caller
 // object — queries, updates, Optimize(), and Checkpoint() must not run
@@ -30,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/assembly.h"
@@ -59,7 +69,10 @@ struct SessionStats {
   uint64_t assembly_ops = 0;       ///< add/sub operations across queries
   uint64_t range_queries = 0;
   uint64_t range_cell_reads = 0;
-  uint64_t optimizations = 0;      ///< times Optimize() rebuilt the store
+  uint64_t optimizations = 0;      ///< times the element set was rebuilt
+                                   ///< (Optimize() or drift)
+  uint64_t migration_ops = 0;      ///< add/sub operations of those rebuilds
+  uint64_t reconfig_failures = 0;  ///< drift-triggered rebuilds that failed
   uint64_t wal_appends = 0;        ///< facts made durable before applying
   uint64_t wal_replayed = 0;       ///< records re-applied by OpenDurable()
   uint64_t checkpoints = 0;        ///< successful Checkpoint() calls
@@ -90,6 +103,14 @@ struct OlapSessionOptions {
   bool track_accesses = true;
   /// Exponential decay of the access history.
   double access_decay = 0.98;
+  /// Online adaptation: after a query that records an access, reselect
+  /// against observed traffic and migrate when the L1 distance between
+  /// the observed distribution and the one the current element set was
+  /// selected for reaches this (the distance lies in [0, 2]). 0 turns
+  /// online adaptation off.
+  double drift_threshold = 0.0;
+  /// Adapt online at most once per this many queries.
+  uint64_t min_queries_between_reconfigs = 16;
   /// Maintain a parallel COUNT cube/store so AvgByMask() is available.
   bool maintain_count_cube = false;
   /// Crash durability: WAL-before-apply on AddFact, checkpoint snapshots,
@@ -170,10 +191,14 @@ class OlapSession {
   /// Declares the expected query distribution; used by Optimize().
   Status DeclareWorkload(QueryPopulation population);
 
-  /// Selects the minimum-cost element set for the declared (or observed)
-  /// workload — Algorithm 1, plus Algorithm 2 up to the redundancy budget
-  /// — and materializes it. Without any workload information this is an
-  /// error; the session serves queries from the raw cube until then.
+  /// Selects the minimum-cost element set for the declared (or, with
+  /// none declared, the observed) workload — Algorithm 1, plus Algorithm
+  /// 2 up to the redundancy budget — and assembles it from the current
+  /// store. Without any workload information this is an error; the
+  /// session serves queries from the raw cube until then. Fails, leaving
+  /// the store, engines and cache untouched, when the healthy elements
+  /// cannot reach the new set (see Repair()). Instrumented with the
+  /// "dynamic.reconfigure" failpoint, as is the drift-triggered run.
   Status Optimize();
 
   /// Appends one fact: cube[coords] += amount, with every materialized
@@ -199,7 +224,11 @@ class OlapSession {
 
   /// Any view element by id — always exact (degradation, if requested on
   /// `ctx`, is stripped: this signature has no channel for a bound).
-  /// InvalidArgument when `id` does not fit the session's shape.
+  /// InvalidArgument when `id` does not fit the session's shape. Here and
+  /// in Query()/ViewByMask()/AvgByMask(), an answered query may adapt the
+  /// element set afterwards (see drift_threshold); a failed adaptation
+  /// never drops the answer: it is counted in reconfig_failures and kept
+  /// in last_reconfig_error().
   Result<Tensor> Element(const ElementId& id,
                          const QueryContext& ctx = QueryContext());
 
@@ -249,6 +278,11 @@ class OlapSession {
   [[nodiscard]] ServeMetrics serve_metrics() const {
     return cache_ != nullptr ? cache_->Metrics() : ServeMetrics{};
   }
+  /// Status of the latest drift-triggered reconfiguration; OK when none
+  /// has failed since the last rebuild of the element set.
+  [[nodiscard]] const Status& last_reconfig_error() const {
+    return last_reconfig_error_;
+  }
 
  private:
   OlapSession(CubeShape shape, Tensor cube, Options options);
@@ -261,6 +295,15 @@ class OlapSession {
                           uint64_t wal_seq) const;
 
   void RebuildEngines();
+  /// Records a query's access and, when online adaptation is on and due,
+  /// reconfigures against observed traffic; a failure is recorded, not
+  /// returned.
+  void RecordAccess(const ElementId& id);
+  /// The adaptation loop (see the file comment) for `population`, whose
+  /// distribution `baseline` is; changes nothing if it fails before the
+  /// swap.
+  Status Reconfigure(const QueryPopulation& population,
+                     std::vector<std::pair<ElementId, double>> baseline);
   /// Full invariant sweep (bounds, round trip, splits, consistency,
   /// reconstruction) over the SUM store — and the COUNT store when
   /// maintained. No-op returning OK when verification is off.
@@ -294,6 +337,10 @@ class OlapSession {
   /// first during destruction.
   BufferedAccessLog access_log_{&tracker_};
   std::optional<QueryPopulation> declared_workload_;
+  /// Distribution the current element set was selected against.
+  std::vector<std::pair<ElementId, double>> baseline_distribution_;
+  uint64_t queries_at_last_reconfig_ = 0;
+  Status last_reconfig_error_ = Status::OK();
   std::unique_ptr<WriteAheadLog> wal_;  // null unless durability enabled
   SessionStats stats_;
   std::unique_ptr<InvariantChecker> checker_;  // null when verification off

@@ -57,7 +57,8 @@ class AccessTracker {
 
   /// L1 distance between this tracker's distribution and `reference`
   /// (a normalized id->frequency list). Ranges [0, 2]; the drift signal
-  /// used by DynamicAssembler to trigger reselection.
+  /// OlapSession compares with its drift_threshold to trigger
+  /// reselection.
   double L1Drift(
       const std::vector<std::pair<ElementId, double>>& reference) const;
 

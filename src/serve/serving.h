@@ -1,8 +1,8 @@
 // ElementServer: the bounded-latency query front end (DESIGN.md §13),
-// and the one serving path. OlapSession::Element/ViewByMask/Query,
-// RangeEngine's missing intermediates and DynamicAssembler::Query all
-// serve through it; it is the only caller of the ViewCache single-flight
-// protocol (LookupOrBegin / WaitFill / CompleteFill / AbortFill).
+// and the one serving path. OlapSession::Element/ViewByMask/Query and
+// RangeEngine's missing intermediates all serve through it; it is the
+// only caller of the ViewCache single-flight protocol (LookupOrBegin /
+// WaitFill / CompleteFill / AbortFill).
 //
 // One ElementServer per serving worker, all sharing one ViewCache (and
 // its single-flight miss coalescing) with one AssemblyEngine each. It

@@ -110,11 +110,10 @@ class AnswerTensor {
 };
 
 struct ViewCacheOptions {
-  /// Consumed by the embedding layers (OlapSession, DynamicAssembler):
-  /// when false they construct no cache, and their ElementServer serves
-  /// every query by a direct fill (no coalescing, zeroed metrics; a
-  /// session's RangeSum keeps its intermediates in the range engine's
-  /// private store). A directly constructed ViewCache is always live.
+  /// Consumed by the embedding layer (OlapSession): when false it
+  /// constructs no cache, and its ElementServer serves every query by a
+  /// direct fill (no coalescing, zeroed metrics; a session's RangeSum
+  /// keeps its intermediates in the range engine's private store). A directly constructed ViewCache is always live.
   bool enabled = false;
   /// Total resident-data budget across all shards, in bytes of tensor
   /// payload. Entries larger than capacity_bytes / shards are served but

@@ -1,7 +1,7 @@
 // QueryContext: per-query deadline + cooperative cancellation.
 //
 // Threaded by const reference from the public API (OlapSession,
-// DynamicAssembler, RangeEngine) down through AssemblyEngine into the
+// ElementServer, RangeEngine) down through AssemblyEngine into the
 // fused cascade loops, which check it at tile granularity. The contract
 // is cooperative: code never preempts a running kernel, it polls Check()
 // at natural yield points (plan nodes, cascade groups, slab/tile chunks,

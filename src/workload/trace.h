@@ -4,8 +4,8 @@
 // mode) is exercised by traces whose underlying distribution changes over
 // time. A trace is a sequence of phases, each drawing from its own
 // QueryPopulation for a given number of queries; the replayer drives any
-// callback (typically DynamicAssembler::Query or OlapSession::Element)
-// and aggregates per-phase statistics.
+// callback (typically OlapSession::Element on a session that adapts
+// online) and aggregates per-phase statistics.
 
 #ifndef VECUBE_WORKLOAD_TRACE_H_
 #define VECUBE_WORKLOAD_TRACE_H_

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "core/computer.h"
 #include "cube/synthetic.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -218,6 +219,125 @@ TEST_F(CrashRecoveryTest, ShortWriteCrashesAreRecoveredToo) {
       ExpectRecoveredExactly(dir, acked, context);
     }
   }
+}
+
+// A durable session that adapts online: a drift-triggered reconfiguration
+// checkpoints the new element set like Optimize() does. A crash at any
+// snapshot or WAL failpoint hit of the lifecycle below, the checkpoints
+// of that reconfiguration included, must recover the acknowledged facts
+// over either the new element set or the old one, serving the same
+// answers from either.
+
+OlapSessionOptions AdaptiveDurableOptions(const std::string& dir) {
+  OlapSessionOptions options = DurableOptions(dir);
+  options.drift_threshold = 0.5;
+  options.min_queries_between_reconfigs = 4;
+  return options;
+}
+
+// Creates the session, adds facts 0-1, queries one view until drift
+// reconfigures the session (at the fourth query), then adds facts 2-4.
+// Returns false if the session could not even be created.
+bool RunAdaptiveLifecycle(const std::string& dir, const CubeShape& shape,
+                          Tensor* acked_cube, SessionStats* stats) {
+  auto session = OlapSession::FromCube(shape, *acked_cube,
+                                       AdaptiveDurableOptions(dir));
+  if (!session.ok()) return false;
+  const auto& facts = Facts();
+  auto add = [&](size_t i) {
+    if ((*session)->AddFact(facts[i].first, facts[i].second).ok()) {
+      (*acked_cube)[acked_cube->FlatIndex(facts[i].first)] +=
+          facts[i].second;
+    }
+  };
+  add(0);
+  add(1);
+  const ElementId view = *ElementId::AggregatedView(0b01, shape);
+  for (int i = 0; i < 6; ++i) (void)(*session)->Element(view);
+  add(2);
+  add(3);
+  add(4);
+  *stats = (*session)->stats();
+  return true;
+}
+
+// Recovers `dir` and checks it against `acked_cube`; counts the recovery
+// in `recovered_new` when it came back with the new element set.
+void ExpectRecoveredSet(const std::string& dir, const Tensor& acked_cube,
+                        const std::vector<ElementId>& old_set,
+                        const std::vector<ElementId>& new_set,
+                        const std::string& context, int* recovered_new) {
+  ExpectRecoveredExactly(dir, acked_cube, context);
+  auto reopened = OlapSession::OpenDurable(AdaptiveDurableOptions(dir));
+  ASSERT_TRUE(reopened.ok()) << context;
+  const std::vector<ElementId> ids = (*reopened)->store().Ids();
+  ASSERT_TRUE(ids == old_set || ids == new_set) << context;
+  if (ids == new_set) ++*recovered_new;
+  const CubeShape& shape = (*reopened)->shape();
+  ElementComputer computer(shape, &acked_cube);
+  for (uint32_t mask = 0; mask < (1u << shape.ndim()); ++mask) {
+    const ElementId view = *ElementId::AggregatedView(mask, shape);
+    auto got = (*reopened)->Element(view);
+    ASSERT_TRUE(got.ok()) << context << " mask " << mask;
+    ASSERT_EQ(got->data(), computer.Compute(view)->data())
+        << context << " mask " << mask;
+  }
+}
+
+TEST_F(CrashRecoveryTest, DriftReconfigurationCheckpointIsCrashConsistent) {
+  auto shape = CubeShape::Make({8, 4});
+  ASSERT_TRUE(shape.ok());
+  const std::string dir = TempPath("crash_drift");
+  const std::vector<ElementId> old_set = {ElementId::Root(2)};
+
+  // Trace a clean lifecycle: the drift reconfiguration happened and
+  // checkpointed.
+  WipeDir(dir);
+  Tensor clean_cube = MakeIntegerCube(*shape, 77);
+  SessionStats clean;
+  Failpoints::StartTrace();
+  ASSERT_TRUE(RunAdaptiveLifecycle(dir, *shape, &clean_cube, &clean));
+  Failpoints::StopTrace();
+  const auto trace = Failpoints::TraceCounts();
+  ASSERT_EQ(clean.optimizations, 1u);
+  ASSERT_EQ(clean.reconfig_failures, 0u);
+  EXPECT_EQ(clean.checkpoints, 2u);  // the initial one and the drift one
+  std::vector<ElementId> new_set;
+  {
+    auto reopened = OlapSession::OpenDurable(AdaptiveDurableOptions(dir));
+    ASSERT_TRUE(reopened.ok());
+    new_set = (*reopened)->store().Ids();
+  }
+  ASSERT_NE(new_set, old_set);
+  int recovered_new = 0;
+  ExpectRecoveredSet(dir, clean_cube, old_set, new_set, "clean run",
+                     &recovered_new);
+  ASSERT_EQ(recovered_new, 1);
+
+  int swept = 0;
+  recovered_new = 0;
+  for (const auto& [name, hits] : trace) {
+    if (name.rfind("snapshot.", 0) != 0 && name.rfind("wal.", 0) != 0) {
+      continue;
+    }
+    for (uint64_t hit = 0; hit < hits; ++hit) {
+      const std::string context = name + " hit#" + std::to_string(hit);
+      WipeDir(dir);
+      Tensor acked = MakeIntegerCube(*shape, 77);
+      SessionStats stats;
+      Failpoints::Arm(name, FailpointAction{}, /*skip=*/hit);
+      const bool created = RunAdaptiveLifecycle(dir, *shape, &acked, &stats);
+      Failpoints::DisarmAll();
+      if (!created) continue;  // crashed in the initial checkpoint
+      ExpectRecoveredSet(dir, acked, old_set, new_set, context,
+                         &recovered_new);
+      ++swept;
+    }
+  }
+  // Crashes before the drift checkpoint's store snapshot landed recover
+  // the old set; crashes after it, the new one. The sweep reaches both.
+  EXPECT_GT(recovered_new, 0);
+  EXPECT_GT(swept - recovered_new, 0);
 }
 
 }  // namespace

@@ -509,6 +509,117 @@ TEST_F(DurabilityTest, SessionRepairReinstatesQuarantinedElements) {
   EXPECT_TRUE((*root)->ApproxEquals(expected, 0.0));
 }
 
+// Optimize() migrates from the current store, not from the base cube, so
+// it plans around quarantined elements: with a healthy path to every
+// target it succeeds and leaves a whole store behind.
+TEST_F(DurabilityTest, OptimizeMigratesAroundQuarantinedElement) {
+  const std::string dir = MakeSessionDir();
+  auto shape = CubeShape::Make({8, 4});
+  ASSERT_TRUE(shape.ok());
+  const Tensor expected = MakeIntegerCube(*shape, 21);
+  const ElementId root = ElementId::Root(2);
+  const ElementId total = *ElementId::AggregatedView(0b11, *shape);
+  OlapSessionOptions options = DurableOptions(dir);
+  options.redundancy_budget_cells = 1;  // room for the 1-cell total
+  {
+    auto session = OlapSession::FromCube(*shape, expected, options);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)
+                    ->DeclareWorkload(*FixedPopulation(
+                        {{root, 1.0}, {total, 1.0}}, *shape))
+                    .ok());
+    ASSERT_TRUE((*session)->Optimize().ok());
+    ASSERT_EQ((*session)->store().Ids(), (std::vector<ElementId>{root, total}));
+  }
+  // The last payload on disk is the last element in id order: the total.
+  const std::string store_path = dir + "/store.vecube";
+  auto size = FileSize(store_path);
+  ASSERT_TRUE(size.ok());
+  FlipBitOnDisk(store_path, *size - 1, 0x02);
+
+  auto reopened = OlapSession::OpenDurable(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE((*reopened)->store().IsQuarantined(total));
+  const ElementId rows = *ElementId::AggregatedView(0b01, *shape);
+  ASSERT_TRUE((*reopened)
+                  ->DeclareWorkload(*FixedPopulation({{rows, 1.0}}, *shape))
+                  .ok());
+  ASSERT_TRUE((*reopened)->Optimize().ok());
+  EXPECT_EQ((*reopened)->store().quarantined_count(), 0u);
+  ElementComputer computer(*shape, &expected);
+  for (uint32_t mask = 0; mask < 4; ++mask) {
+    const ElementId view = *ElementId::AggregatedView(mask, *shape);
+    auto got = (*reopened)->Element(view);
+    ASSERT_TRUE(got.ok()) << mask;
+    EXPECT_EQ(got->data(), computer.Compute(view)->data()) << mask;
+  }
+}
+
+// Where the healthy elements cannot reach a target, Optimize() fails and
+// leaves the old store, engines and cache untouched (Repair() is the way
+// back, from the base cube).
+TEST_F(DurabilityTest, OptimizeFailsCleanlyWhenSurvivorsCannotReachTarget) {
+  const std::string dir = MakeSessionDir();
+  auto shape = CubeShape::Make({8, 4});
+  ASSERT_TRUE(shape.ok());
+  const Tensor expected = MakeIntegerCube(*shape, 22);
+  const QueryPopulation workload = *FixedPopulation(
+      {{*ElementId::AggregatedView(0b01, *shape), 1.0},
+       {*ElementId::AggregatedView(0b10, *shape), 1.0}},
+      *shape);
+  OlapSessionOptions options = DurableOptions(dir);
+  options.view_cache.enabled = true;
+  {
+    auto session = OlapSession::FromCube(*shape, expected, options);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)->DeclareWorkload(workload).ok());
+    ASSERT_TRUE((*session)->Optimize().ok());
+    ASSERT_GT((*session)->store().size(), 1u);
+  }
+  const std::string store_path = dir + "/store.vecube";
+  auto size = FileSize(store_path);
+  ASSERT_TRUE(size.ok());
+  FlipBitOnDisk(store_path, *size - 1, 0x02);
+
+  auto reopened = OlapSession::OpenDurable(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  OlapSession& session = **reopened;
+  ASSERT_EQ(session.store().quarantined_count(), 1u);
+  // Warm the cache with every view the survivors still answer.
+  ElementComputer computer(*shape, &expected);
+  std::vector<ElementId> served;
+  for (uint32_t mask = 0; mask < 4; ++mask) {
+    const ElementId view = *ElementId::AggregatedView(mask, *shape);
+    auto got = session.Element(view);
+    if (!got.ok()) continue;
+    EXPECT_EQ(got->data(), computer.Compute(view)->data()) << mask;
+    served.push_back(view);
+  }
+  ASSERT_FALSE(served.empty());
+  const std::vector<ElementId> ids = session.store().Ids();
+  const std::vector<ElementId> quarantined = session.store().QuarantinedIds();
+  const ServeMetrics warm = session.serve_metrics();
+  const SessionStats stats = session.stats();
+
+  // The same workload selects the same basis, damaged element included;
+  // a non-redundant basis cannot rebuild one of its own elements.
+  ASSERT_TRUE(session.DeclareWorkload(workload).ok());
+  const Status status = session.Optimize();
+  EXPECT_TRUE(status.IsIncomplete()) << status.ToString();
+  EXPECT_EQ(session.store().Ids(), ids);
+  EXPECT_EQ(session.store().QuarantinedIds(), quarantined);
+  EXPECT_EQ(session.stats().optimizations, stats.optimizations);
+  EXPECT_EQ(session.stats().checkpoints, stats.checkpoints);
+  EXPECT_EQ(session.serve_metrics().invalidations, warm.invalidations);
+  EXPECT_EQ(session.serve_metrics().entries, warm.entries);
+  for (const ElementId& view : served) {
+    auto got = session.Element(view);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->data(), computer.Compute(view)->data());
+  }
+  EXPECT_EQ(session.serve_metrics().hits, warm.hits + served.size());
+}
+
 TEST_F(DurabilityTest, DurabilityOffMeansNoFilesNoWal) {
   auto shape = CubeShape::Make({4, 4});
   ASSERT_TRUE(shape.ok());

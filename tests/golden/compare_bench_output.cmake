@@ -1,9 +1,11 @@
-# Runs each paper-reproduction bench and compares its stdout byte for byte
-# with the committed golden file of the same name. Their output is
-# deterministic (fixed seeds, analytic costs and measured op counts), so
-# any difference is a change to a printed table or figure.
+# Runs each paper-reproduction bench, and each example whose output is
+# pinned, and compares its stdout byte for byte with the committed golden
+# file of the same name. Their output is deterministic (fixed seeds,
+# analytic costs and measured op counts), so any difference is a change
+# to a printed table, figure or example run.
 #
 #   cmake -DBENCH_DIR=<dir with the bench binaries>
+#         -DEXAMPLES_DIR=<dir with the example binaries>
 #         -DGOLDEN_DIR=<tests/golden> -DOUT_DIR=<scratch dir>
 #         -P compare_bench_output.cmake
 #
@@ -11,10 +13,11 @@
 # intended change, copy that file over the golden one.
 
 set(cases
-  "bench_table1"
-  "bench_table2_pedagogical"
-  "bench_fig8_exp1 10"
-  "bench_fig9_exp2 2")
+  "${BENCH_DIR}/bench_table1"
+  "${BENCH_DIR}/bench_table2_pedagogical"
+  "${BENCH_DIR}/bench_fig8_exp1 10"
+  "${BENCH_DIR}/bench_fig9_exp2 2"
+  "${EXAMPLES_DIR}/adaptive_reconfig")
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(failed "")
@@ -22,8 +25,11 @@ foreach(case IN LISTS cases)
   separate_arguments(argv UNIX_COMMAND "${case}")
   list(GET argv 0 program)
   list(REMOVE_AT argv 0)
-  string(REPLACE " " "_" name "${case}")
-  execute_process(COMMAND "${BENCH_DIR}/${program}" ${argv}
+  get_filename_component(name "${program}" NAME)
+  foreach(arg IN LISTS argv)
+    string(APPEND name "_${arg}")
+  endforeach()
+  execute_process(COMMAND "${program}" ${argv}
                   OUTPUT_VARIABLE actual
                   RESULT_VARIABLE status)
   file(WRITE "${OUT_DIR}/${name}.txt" "${actual}")

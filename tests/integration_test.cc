@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "core/assembly.h"
 #include "core/basis.h"
 #include "core/computer.h"
@@ -15,7 +16,6 @@
 #include "range/range_engine.h"
 #include "select/algorithm1.h"
 #include "select/algorithm2.h"
-#include "select/dynamic.h"
 #include "util/rng.h"
 
 namespace vecube {
@@ -137,30 +137,30 @@ TEST(IntegrationTest, RangeQueriesOverSelectedPyramid) {
   }
 }
 
-TEST(IntegrationTest, DynamicAssemblerAdaptsAndWins) {
-  // Phase 1 traffic on one view, phase 2 on another; the dynamic
-  // assembler must end up serving phase-2 traffic for free.
+TEST(IntegrationTest, AdaptiveSessionAdaptsAndWins) {
+  // Phase 1 traffic on one view, phase 2 on another; a session adapting
+  // online must end up serving phase-2 traffic for free.
   auto shape = CubeShape::Make({8, 8});
   ASSERT_TRUE(shape.ok());
   Rng rng(7);
   auto cube = UniformIntegerCube(*shape, &rng);
 
-  DynamicOptions options;
+  OlapSessionOptions options;
   options.min_queries_between_reconfigs = 8;
   options.drift_threshold = 0.4;
   options.access_decay = 0.8;
-  auto assembler = DynamicAssembler::Make(*shape, *cube, options);
-  ASSERT_TRUE(assembler.ok());
+  auto session = OlapSession::FromCube(*shape, *cube, options);
+  ASSERT_TRUE(session.ok());
 
   auto phase1 = ElementId::AggregatedView(0b01, *shape);
   auto phase2 = ElementId::AggregatedView(0b10, *shape);
-  for (int i = 0; i < 30; ++i) ASSERT_TRUE((*assembler)->Query(*phase1).ok());
-  for (int i = 0; i < 30; ++i) ASSERT_TRUE((*assembler)->Query(*phase2).ok());
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE((*session)->Element(*phase1).ok());
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE((*session)->Element(*phase2).ok());
 
-  OpCounter ops;
-  ASSERT_TRUE((*assembler)->Query(*phase2, &ops).ok());
-  EXPECT_EQ(ops.adds, 0u);
-  EXPECT_GE((*assembler)->reconfiguration_count(), 2u);
+  const uint64_t before = (*session)->stats().assembly_ops;
+  ASSERT_TRUE((*session)->Element(*phase2).ok());
+  EXPECT_EQ((*session)->stats().assembly_ops, before);
+  EXPECT_GE((*session)->stats().optimizations, 2u);
 }
 
 TEST(IntegrationTest, SparseCubeRoundTripThroughAssembly) {

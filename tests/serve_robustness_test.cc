@@ -5,8 +5,9 @@
 // shedding under a TSan-friendly thread stress, and the graceful
 // degradation contract (a degraded answer always carries a sound L2
 // bound and is never cached). The fault cases run through every entry
-// point that serves through ElementServer (OlapSession::Element,
-// OlapSession::RangeSum, DynamicAssembler::Query), which must fail alike.
+// point that serves through ElementServer (OlapSession::Element, with
+// online adaptation off and on, and OlapSession::RangeSum), which must
+// fail alike.
 // Suite names carry "Serve" into the CI TSan test filter;
 // VECUBE_SOAK_ITERS (env) scales the stress rounds.
 
@@ -33,7 +34,6 @@
 #include "cube/tensor.h"
 #include "range/range.h"
 #include "range/range_engine.h"
-#include "select/dynamic.h"
 #include "serve/admission.h"
 #include "serve/serving.h"
 #include "serve/view_cache.h"
@@ -555,12 +555,15 @@ TEST(ServeAccountingStressTest, EveryQueryResolvesToExactlyOneOutcome) {
 
 
 // ---------------------------------------------------------------------------
-// One serving path: OlapSession::Element, OlapSession::RangeSum,
-// OlapSession::AvgByMask and DynamicAssembler::Query all serve through
-// ElementServer, so the same fault must give the same Status code and the
-// same ServeMetrics deltas through each of them.
+// One serving path: OlapSession::Element, OlapSession::RangeSum and
+// OlapSession::AvgByMask all serve through ElementServer, so the same
+// fault must give the same Status code and the same ServeMetrics deltas
+// through each of them. kDynamicQuery is Element on a session that adapts
+// online and evaluates drift after every answered query; its threshold
+// lies above the largest L1 distance (2), so the evaluation runs and never
+// reconfigures, and must change none of it.
 
-enum class Entry { kElement, kRangeSum, kQuery, kAvgByMask };
+enum class Entry { kElement, kRangeSum, kDynamicQuery, kAvgByMask };
 
 void PrintTo(Entry entry, std::ostream* os) {
   switch (entry) {
@@ -570,7 +573,7 @@ void PrintTo(Entry entry, std::ostream* os) {
     case Entry::kRangeSum:
       *os << "RangeSum";
       return;
-    case Entry::kQuery:
+    case Entry::kDynamicQuery:
       *os << "DynamicQuery";
       return;
     case Entry::kAvgByMask:
@@ -627,24 +630,21 @@ class EntryPoint {
     AssemblyEngine planner(&root);
     plan_cost_ = planner.PlanCost(id_);
     expected_ = *planner.Assemble(id_);
-    if (entry == Entry::kQuery) {
-      DynamicOptions options;
-      options.cache.enabled = true;
-      dynamic_ =
-          std::move(DynamicAssembler::Make(shape, cube_, options)).value();
-    } else {
-      OlapSessionOptions options;
-      options.num_threads = 1;
-      options.view_cache.enabled = true;
-      session_ =
-          std::move(OlapSession::FromCube(shape, cube_, options)).value();
+    OlapSessionOptions options;
+    options.num_threads = 1;
+    options.view_cache.enabled = true;
+    if (entry == Entry::kDynamicQuery) {
+      options.drift_threshold = 2.5;
+      options.min_queries_between_reconfigs = 1;
     }
+    session_ = std::move(OlapSession::FromCube(shape, cube_, options)).value();
   }
 
   /// Issues one query under `ctx`; an OK answer is checked bit-exact.
   Status Issue(const QueryContext& ctx) {
     switch (entry_) {
-      case Entry::kElement: {
+      case Entry::kElement:
+      case Entry::kDynamicQuery: {
         Result<Tensor> got = session_->Element(id_, ctx);
         if (got.ok()) {
           EXPECT_EQ(got->data(), expected_.data());
@@ -655,13 +655,6 @@ class EntryPoint {
         Result<double> got = session_->RangeSum(range_, ctx);
         if (got.ok()) {
           EXPECT_EQ(*got, *NaiveRangeSum(cube_, session_->shape(), range_));
-        }
-        return got.status();
-      }
-      case Entry::kQuery: {
-        Result<Tensor> got = dynamic_->Query(id_, nullptr, ctx);
-        if (got.ok()) {
-          EXPECT_EQ(got->data(), expected_.data());
         }
         return got.status();
       }
@@ -684,8 +677,7 @@ class EntryPoint {
   }
 
   [[nodiscard]] ServeMetrics Metrics() const {
-    return entry_ == Entry::kQuery ? dynamic_->serve_metrics()
-                                   : session_->serve_metrics();
+    return session_->serve_metrics();
   }
   [[nodiscard]] uint64_t plan_cost() const { return plan_cost_; }
 
@@ -733,7 +725,6 @@ class EntryPoint {
   uint64_t plan_cost_ = 0;
   Tensor expected_;
   std::unique_ptr<OlapSession> session_;
-  std::unique_ptr<DynamicAssembler> dynamic_;
 };
 
 void ExpectExpiredContextFailsAndCountsOnce(Entry point) {
@@ -876,7 +867,7 @@ TEST_P(ServeEntryPointTest, AccountingIdentitiesHoldAfterEveryCall) {
 
 INSTANTIATE_TEST_SUITE_P(AllEntryPoints, ServeEntryPointTest,
                          testing::Values(Entry::kElement, Entry::kRangeSum,
-                                         Entry::kQuery));
+                                         Entry::kDynamicQuery));
 
 // AvgByMask is two element queries per call: the SUM one through the
 // session's cached ElementServer, then the COUNT one through an uncached
@@ -899,8 +890,8 @@ TEST(ServeAvgByMaskTest, DegradationIsStrippedAndFailsClosed) {
 
 // Followers: ElementServer::Serve (what OlapSession::Element runs) and a
 // RangeEngine over an ElementServer, each on a cache shared with a
-// stalled or aborting ElementServer leader. A DynamicAssembler is single-
-// threaded, so its follower branch cannot be reached.
+// stalled or aborting ElementServer leader. An OlapSession is a
+// single-caller object, so its own follower branch cannot be reached.
 
 enum class Follower { kServe, kRangeSum };
 

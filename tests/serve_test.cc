@@ -23,7 +23,6 @@
 #include "core/graph.h"
 #include "cube/synthetic.h"
 #include "cube/tensor.h"
-#include "select/dynamic.h"
 #include "serve/admission.h"
 #include "serve/serving.h"
 #include "util/failpoint.h"
@@ -1181,7 +1180,7 @@ TEST(ServeAnswerStressTest, SharedHitLoopKeepsAccountingIdentities) {
 }
 
 // ---------------------------------------------------------------------------
-// DynamicAssembler integration: reconfiguration is the serving layer's
+// Reconfiguration (OlapSession's adaptation loop) is the serving layer's
 // other flush source. A FAILED reconfiguration (injected via the
 // dynamic.reconfigure failpoint) must leave the cache untouched — no
 // flush, no lost entries; a successful one must flush and keep answers
@@ -1195,11 +1194,12 @@ TEST(DynamicServeTest, FailedReconfigureLeavesCacheIntactThenFlushWorks) {
   auto cube = UniformIntegerCube(shape, &rng, -9, 9);
   ASSERT_TRUE(cube.ok());
 
-  DynamicOptions options;
-  options.cache.enabled = true;
+  OlapSessionOptions options;
+  options.view_cache.enabled = true;
+  options.drift_threshold = 0.5;
   options.min_queries_between_reconfigs = 1000;  // no auto attempts
-  auto assembler = DynamicAssembler::Make(shape, *cube, options);
-  ASSERT_TRUE(assembler.ok());
+  auto session = OlapSession::FromCube(shape, *cube, options);
+  ASSERT_TRUE(session.ok());
 
   auto view = ElementId::AggregatedView(0b11, shape);
   ASSERT_TRUE(view.ok());
@@ -1207,30 +1207,30 @@ TEST(DynamicServeTest, FailedReconfigureLeavesCacheIntactThenFlushWorks) {
   auto expected = computer.Compute(*view);
   ASSERT_TRUE(expected.ok());
 
-  ASSERT_TRUE((*assembler)->Query(*view).ok());  // leader fill
-  ASSERT_TRUE((*assembler)->Query(*view).ok());  // hit
-  const ServeMetrics before = (*assembler)->serve_metrics();
+  ASSERT_TRUE((*session)->Element(*view).ok());  // leader fill
+  ASSERT_TRUE((*session)->Element(*view).ok());  // hit
+  const ServeMetrics before = (*session)->serve_metrics();
   EXPECT_EQ(before.insertions, 1u);
   EXPECT_GE(before.hits, 1u);
 
   Failpoints::Arm("dynamic.reconfigure", FailpointAction{});
-  EXPECT_FALSE((*assembler)->Reconfigure().ok());
+  EXPECT_FALSE((*session)->Optimize().ok());
   Failpoints::DisarmAll();
 
   // Nothing was flushed: the entry is still resident and still serves.
-  const ServeMetrics after_failure = (*assembler)->serve_metrics();
+  const ServeMetrics after_failure = (*session)->serve_metrics();
   EXPECT_EQ(after_failure.invalidations, 0u);
   EXPECT_EQ(after_failure.entries, before.entries);
-  auto still_cached = (*assembler)->Query(*view);
+  auto still_cached = (*session)->Element(*view);
   ASSERT_TRUE(still_cached.ok());
   EXPECT_EQ(still_cached->data(), expected->data());
-  EXPECT_GT((*assembler)->serve_metrics().hits, after_failure.hits);
+  EXPECT_GT((*session)->serve_metrics().hits, after_failure.hits);
 
   // A successful reconfiguration flushes, and post-flush answers are
   // re-assembled bit-exactly from the migrated store.
-  ASSERT_TRUE((*assembler)->Reconfigure().ok());
-  EXPECT_GT((*assembler)->serve_metrics().invalidations, 0u);
-  auto after_flush = (*assembler)->Query(*view);
+  ASSERT_TRUE((*session)->Optimize().ok());
+  EXPECT_GT((*session)->serve_metrics().invalidations, 0u);
+  auto after_flush = (*session)->Element(*view);
   ASSERT_TRUE(after_flush.ok());
   EXPECT_EQ(after_flush->data(), expected->data());
 }

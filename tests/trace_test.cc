@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "cube/synthetic.h"
-#include "select/dynamic.h"
 #include "util/rng.h"
 
 namespace vecube {
@@ -93,17 +93,17 @@ TEST(TraceTest, ReplayAbortsOnError) {
   EXPECT_EQ(calls, 3);
 }
 
-TEST(TraceTest, DrivesDynamicAssemblerThroughPhaseShift) {
+TEST(TraceTest, DrivesAdaptiveSessionThroughPhaseShift) {
   const CubeShape shape = Shape44();
   Rng data_rng(6);
   auto cube = UniformIntegerCube(shape, &data_rng, 0, 9);
 
-  DynamicOptions options;
+  OlapSessionOptions options;
   options.min_queries_between_reconfigs = 8;
   options.drift_threshold = 0.4;
   options.access_decay = 0.85;
-  auto assembler = DynamicAssembler::Make(shape, *cube, options);
-  ASSERT_TRUE(assembler.ok());
+  auto session = OlapSession::FromCube(shape, *cube, options);
+  ASSERT_TRUE(session.ok());
 
   auto trace = QueryTrace::Make({
       TracePhase{"phase1", SingleViewPop(1, shape), 40},
@@ -111,17 +111,17 @@ TEST(TraceTest, DrivesDynamicAssemblerThroughPhaseShift) {
   });
   Rng rng(7);
   auto reports = ReplayTrace(*trace, &rng, [&](const ElementId& view) {
-    OpCounter ops;
-    auto answer = (*assembler)->Query(view, &ops);
+    const uint64_t before = (*session)->stats().assembly_ops;
+    auto answer = (*session)->Element(view);
     if (!answer.ok()) return Result<uint64_t>(answer.status());
-    return Result<uint64_t>(ops.adds);
+    return Result<uint64_t>((*session)->stats().assembly_ops - before);
   });
   ASSERT_TRUE(reports.ok());
   // By the end of each phase the hot view is free, so the phase average
   // is far below the cube-only cost (12 ops/query for these views).
   EXPECT_LT((*reports)[0].avg_ops_per_query, 6.0);
   EXPECT_LT((*reports)[1].avg_ops_per_query, 6.0);
-  EXPECT_GE((*assembler)->reconfiguration_count(), 2u);
+  EXPECT_GE((*session)->stats().optimizations, 2u);
 }
 
 }  // namespace

@@ -198,7 +198,6 @@ SERVING_WAIT_ROOTS = (
     "OlapSession::Element",
     "OlapSession::Query",
     "OlapSession::RangeSum",
-    "DynamicAssembler::Query",
     "RangeEngine::RangeSum",
     "ElementServer::Serve",
     "ThreadPool::ParallelFor",

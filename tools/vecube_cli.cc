@@ -10,8 +10,8 @@
 //                       --workload MASK:FREQ[,MASK:FREQ...]
 //                       [--budget CELLS]
 //       Select the minimum-cost view element set for the workload
-//       (Algorithm 1, plus greedy redundancy up to --budget) and persist
-//       the rematerialized store.
+//       (Algorithm 1, plus greedy redundancy up to a total of --budget
+//       cells), assemble it from the loaded store, and persist it.
 //
 //   vecube_cli query    --store STORE --mask MASK
 //       Assemble the aggregated view (bit m of MASK set = dimension m
@@ -73,15 +73,13 @@
 
 #include "core/assembly.h"
 #include "core/basis.h"
-#include "core/computer.h"
 #include "core/io.h"
 #include "core/repair.h"
 #include "core/wal.h"
 #include "cube/csv.h"
 #include "cube/cube_builder.h"
 #include "range/range_engine.h"
-#include "select/algorithm1.h"
-#include "select/algorithm2.h"
+#include "select/adapt.h"
 #include "serve/admission.h"
 #include "serve/serving.h"
 #include "serve/view_cache.h"
@@ -219,36 +217,30 @@ int CmdOptimize(const std::map<std::string, std::string>& flags) {
   auto population = ParseWorkload(flags.at("workload"), store->shape());
   if (!population.ok()) return Fail(population.status());
 
-  auto selection = vecube::SelectMinCostBasis(store->shape(), *population);
-  if (!selection.ok()) return Fail(selection.status());
-  std::vector<vecube::ElementId> target = selection->basis;
-
+  // --budget is the total storage target; the selection takes the
+  // redundancy beyond the basis, whose volume is the cube's.
+  uint64_t redundancy = 0;
   if (flags.count("budget")) {
-    vecube::GreedyOptions greedy;
-    greedy.storage_target_cells =
+    const uint64_t budget =
         std::strtoull(flags.at("budget").c_str(), nullptr, 10);
-    greedy.pool = vecube::CandidatePool::kAggregatedViews;
-    auto frontier = vecube::GreedySelect(store->shape(), *population,
-                                         target, greedy);
-    if (!frontier.ok()) return Fail(frontier.status());
-    target = frontier->back().selected;
+    const uint64_t volume = store->shape().volume();
+    redundancy = budget > volume ? budget - volume : 0;
   }
+  double predicted_cost = 0.0;
+  auto target = vecube::SelectElementSet(store->shape(), *population,
+                                         redundancy, &predicted_cost);
+  if (!target.ok()) return Fail(target.status());
 
-  // Rematerialize from the loaded store (assembles the root if needed).
+  // Migrate from the loaded store (assembles the root if needed).
   vecube::AssemblyEngine engine(&*store);
-  vecube::ElementStore next(store->shape());
-  for (const vecube::ElementId& id : target) {
-    auto data = engine.Assemble(id);
-    if (!data.ok()) return Fail(data.status());
-    Status st = next.Put(id, std::move(data).value());
-    if (!st.ok()) return Fail(st);
-  }
-  Status st = vecube::SaveStoreV2(next, flags.at("out"));
+  auto next = vecube::MigrateStore(store->shape(), &engine, *target);
+  if (!next.ok()) return Fail(next.status());
+  Status st = vecube::SaveStoreV2(*next, flags.at("out"));
   if (!st.ok()) return Fail(st);
   std::printf("selected %zu elements (predicted cost %.2f ops/query, "
               "storage %llu cells) -> %s\n",
-              target.size(), selection->predicted_cost,
-              static_cast<unsigned long long>(next.StorageCells()),
+              target->size(), predicted_cost,
+              static_cast<unsigned long long>(next->StorageCells()),
               flags.at("out").c_str());
   return 0;
 }
