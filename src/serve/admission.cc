@@ -3,68 +3,140 @@
 #include <algorithm>
 #include <string>
 
+#include "util/failpoint.h"
+
 namespace vecube {
+
+namespace {
+
+// A thread's round-robin ticket, drawn on its first Admit: clients that
+// start together hold consecutive tickets, so up to a controller's stripe
+// count of them own distinct stripes.
+uint32_t ThreadAdmissionTicket() {
+  static std::atomic<uint32_t> next_ticket{0};
+  // order: relaxed — a round-robin ticket; nothing is published through it.
+  thread_local const uint32_t ticket =
+      next_ticket.fetch_add(1, std::memory_order_relaxed);
+  return ticket;
+}
+
+uint32_t Occupied(uint64_t state) { return static_cast<uint32_t>(state); }
+
+}  // namespace
 
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {
   if (options_.max_inflight == 0) options_.max_inflight = 1;
+  num_stripes_ = std::min(options_.max_inflight, kAdmissionStripes);
+  for (uint32_t i = 0; i < num_stripes_; ++i) {
+    stripes_[i].capacity = options_.max_inflight / num_stripes_ +
+                           (i < options_.max_inflight % num_stripes_ ? 1 : 0);
+  }
 }
 
 void AdmissionController::Permit::Release() {
   if (controller_ != nullptr) {
-    controller_->ReleaseSlot();
+    controller_->ReleaseSlot(stripe_);
     controller_ = nullptr;
   }
 }
 
-// Every operation on `state_` is a read or read-modify-write of the one
-// word, so all of them fall in its single modification order: of a
-// release's decrement and a sleeper's registering CAS, the later one
-// sees the earlier. acquire/acq_rel order a permit's critical section
-// between its admission and its release, as for any semaphore; the
-// hand-off itself is ordered by mu_.
+// Every operation on a stripe's `state` is a read or read-modify-write of
+// that one word, so all of them fall in its single modification order: of
+// a release's decrement and a sleeper's registering CAS on that stripe,
+// the later one sees the earlier. A sleeper registers on every stripe
+// before it queues, so each release either freed its slot before the
+// registration reached its stripe (and the registering CAS sees the free
+// slot) or sees the sleeper in the value it decremented. acquire/acq_rel
+// order a permit's critical section between its admission and its
+// release, as for any semaphore; the hand-off itself is ordered by mu_.
 
-namespace {
-uint32_t Occupied(uint64_t state) { return static_cast<uint32_t>(state); }
-}  // namespace
-
-bool AdmissionController::TryTakeSlot() {
+AdmissionController::Take AdmissionController::TakeOnStripe(uint32_t stripe) {
+  std::atomic<uint64_t>& word = stripes_[stripe].state;
+  const uint32_t capacity = stripes_[stripe].capacity;
   // order: acquire — see the note above.
-  uint64_t state = state_.load(std::memory_order_acquire);
-  while (state < kSleeper && Occupied(state) < options_.max_inflight) {
+  uint64_t state = word.load(std::memory_order_acquire);
+  for (;;) {
+    if (state >= kSleeper) return Take::kSleeper;
+    if (Occupied(state) >= capacity) return Take::kFull;
     // order: acq_rel — see the note above; a failed CAS reloads `state`
     // and re-tests for a free slot and a sleeper.
-    if (state_.compare_exchange_weak(state, state + 1,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      return true;
+    if (word.compare_exchange_weak(state, state + 1, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+      return Take::kTaken;
     }
   }
-  return false;
 }
 
-void AdmissionController::ReleaseSlot() {
+uint32_t AdmissionController::TryTakeSlot() {
+  // Own stripe first; a full one sends the arrival round the others. A
+  // sleeper on any stripe is registered on all of them (or soon will be),
+  // so the arrival defers to it on the locked path.
+  uint32_t stripe = ThreadAdmissionTicket() % num_stripes_;
+  for (uint32_t tried = 0; tried < num_stripes_; ++tried) {
+    switch (TakeOnStripe(stripe)) {
+      case Take::kTaken:
+        return stripe;
+      case Take::kSleeper:
+        return num_stripes_;
+      case Take::kFull:
+        break;
+    }
+    if (++stripe == num_stripes_) stripe = 0;
+  }
+  return num_stripes_;
+}
+
+bool AdmissionController::DropSlot(uint32_t stripe) {
   // order: acq_rel — see the note above.
-  if (state_.fetch_sub(1, std::memory_order_acq_rel) < kSleeper) return;
-  // A sleeper registered before this release, while holding mu_, and
-  // holds mu_ until its wait begins, so under mu_ this release sees every
-  // registered waiter. While one is queued no arrival can take a slot:
-  // the fast path defers to any sleeper, and a locked arrival queues
-  // behind it. So every free slot seen here was freed for the queue —
-  // by this release, or by a racing one that has not locked yet (and
-  // then finds nothing left to hand on).
+  return stripes_[stripe].state.fetch_sub(1, std::memory_order_acq_rel) >=
+         kSleeper;
+}
+
+void AdmissionController::Unregister(uint32_t count) {
+  for (uint32_t i = 0; i < count; ++i) {
+    // order: acq_rel — see the note above.
+    stripes_[i].state.fetch_sub(kSleeper, std::memory_order_acq_rel);
+  }
+}
+
+uint32_t AdmissionController::FreeStripe() const {
+  for (uint32_t i = 0; i < num_stripes_; ++i) {
+    // order: acquire — see the note above.
+    const uint64_t state = stripes_[i].state.load(std::memory_order_acquire);
+    if (Occupied(state) < stripes_[i].capacity) return i;
+  }
+  return num_stripes_;
+}
+
+void AdmissionController::ReleaseSlot(uint32_t stripe) {
+  if (!DropSlot(stripe)) return;
+  // Chaos tests stall here to hold open the window between the decrement
+  // and the hand-off, where a barging arrival could take the freed slot.
+  Failpoints::HitWithDelay("admit.handoff");
+  // A sleeper registered on this stripe before this release, while
+  // holding mu_, and holds mu_ until its wait begins, so under mu_ this
+  // release sees every registered waiter. While one is queued no arrival
+  // can take a slot on any stripe: each waiter is registered on all of
+  // them, the fast path defers to any sleeper, and a locked arrival queues
+  // behind it. So every free slot seen here was freed for the queue — by
+  // this release, or by a racing one that has not locked yet (and then
+  // finds nothing left to hand on).
   MutexLock lock(mu_);
   while (!waiters_.empty()) {
-    // order: acquire — see the note above.
-    const uint64_t state = state_.load(std::memory_order_acquire);
-    if (Occupied(state) >= options_.max_inflight) break;
+    const uint32_t free = FreeStripe();
+    if (free == num_stripes_) break;
     // Hand the slot to the oldest waiter: it occupies the slot again and
-    // stops sleeping.
+    // stops sleeping on every stripe.
     Waiter* next = waiters_.front();
     waiters_.pop_front();
     next->granted = true;
+    next->stripe = free;
+    // Occupy first: unregistered first, the last sleeper would leave the
+    // slot free for a fast-path arrival to take.
     // order: acq_rel — see the note above.
-    state_.fetch_sub(kSleeper - 1, std::memory_order_acq_rel);
+    stripes_[free].state.fetch_add(1, std::memory_order_acq_rel);
+    Unregister(num_stripes_);
     next->cv.NotifyOne();
   }
   if (drainers_ > 0) cv_.NotifyAll();
@@ -72,22 +144,24 @@ void AdmissionController::ReleaseSlot() {
 
 Result<AdmissionController::Permit> AdmissionController::Admit(
     const QueryContext& ctx) {
-  if (!TryTakeSlot()) return AdmitQueued(ctx);
+  const uint32_t stripe = TryTakeSlot();
+  if (stripe == num_stripes_) return AdmitQueued(ctx);
   // Checked after the slot is taken: an arrival racing Shutdown() either
   // sees the flag here or holds a slot that Drain() waits for. Drain()
-  // registers with a read-modify-write of `state_`: before this arrival's
-  // CAS it would have sent the arrival to the locked path, which reads
-  // the flag under mu_; after it, Drain() sees the slot.
+  // registers with a read-modify-write of every stripe: before this
+  // arrival's CAS on its stripe it would have sent the arrival to the
+  // locked path, which reads the flag under mu_; after it, Drain() sees
+  // the slot.
   // order: seq_cst — pairs with Shutdown()'s store.
   if (shutdown_.load(std::memory_order_seq_cst)) {
-    ReleaseSlot();
+    ReleaseSlot(stripe);
     // order: relaxed — outcome counter, read only by Metrics().
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("server shutting down");
   }
   // order: relaxed — outcome counter, read only by Metrics().
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  return Permit(this);
+  stripes_[stripe].admitted.fetch_add(1, std::memory_order_relaxed);
+  return Permit(this, stripe);
 }
 
 Result<AdmissionController::Permit> AdmissionController::AdmitQueued(
@@ -99,35 +173,44 @@ Result<AdmissionController::Permit> AdmissionController::AdmitQueued(
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("server shutting down");
   }
-  // Take a free slot when nobody is queued ahead, else register as a
-  // sleeper — one CAS either way, re-testing whatever a racing
-  // fast-path release changed (see the note above).
-  // order: acquire — see the note above.
-  uint64_t state = state_.load(std::memory_order_acquire);
-  for (;;) {
-    if (waiters_.empty() && Occupied(state) < options_.max_inflight) {
-      // order: acq_rel — see the note above.
-      if (state_.compare_exchange_weak(state, state + 1,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-        // order: relaxed — outcome counter, read only by Metrics().
-        admitted_.fetch_add(1, std::memory_order_relaxed);
-        return Permit(this);
+  // One pass over the stripes. On each, one CAS either takes a free slot
+  // (only when nobody is queued ahead) or registers this arrival as a
+  // sleeper, re-testing whatever a racing fast-path release changed (see
+  // the note above). A slot found partway through is taken, and the
+  // stripes already marked are unmarked. A full queue only scans.
+  const bool may_take = waiters_.empty();
+  const bool may_queue = queued_ < options_.max_queue;
+  for (uint32_t i = 0; i < num_stripes_; ++i) {
+    Stripe& stripe = stripes_[i];
+    // order: acquire — see the note above.
+    uint64_t state = stripe.state.load(std::memory_order_acquire);
+    for (;;) {
+      if (may_take && Occupied(state) < stripe.capacity) {
+        // order: acq_rel — see the note above.
+        if (stripe.state.compare_exchange_weak(state, state + 1,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+          if (may_queue) Unregister(i);
+          // order: relaxed — outcome counter, read only by Metrics().
+          stripe.admitted.fetch_add(1, std::memory_order_relaxed);
+          return Permit(this, i);
+        }
+        continue;
       }
-      continue;
+      if (!may_queue) break;
+      // order: acq_rel — see the note above.
+      if (stripe.state.compare_exchange_weak(state, state + kSleeper,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+        break;
+      }
     }
-    if (queued_ >= options_.max_queue) {
-      ++shed_;
-      return Status::ResourceExhausted(
-          "admission queue full; retry after " +
-          std::to_string(options_.retry_after.count()) + "ms");
-    }
-    // order: acq_rel — see the note above.
-    if (state_.compare_exchange_weak(state, state + kSleeper,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      break;
-    }
+  }
+  if (!may_queue) {
+    ++shed_;
+    return Status::ResourceExhausted(
+        "admission queue full; retry after " +
+        std::to_string(options_.retry_after.count()) + "ms");
   }
   Waiter self;
   waiters_.push_back(&self);
@@ -147,14 +230,13 @@ Result<AdmissionController::Permit> AdmissionController::AdmitQueued(
   if (!self.granted) {
     // Leaving the queue: no release can hand this waiter a slot now.
     waiters_.erase(std::find(waiters_.begin(), waiters_.end(), &self));
-    // order: acq_rel — see the note above.
-    state_.fetch_sub(kSleeper, std::memory_order_acq_rel);
+    Unregister(num_stripes_);
     ++deadline_exceeded_;
     return waited;
   }
   // order: relaxed — outcome counter, read only by Metrics().
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  return Permit(this);
+  stripes_[self.stripe].admitted.fetch_add(1, std::memory_order_relaxed);
+  return Permit(this, self.stripe);
 }
 
 void AdmissionController::Shutdown() {
@@ -172,13 +254,18 @@ bool AdmissionController::Drain(std::chrono::milliseconds timeout) {
   // A registered sleeper sends every release through the locked path,
   // which notifies drainers (see the note above).
   ++drainers_;
-  // order: acq_rel — see the note above.
-  state_.fetch_add(kSleeper, std::memory_order_acq_rel);
+  for (uint32_t i = 0; i < num_stripes_; ++i) {
+    // order: acq_rel — see the note above.
+    stripes_[i].state.fetch_add(kSleeper, std::memory_order_acq_rel);
+  }
   bool drained = false;
   for (;;) {
-    // order: acquire — see the note above.
-    if (Occupied(state_.load(std::memory_order_acquire)) == 0 &&
-        queued_ == 0) {
+    uint32_t occupied = 0;
+    for (uint32_t i = 0; i < num_stripes_; ++i) {
+      // order: acquire — see the note above.
+      occupied += Occupied(stripes_[i].state.load(std::memory_order_acquire));
+    }
+    if (occupied == 0 && queued_ == 0) {
       drained = true;
       break;
     }
@@ -188,8 +275,7 @@ bool AdmissionController::Drain(std::chrono::milliseconds timeout) {
             std::chrono::milliseconds(100), ctx.remaining());
     cv_.WaitFor(mu_, slice);
   }
-  // order: acq_rel — see the note above.
-  state_.fetch_sub(kSleeper, std::memory_order_acq_rel);
+  Unregister(num_stripes_);
   --drainers_;
   return drained;
 }
@@ -197,16 +283,19 @@ bool AdmissionController::Drain(std::chrono::milliseconds timeout) {
 AdmissionMetrics AdmissionController::Metrics() const {
   MutexLock lock(mu_);
   AdmissionMetrics metrics;
-  // order: relaxed — point-in-time snapshot; a fast-path admit or release
-  // racing it lands in this read or the next.
-  metrics.admitted = admitted_.load(std::memory_order_relaxed);
+  for (uint32_t i = 0; i < num_stripes_; ++i) {
+    // order: relaxed — point-in-time snapshot; a fast-path admit or
+    // release racing it lands in this read or the next.
+    metrics.admitted += stripes_[i].admitted.load(std::memory_order_relaxed);
+    // order: relaxed — snapshot, as above.
+    metrics.inflight +=
+        Occupied(stripes_[i].state.load(std::memory_order_relaxed));
+  }
   metrics.shed = shed_;
   metrics.deadline_exceeded = deadline_exceeded_;
   // order: relaxed — snapshot, as above.
   metrics.rejected_shutdown =
       rejected_shutdown_.load(std::memory_order_relaxed);
-  // order: relaxed — snapshot, as above.
-  metrics.inflight = Occupied(state_.load(std::memory_order_relaxed));
   metrics.queued = queued_;
   return metrics;
 }

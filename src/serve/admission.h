@@ -20,21 +20,32 @@
 // races to it first, and an arrival only takes a free slot when nobody
 // is queued.
 //
-// The fast path takes no lock (DESIGN.md §12): the occupied-slot count
-// and the count of registered sleepers (queued waiters plus running
-// Drain() calls) share one atomic word. An arrival takes a slot with one
-// CAS while the word shows a free slot and no sleeper; a release is one
-// atomic decrement. Everything else runs under the mutex: queueing (with
-// `max_queue` shedding and the timed slices), the hand-off, Drain and
-// Shutdown. A sleeper registers in the word, under the mutex, with the
-// same CAS that re-checks for a free slot, so a release either frees the
-// slot before the registration (and the arrival takes it) or sees the
-// registration in the value it decremented and hands the slot on under
-// the mutex — no wake-up is lost.
+// The fast path takes no lock (DESIGN.md §12). The `max_inflight` slots
+// are split across up to kAdmissionStripes stripes, each one atomic word
+// on its own cache line holding that stripe's occupied-slot count (low
+// half) and its count of registered sleepers (high half: queued waiters
+// plus running Drain() calls). A thread draws its own stripe round robin
+// on its first Admit. An arrival takes a slot with one CAS on its own
+// stripe while the word shows a free slot and no sleeper, trying the
+// other stripes the same way when its own is full; the Permit records
+// the stripe, and a release is one atomic decrement of it. Concurrent
+// clients thus write disjoint lines. Everything else runs under the
+// mutex: queueing (with `max_queue` shedding and the timed slices), the
+// hand-off, Drain and Shutdown. A sleeper registers on every stripe,
+// under the mutex, with the same CAS that re-checks that stripe for a
+// free slot, so a release either frees its slot before the registration
+// reaches its stripe (and the arrival takes it) or sees the registration
+// in the value it decremented and hands the slot on under the mutex —
+// no wake-up is lost. With max_inflight = 1 there is one stripe and this
+// is the one-word design.
+//
+// Failpoint: "admit.handoff" (delay) stalls a release between its
+// decrement and the locked hand-off it owes the queue.
 
 #ifndef VECUBE_SERVE_ADMISSION_H_
 #define VECUBE_SERVE_ADMISSION_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -81,11 +92,13 @@ class AdmissionController {
    public:
     Permit() noexcept = default;
     Permit(Permit&& other) noexcept
-        : controller_(std::exchange(other.controller_, nullptr)) {}
+        : controller_(std::exchange(other.controller_, nullptr)),
+          stripe_(other.stripe_) {}
     Permit& operator=(Permit&& other) noexcept {
       if (this != &other) {
         Release();
         controller_ = std::exchange(other.controller_, nullptr);
+        stripe_ = other.stripe_;
       }
       return *this;
     }
@@ -98,10 +111,11 @@ class AdmissionController {
 
    private:
     friend class AdmissionController;
-    explicit Permit(AdmissionController* controller) noexcept
-        : controller_(controller) {}
+    Permit(AdmissionController* controller, uint32_t stripe) noexcept
+        : controller_(controller), stripe_(stripe) {}
 
     AdmissionController* controller_ = nullptr;
+    uint32_t stripe_ = 0;  ///< the stripe whose slot this permit holds
   };
 
   /// Grants a slot, queues for one (first come, first served; bounded
@@ -127,35 +141,66 @@ class AdmissionController {
   [[nodiscard]] AdmissionMetrics Metrics() const;
 
  private:
-  /// A queued arrival. Lives on its waiter's stack; `granted` is guarded
-  /// by mu_ and set by the release that hands it a slot.
+  /// A queued arrival. Lives on its waiter's stack; `granted` and
+  /// `stripe` are guarded by mu_ and set by the release that hands it a
+  /// slot.
   struct Waiter {
     CondVar cv;
     bool granted = false;
+    uint32_t stripe = 0;
   };
 
-  /// One sleeper in the high half of `state_`; the low half counts
-  /// occupied slots.
+  /// One stripe's permit word and admission count, on a cache line of
+  /// their own.
+  struct alignas(64) Stripe {
+    /// Occupied slots (low 32 bits) and sleepers (high 32 bits). The
+    /// sleeper half changes only under mu_; either half is read
+    /// lock-free.
+    std::atomic<uint64_t> state{0};
+    /// Permits granted on this stripe; Metrics() sums the stripes.
+    std::atomic<uint64_t> admitted{0};
+    uint32_t capacity = 0;  ///< immutable after construction
+  };
+
+  /// The most permit words one controller spreads its slots over. Like
+  /// the view cache's hit stripes, up to this many concurrent clients
+  /// write disjoint cache lines.
+  static constexpr uint32_t kAdmissionStripes = 8;
+  /// One sleeper in the high half of a stripe's `state`; the low half
+  /// counts occupied slots.
   static constexpr uint64_t kSleeper = uint64_t{1} << 32;
 
-  /// Takes a slot if one is free and nobody sleeps (one CAS on
-  /// `state_`); false otherwise.
-  bool TryTakeSlot();
+  enum class Take : uint8_t { kTaken, kFull, kSleeper };
+  /// Takes a slot on `stripe` if it has one free and nobody sleeps (one
+  /// CAS); otherwise says which of the two stopped it.
+  Take TakeOnStripe(uint32_t stripe);
+  /// Takes a slot on the calling thread's stripe, else on the first other
+  /// stripe with one free, while nobody sleeps. Returns the stripe, or
+  /// num_stripes_ when every stripe is full or a sleeper is registered.
+  uint32_t TryTakeSlot();
+  /// Gives back a slot on `stripe` with one decrement. Returns true when
+  /// the decremented value showed a sleeper: the caller then owes the
+  /// locked hand-off.
+  bool DropSlot(uint32_t stripe);
   /// Admit's slow path: queues under `mu_` behind every earlier waiter.
   Result<Permit> AdmitQueued(const QueryContext& ctx) VECUBE_EXCLUDES(mu_);
-  void ReleaseSlot() VECUBE_EXCLUDES(mu_);
+  void ReleaseSlot(uint32_t stripe) VECUBE_EXCLUDES(mu_);
+  /// Withdraws one sleeper from stripes [0, count).
+  void Unregister(uint32_t count) VECUBE_REQUIRES(mu_);
+  /// The first stripe with a free slot, or num_stripes_.
+  uint32_t FreeStripe() const VECUBE_REQUIRES(mu_);
 
+  // Read-mostly: written only by the constructor and (shutdown_) once.
   AdmissionOptions options_;  ///< immutable after construction
-  // Lock-free state: the atomics' contracts are their `// order:`
-  // comments in admission.cc.
-  /// Occupied slots (low 32 bits) and sleepers (high 32 bits). The
-  /// sleeper half changes only under mu_; either half is read lock-free.
-  std::atomic<uint64_t> state_{0};
+  uint32_t num_stripes_ = 1;  ///< min(max_inflight, kAdmissionStripes)
   /// Set once, under mu_; read lock-free after every fast-path CAS.
   std::atomic<bool> shutdown_{false};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_shutdown_{0};
 
+  // Lock-free state: the atomics' contracts are their `// order:`
+  // comments in admission.cc.
+  std::array<Stripe, kAdmissionStripes> stripes_;
+
+  std::atomic<uint64_t> rejected_shutdown_{0};
   mutable Mutex mu_;
   CondVar cv_;  ///< drainers wait here; waiters on their own Waiter::cv
   /// Queued waiters, oldest first; the next released slot goes to front().

@@ -349,22 +349,23 @@ TEST(ServeAdmissionTest, ShutdownRefusesNewArrivalsAndDrains) {
 }
 
 // A release takes the admission mutex and notifies only when a waiter
-// or drainer has registered. The next two tests fail when a release
+// or drainer has registered. The no-lost-wakeup tests fail when a release
 // never notifies: each waiter then sleeps out its slice (here its whole
-// 50 ms deadline), and a drainer its 100 ms slice.
+// 50 ms deadline), and a drainer its 100 ms slice. Slot counts above one
+// spread the slots over several permit stripes, with more threads than
+// stripes; 11 slots fill all 8 stripes unevenly (three hold two slots).
 
-TEST(ServeAdmissionTest, NoLostWakeupWithOneSlotAndFourThreads) {
-  constexpr uint32_t kThreads = 4;
+void ExpectNoLostWakeup(uint32_t max_inflight, uint32_t threads) {
   const uint64_t cycles = 200 * SoakIters();
   AdmissionOptions options;
-  options.max_inflight = 1;
-  options.max_queue = kThreads;  // every arrival can queue: none is shed
+  options.max_inflight = max_inflight;
+  options.max_queue = threads;  // every arrival can queue: none is shed
   AdmissionController admission(options);
 
   std::atomic<uint64_t> attempts{0};
   std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (uint32_t w = 0; w < kThreads; ++w) {
+  workers.reserve(threads);
+  for (uint32_t w = 0; w < threads; ++w) {
     workers.emplace_back([&] {
       for (uint64_t i = 0; i < cycles; ++i) {
         attempts.fetch_add(1, std::memory_order_relaxed);  // order: stat
@@ -390,6 +391,25 @@ TEST(ServeAdmissionTest, NoLostWakeupWithOneSlotAndFourThreads) {
   EXPECT_EQ(metrics.queued, 0u);
 }
 
+TEST(ServeAdmissionTest, NoLostWakeupWithOneSlotAndFourThreads) {
+  ExpectNoLostWakeup(/*max_inflight=*/1, /*threads=*/4);
+}
+TEST(ServeAdmissionTest, NoLostWakeupWithTwoSlotsAndEightThreads) {
+  ExpectNoLostWakeup(/*max_inflight=*/2, /*threads=*/8);
+}
+TEST(ServeAdmissionTest, NoLostWakeupWithThreeSlotsAndEightThreads) {
+  ExpectNoLostWakeup(/*max_inflight=*/3, /*threads=*/8);
+}
+TEST(ServeAdmissionTest, NoLostWakeupWithFourSlotsAndEightThreads) {
+  ExpectNoLostWakeup(/*max_inflight=*/4, /*threads=*/8);
+}
+TEST(ServeAdmissionTest, NoLostWakeupWithSevenSlotsAndEightThreads) {
+  ExpectNoLostWakeup(/*max_inflight=*/7, /*threads=*/8);
+}
+TEST(ServeAdmissionTest, NoLostWakeupWithElevenSlotsAndSixteenThreads) {
+  ExpectNoLostWakeup(/*max_inflight=*/11, /*threads=*/16);
+}
+
 TEST(ServeAdmissionTest, DrainReturnsPromptlyAfterTheLastRelease) {
   using Clock = QueryContext::Clock;
   AdmissionController admission;
@@ -411,11 +431,113 @@ TEST(ServeAdmissionTest, DrainReturnsPromptlyAfterTheLastRelease) {
       << "Drain slept out its slice instead of waking on the release";
 }
 
-TEST(ServeAdmissionStressTest, MetricsIdentityHoldsUnderContention) {
-  const uint64_t rounds = 200 * SoakIters();
-  constexpr uint32_t kThreads = 8;
+// Spins (1 ms naps) until `done` holds; false after 5 s.
+template <typename Pred>
+bool Eventually(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// What one Admit() on its own thread came back with.
+struct Arrival {
+  Status status = Status::OK();
+  AdmissionController::Permit permit;
+};
+
+std::thread Arrive(AdmissionController* admission, QueryContext ctx,
+                   Arrival* out) {
+  return std::thread([admission, ctx, out] {
+    auto permit = admission->Admit(ctx);
+    if (permit.ok()) {
+      out->permit = std::move(*permit);
+    } else {
+      out->status = permit.status();
+    }
+  });
+}
+
+// First come, first served across stripes, without relying on a race:
+// every stripe is full and two waiters queue. A release on one stripe is
+// stalled (failpoint "admit.handoff") between its decrement and the
+// locked hand-off, and an arrival whose own stripe is another one comes
+// in inside that window. The freed slot must go to the oldest waiter,
+// the arrival must queue behind both waiters, and the one release must
+// admit exactly one waiter.
+TEST(ServeAdmissionTest, FreedSlotGoesToTheWaiterNotToAnArrivalOnAnotherStripe) {
+  FailpointGuard guard;
   AdmissionOptions options;
-  options.max_inflight = 2;
+  options.max_inflight = 4;  // four stripes of one slot each
+  options.max_queue = 4;
+  AdmissionController admission(options);
+
+  // Fill every stripe from distinct threads. They admit one after the
+  // other, so they draw consecutive stripe tickets: each takes its own
+  // stripe, and the threads started next own the stripes after theirs.
+  std::vector<Arrival> holders(options.max_inflight);
+  for (Arrival& holder : holders) {
+    Arrive(&admission, QueryContext(), &holder).join();
+    ASSERT_TRUE(holder.permit.valid()) << holder.status.ToString();
+  }
+  ASSERT_EQ(admission.Metrics().inflight, options.max_inflight);
+
+  const QueryContext patient =
+      QueryContext::WithTimeout(std::chrono::seconds(10));
+  Arrival first;
+  Arrival second;
+  std::thread first_waiter = Arrive(&admission, patient, &first);
+  ASSERT_TRUE(Eventually([&] { return admission.Metrics().queued == 1; }));
+  std::thread second_waiter = Arrive(&admission, patient, &second);
+  ASSERT_TRUE(Eventually([&] { return admission.Metrics().queued == 2; }));
+
+  FailpointAction stall;
+  stall.kind = FailpointAction::Kind::kDelay;
+  stall.delay_ms = 300;
+  Failpoints::Arm("admit.handoff", stall);
+  std::thread releaser([&] { holders[0].permit.Release(); });
+  // The decrement is visible while the release stalls before its hand-off.
+  ASSERT_TRUE(Eventually([&] {
+    return admission.Metrics().inflight == options.max_inflight - 1;
+  }));
+  Arrival late;
+  Arrive(&admission,
+         QueryContext::WithTimeout(std::chrono::milliseconds(50)), &late)
+      .join();
+  EXPECT_FALSE(late.permit.valid())
+      << "an arrival took a slot freed for a queued waiter";
+  EXPECT_TRUE(late.status.IsDeadlineExceeded()) << late.status.ToString();
+
+  releaser.join();
+  first_waiter.join();
+  EXPECT_TRUE(first.permit.valid()) << first.status.ToString();
+  AdmissionMetrics metrics = admission.Metrics();
+  EXPECT_EQ(metrics.inflight, options.max_inflight)
+      << "one release admitted more than one waiter";
+  EXPECT_EQ(metrics.queued, 1u);
+
+  holders[1].permit.Release();
+  second_waiter.join();
+  EXPECT_TRUE(second.permit.valid()) << second.status.ToString();
+
+  first.permit.Release();
+  second.permit.Release();
+  for (Arrival& holder : holders) holder.permit.Release();
+  metrics = admission.Metrics();
+  EXPECT_EQ(metrics.admitted, options.max_inflight + 2u);
+  EXPECT_EQ(metrics.deadline_exceeded, 1u);
+  EXPECT_EQ(metrics.inflight, 0u);
+  EXPECT_EQ(metrics.queued, 0u);
+}
+
+void ExpectMetricsIdentityUnderContention(uint32_t max_inflight,
+                                          uint32_t threads) {
+  const uint64_t rounds = 200 * SoakIters();
+  AdmissionOptions options;
+  options.max_inflight = max_inflight;
   options.max_queue = 2;
   AdmissionController admission(options);
 
@@ -423,8 +545,8 @@ TEST(ServeAdmissionStressTest, MetricsIdentityHoldsUnderContention) {
   std::atomic<uint64_t> held{0};
   std::atomic<bool> over_limit{false};
   std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (uint32_t w = 0; w < kThreads; ++w) {
+  workers.reserve(threads);
+  for (uint32_t w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
       for (uint64_t i = 0; i < rounds; ++i) {
         // Mix of unbounded, short-deadline, and already-expired contexts.
@@ -461,6 +583,22 @@ TEST(ServeAdmissionStressTest, MetricsIdentityHoldsUnderContention) {
       << "every Admit() must resolve to exactly one outcome";
   EXPECT_EQ(metrics.inflight, 0u);
   EXPECT_EQ(metrics.queued, 0u);
+}
+
+TEST(ServeAdmissionStressTest, MetricsIdentityHoldsUnderContention) {
+  ExpectMetricsIdentityUnderContention(/*max_inflight=*/2, /*threads=*/8);
+}
+TEST(ServeAdmissionStressTest, MetricsIdentityHoldsWithThreeSlots) {
+  ExpectMetricsIdentityUnderContention(/*max_inflight=*/3, /*threads=*/8);
+}
+TEST(ServeAdmissionStressTest, MetricsIdentityHoldsWithFourSlots) {
+  ExpectMetricsIdentityUnderContention(/*max_inflight=*/4, /*threads=*/8);
+}
+TEST(ServeAdmissionStressTest, MetricsIdentityHoldsWithSevenSlots) {
+  ExpectMetricsIdentityUnderContention(/*max_inflight=*/7, /*threads=*/8);
+}
+TEST(ServeAdmissionStressTest, MetricsIdentityHoldsWithElevenSlots) {
+  ExpectMetricsIdentityUnderContention(/*max_inflight=*/11, /*threads=*/16);
 }
 
 // ---------------------------------------------------------------------------

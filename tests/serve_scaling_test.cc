@@ -1,5 +1,6 @@
-// Serving-cache scaling tests: the contention-free hit path hammered
-// from many threads. Two properties are pinned:
+// Serving scaling tests: the contention-free hit path, and the admission
+// fast path in front of it, hammered from many threads. Two properties
+// are pinned:
 //
 //  1. Exactness — the lock-free hit counters lose nothing: after T
 //     threads each perform R hits, Metrics().hits == T*R, and the
@@ -9,9 +10,10 @@
 //     free.
 //
 //  2. Scaling sanity — in a Release build on real hardware, adding
-//     threads to a pure-hit workload must not reduce aggregate
-//     throughput (the seed's per-shard mutex + shared_ptr refcount hit
-//     path anti-scaled: 8 threads took 3.5x the wall of 1). Skipped
+//     threads to a pure-hit workload, or to pure Admit + Release with a
+//     slot per thread, must not reduce aggregate throughput (the seed's
+//     per-shard mutex + shared_ptr refcount hit path anti-scaled: 8
+//     threads took 3.5x the wall of 1). Skipped
 //     under sanitizers (instrumentation serializes atomics) and on
 //     single-core machines (time slicing makes any multi-thread wall a
 //     scheduling artifact, not a cache property).
@@ -32,6 +34,7 @@
 #include "core/element_id.h"
 #include "cube/shape.h"
 #include "cube/tensor.h"
+#include "serve/admission.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
@@ -202,6 +205,76 @@ TEST(ServeScalingStressTest, FixedPerThreadWorkDoesNotAntiScale) {
   EXPECT_LT(multi_ms, single_ms * 2.0)
       << threads << " threads took " << multi_ms << " ms vs " << single_ms
       << " ms single-threaded for the same per-thread work";
+#endif
+}
+
+// Runs `threads` pinned workers, each performing `rounds` Admit +
+// Release on `admission`, and returns the wall time of that region
+// (spawn excluded via a start latch, as in HammerMs).
+double AdmitMs(AdmissionController* admission, uint32_t threads,
+               uint32_t rounds) {
+  const uint32_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  std::atomic<uint32_t> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (uint32_t w = 0; w < threads; ++w) {
+    workers.emplace_back([&, w] {
+      PinToCpu(w % hardware);
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (uint32_t round = 0; round < rounds; ++round) {
+        auto permit = admission->Admit();
+        ASSERT_TRUE(permit.ok()) << permit.status().ToString();
+      }
+    });
+  }
+  while (ready.load(std::memory_order_acquire) < threads) {
+    std::this_thread::yield();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  go.store(true, std::memory_order_release);
+  for (std::thread& worker : workers) worker.join();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// The admission fast path under the same fixed-per-thread-work gate: with
+// a slot per client, concurrent Admit + Release pairs write disjoint
+// permit stripes, so the wall stays flat as clients are added. With one
+// shared permit word, 4 threads took 12-17x the wall of 1 on a 4-core
+// VM; striped, 1.0-1.3x.
+TEST(ServeScalingStressTest, AdmissionDoesNotAntiScale) {
+#if !defined(NDEBUG) || defined(VECUBE_TEST_UNDER_SANITIZER)
+  GTEST_SKIP() << "timing gate is only meaningful in Release without "
+                  "sanitizer instrumentation";
+#else
+  const uint32_t hardware = std::thread::hardware_concurrency();
+  if (hardware < 2) {
+    GTEST_SKIP() << "single-core machine: multi-thread wall measures the "
+                    "scheduler, not admission";
+  }
+  const uint32_t threads = hardware < 8 ? hardware : 8;
+  constexpr uint32_t kRounds = 500000;
+  AdmissionOptions options;
+  options.max_inflight = threads;
+  AdmissionController admission(options);
+
+  // Best-of-3 per thread count to shave scheduler noise.
+  double single_ms = 1e300;
+  double multi_ms = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const double s = AdmitMs(&admission, 1, kRounds);
+    if (s < single_ms) single_ms = s;
+    const double m = AdmitMs(&admission, threads, kRounds);
+    if (m < multi_ms) multi_ms = m;
+  }
+  EXPECT_LT(multi_ms, single_ms * 2.0)
+      << threads << " threads took " << multi_ms << " ms vs " << single_ms
+      << " ms single-threaded for the same per-thread Admit + Release work";
+  EXPECT_EQ(admission.Metrics().inflight, 0u);
 #endif
 }
 

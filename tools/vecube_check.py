@@ -25,7 +25,9 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          wait may be *reachable* from the ViewCache hit
                          path (ViewCache::FindPinned / LookupPinned /
                          Lookup, and CurrentValue, through which every
-                         hit answer reads its entry). Call-graph
+                         hit answer reads its entry) or from admission's
+                         lock-free helpers (AdmissionController::
+                         TakeOnStripe / TryTakeSlot / DropSlot). Call-graph
                          reachability, not a per-body regex: a helper
                          that locks is flagged even if the root body
                          looks clean. Replaces the old
@@ -158,6 +160,12 @@ HIT_PATH_ROOTS = (
     "ViewCache::LookupPinned",
     "ViewCache::Lookup",
     "ViewCache::CurrentValue",
+    # Admission's lock-free half, which every served request runs beside
+    # the cache hit: the own-stripe take, the stripe scan and the release
+    # decrement.
+    "AdmissionController::TakeOnStripe",
+    "AdmissionController::TryTakeSlot",
+    "AdmissionController::DropSlot",
 )
 # Anything that acquires, waits, or blocks. The hit path may touch
 # atomics and epoch pins only.
@@ -661,8 +669,9 @@ def check_hit_path(index: FunctionIndex, sources: dict, findings: list):
                 findings.append(Finding(
                     fn.rel, lineno, "hit-path-no-locks",
                     f"blocking/locking call inside {fn.qualname}, which "
-                    "is reachable from the ViewCache hit path; reads must "
-                    "stay epoch-pinned and lock-free (DESIGN.md §12)"))
+                    "is reachable from the hit path (ViewCache lookup or "
+                    "admission fast path); it must stay lock-free "
+                    "(DESIGN.md §12)"))
 
 
 def check_shard_scratch(index: FunctionIndex, sources: dict,
