@@ -6,11 +6,7 @@
 namespace vecube {
 
 uint64_t ViewElementGraph::NumElements() const {
-  uint64_t n = 1;
-  for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-    n *= 2ull * shape_.extent(m) - 1;
-  }
-  return n;
+  return ElementIndexer(shape_).size();
 }
 
 uint64_t ViewElementGraph::NumAggregatedViews() const {

@@ -67,7 +67,7 @@ class ViewElementGraph {
 };
 
 /// Dense bijection between the N_ve elements of a shape and [0, N_ve),
-/// used by the selection DPs to replace hash maps with flat arrays.
+/// the key of WordMemo, the per-node memo (core/word_memo.h).
 /// The one encoder of ids: Σ code_m · weight_m over the heap-order codes
 /// (ElementId), mixed-radix with dimension 0 most significant, so index
 /// order is id order.

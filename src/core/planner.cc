@@ -5,11 +5,6 @@
 namespace vecube {
 
 namespace {
-// Flat memo tables up to this many graph nodes: at most 192 MiB of address
-// space (4 + 8 bytes per node), of which only the pages holding visited
-// nodes are ever backed. Larger graphs use hash maps over the visited nodes.
-constexpr uint64_t kDenseMemoLimit = uint64_t{1} << 24;
-
 // Plan-memo word: (cost + 1) << 6 | split_dim << 2 | choice. cost + 1 wraps
 // kInfiniteCost to 0, and a finite cost makes the word nonzero, so 0 stays
 // free for "not yet planned".
@@ -24,27 +19,6 @@ Procedure3Planner::Node Unpack(uint64_t word) {
 }
 static_assert(kMaxDims <= 16, "split_dim is packed into 4 bits");
 }  // namespace
-
-template <typename Word>
-void Procedure3Planner::WordMemo<Word>::Set(uint64_t index, Word word) {
-  if (!dense_) {
-    map_[index] = word;
-    return;
-  }
-  if (words_ == nullptr) {
-    words_.reset(static_cast<Word*>(std::calloc(universe_, sizeof(Word))));
-    VECUBE_CHECK(words_ != nullptr);
-  }
-  words_[index] = word;
-}
-
-Procedure3Planner::Procedure3Planner(const CubeShape& shape)
-    : shape_(shape), indexer_(shape) {
-  stored_.assign(1, StoredRef{ElementId{}, kInfiniteCost});
-  const bool dense = indexer_.size() <= kDenseMemoLimit;
-  ancestor_memo_.Reset(indexer_.size(), dense);
-  plan_memo_.Reset(indexer_.size(), dense);
-}
 
 Result<Procedure3Planner> Procedure3Planner::Make(
     const CubeShape& shape, const std::vector<ElementId>& ids) {

@@ -11,14 +11,10 @@
 // keeps only the elements the recorded plans read (UsedElements).
 //
 // Implementation note: the recursions run on ElementId values (a child or
-// parent is one code word changed), with memo tables keyed by the
-// element's ElementIndexer index: one word per graph node, 0 meaning "not
-// yet planned". Up to kDenseMemoLimit nodes the tables are flat arrays
-// calloc'd on the first plan, so pages the planner never touches stay
-// unbacked zero pages; above it they are hash maps over the visited nodes.
-// A node is expanded into its synthesis cones only when some stored
-// element is finer than it and comparable with it (DESIGN.md §1,
-// Procedure 3), so a plan visits the nodes near its target rather than
+// parent is one code word changed), memoized per node in WordMemo tables
+// (core/word_memo.h). A node is expanded into its synthesis cones only when
+// some stored element is finer than it and comparable with it (DESIGN.md
+// §1, Procedure 3), so a plan visits the nodes near its target rather than
 // the whole graph.
 //
 // Planning is serial: the memo tables are unlocked. Once Warm() has
@@ -29,15 +25,14 @@
 #define VECUBE_CORE_PLANNER_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/element_id.h"
 #include "core/graph.h"
+#include "core/word_memo.h"
 #include "cube/shape.h"
 #include "util/result.h"
 
@@ -96,36 +91,8 @@ class Procedure3Planner {
     uint64_t volume;  // kInfiniteCost for the "no ancestor" sentinel
   };
 
-  // One word per graph node, 0 meaning "not yet visited". Dense tables are
-  // calloc'd on the first Set(), so a planner that never plans allocates
-  // nothing and untouched pages are never backed.
-  template <typename Word>
-  class WordMemo {
-   public:
-    void Reset(uint64_t universe, bool dense) {
-      universe_ = universe;
-      dense_ = dense;
-      words_.reset();
-      map_.clear();
-    }
-    [[nodiscard]] Word Get(uint64_t index) const {
-      if (dense_) return words_ != nullptr ? words_[index] : Word{0};
-      auto it = map_.find(index);
-      return it == map_.end() ? Word{0} : it->second;
-    }
-    void Set(uint64_t index, Word word);
-
-   private:
-    struct FreeDeleter {
-      void operator()(Word* words) const { std::free(words); }
-    };
-    uint64_t universe_ = 0;
-    bool dense_ = false;
-    std::unique_ptr<Word[], FreeDeleter> words_;
-    std::unordered_map<uint64_t, Word> map_;
-  };
-
-  explicit Procedure3Planner(const CubeShape& shape);
+  explicit Procedure3Planner(const CubeShape& shape)
+      : shape_(shape), indexer_(shape) {}
 
   // The smallest stored ancestor-or-self, as an ancestor-memo word: 1 + its
   // position in stored_ (position 0 is the "none" sentinel).
@@ -141,9 +108,9 @@ class Procedure3Planner {
   // Stored elements: encoded index -> position in stored_, and stored_
   // itself, behind the "none" sentinel at position 0.
   std::unordered_map<uint64_t, uint32_t> stored_slot_;
-  std::vector<StoredRef> stored_;
-  WordMemo<uint32_t> ancestor_memo_;
-  WordMemo<uint64_t> plan_memo_;
+  std::vector<StoredRef> stored_{StoredRef{ElementId{}, kInfiniteCost}};
+  WordMemo<uint32_t> ancestor_memo_{indexer_.size()};
+  WordMemo<uint64_t> plan_memo_{indexer_.size()};
 };
 
 }  // namespace vecube

@@ -1,20 +1,12 @@
 // Algorithm 1: minimum-cost non-redundant basis selection (Section 5.2).
 //
-// Assign every view element its support cost C_n (Eq. 29), then solve the
-// space-frequency DP
-//
-//   D(V) = min( C(V),  min_m  D(P1^m V) + D(R1^m V) )          (Eqs. 30-31)
-//
-// and extract the argmin tiling with Procedure 2. The result is the
-// complete, non-redundant view element basis of minimum pair-model cost
-// among all bases reachable by recursive splitting (see DESIGN.md for the
-// d >= 3 guillotine caveat). The DP solves each node it visits once, which
-// is at most the O((d+1) N_ve) bound the paper quotes. It does not visit
-// the children of a node that every overlapping query contains: keeping
-// such a node is provably optimal (DESIGN.md §1, Algorithm 1). On the 32^4
-// graph with a view population it visits about half of the N_ve nodes. The
-// memo is one calloc'd word per node, so pages of unvisited nodes are never
-// touched.
+// Assign every view element its support cost C_n (Eq. 29) and run the
+// tiling DP of select/tiling_dp.h on it (Eqs. 30-31, Procedure 2): the
+// complete, non-redundant basis of minimum pair-model cost among all bases
+// reachable by recursive splitting (see DESIGN.md for the d >= 3 guillotine
+// caveat). A node that every overlapping query contains is kept without
+// visiting its children (DESIGN.md §1, Algorithm 1): on the 32^4 graph with
+// a view population the DP visits about half of the N_ve nodes.
 
 #ifndef VECUBE_SELECT_ALGORITHM1_H_
 #define VECUBE_SELECT_ALGORITHM1_H_
@@ -36,8 +28,8 @@ struct BasisSelection {
   double predicted_cost = 0.0;
 };
 
-/// Runs Algorithm 1. The graph size N_ve must fit in memory (about 2^24
-/// nodes).
+/// Runs Algorithm 1. InvalidArgument when a query does not fit the shape,
+/// or when the graph has more than kDenseMemoLimit (2^24) nodes.
 Result<BasisSelection> SelectMinCostBasis(const CubeShape& shape,
                                           const QueryPopulation& population);
 

@@ -112,10 +112,11 @@ Result<std::vector<GreedyStep>> GreedySelect(const CubeShape& shape,
         improvements.push_back(Improvement{new_cost, &candidate});
       }
     }
-    std::sort(improvements.begin(), improvements.end(),
-              [](const Improvement& a, const Improvement& b) {
-                return a.new_cost < b.new_cost;
-              });
+    // Stable: among equal costs the earliest candidate in pool order wins.
+    std::stable_sort(improvements.begin(), improvements.end(),
+                     [](const Improvement& a, const Improvement& b) {
+                       return a.new_cost < b.new_cost;
+                     });
 
     // Accept the best improvement whose (possibly pruned) set fits.
     bool accepted = false;

@@ -1,81 +1,40 @@
 #include "select/best_basis.h"
 
 #include <cmath>
-#include <unordered_map>
+#include <utility>
 
-#include "core/graph.h"
 #include "haar/transform.h"
+#include "select/tiling_dp.h"
 #include "util/logging.h"
 
 namespace vecube {
 
 namespace {
 
-constexpr uint64_t kMaxGraphNodes = uint64_t{1} << 22;
+// The best basis's leaf cost: the node's significant-coefficient count,
+// settled at 0 (no split counts fewer, and ties keep the node). Each
+// node's tensor is split from its parent's on the way down.
+struct SignificantCountPolicy {
+  using Cost = uint64_t;
+  using Data = Tensor;
 
-uint64_t CountSignificant(const Tensor& data, double threshold) {
-  uint64_t count = 0;
-  for (uint64_t i = 0; i < data.size(); ++i) {
-    if (std::fabs(data[i]) > threshold) ++count;
-  }
-  return count;
-}
-
-// The best-basis DP. Each element's tensor is split from its parent's on
-// the way down; costs are memoized per element, though a child reached
-// again through another parent is still split before its memo hit.
-class BestBasisSearch {
- public:
-  BestBasisSearch(const CubeShape& shape, double threshold)
-      : shape_(shape), threshold_(threshold), indexer_(shape) {
-    cost_.assign(indexer_.size(), kUnvisited);
-    choice_.assign(indexer_.size(), kKeep);
-  }
-
-  uint64_t Solve(const ElementId& id, const Tensor& data) {
-    const uint64_t index = indexer_.Encode(id);
-    if (cost_[index] != kUnvisited) return cost_[index];
-
-    uint64_t best = CountSignificant(data, threshold_);
-    int8_t best_choice = kKeep;
-    for (uint32_t m = 0; m < shape_.ndim(); ++m) {
-      if (!id.CanSplit(m, shape_)) continue;
-      Tensor p, r;
-      VECUBE_CHECK(PartialPair(data, m, &p, &r).ok());
-      const uint64_t split =
-          Solve(id.ChildUnchecked(m, StepKind::kPartial), p) +
-          Solve(id.ChildUnchecked(m, StepKind::kResidual), r);
-      if (split < best) {
-        best = split;
-        best_choice = static_cast<int8_t>(m);
-      }
+  Leaf<uint64_t> Evaluate(const ElementId&, const Tensor& data) const {
+    uint64_t count = 0;
+    for (uint64_t i = 0; i < data.size(); ++i) {
+      if (std::fabs(data[i]) > threshold) ++count;
     }
-    cost_[index] = best;
-    choice_[index] = best_choice;
-    return best;
+    return {count, count == 0};
   }
 
-  void Extract(const ElementId& id, std::vector<ElementId>* out) const {
-    const uint64_t index = indexer_.Encode(id);
-    VECUBE_CHECK(cost_[index] != kUnvisited);
-    if (choice_[index] == kKeep) {
-      out->push_back(id);
-      return;
-    }
-    const uint32_t m = static_cast<uint32_t>(choice_[index]);
-    Extract(id.ChildUnchecked(m, StepKind::kPartial), out);
-    Extract(id.ChildUnchecked(m, StepKind::kResidual), out);
+  static Tensor Child(const Tensor& data, uint32_t m, StepKind kind) {
+    Result<Tensor> child = kind == StepKind::kPartial
+                               ? PartialSum(data, m)
+                               : PartialResidual(data, m);
+    VECUBE_CHECK(child.ok());
+    return std::move(child).value();
   }
 
- private:
-  static constexpr uint64_t kUnvisited = ~uint64_t{0};
-  static constexpr int8_t kKeep = -1;
-
-  const CubeShape& shape_;
-  double threshold_;
-  ElementIndexer indexer_;
-  std::vector<uint64_t> cost_;
-  std::vector<int8_t> choice_;
+  double threshold;
 };
 
 }  // namespace
@@ -89,16 +48,14 @@ Result<CompressionBasis> SelectCompressionBasis(const CubeShape& shape,
   if (threshold < 0.0) {
     return Status::InvalidArgument("threshold must be non-negative");
   }
-  if (ViewElementGraph(shape).NumElements() > kMaxGraphNodes) {
-    return Status::InvalidArgument(
-        "view element graph too large for the best-basis search");
-  }
-  BestBasisSearch search(shape, threshold);
+  auto dp = TilingDp<SignificantCountPolicy>::Make(
+      shape, SignificantCountPolicy{threshold});
+  if (!dp.ok()) return dp.status();
+  const ElementId root = ElementId::Root(shape.ndim());
   CompressionBasis result;
-  result.significant_coefficients =
-      search.Solve(ElementId::Root(shape.ndim()), cube);
-  search.Extract(ElementId::Root(shape.ndim()), &result.basis);
-  result.cube_nonzeros = CountSignificant(cube, 0.0);
+  result.significant_coefficients = dp->Solve(root, cube);
+  dp->Extract(root, cube, &result.basis);
+  result.cube_nonzeros = SignificantCountPolicy{0.0}.Evaluate(root, cube).cost;
   return result;
 }
 

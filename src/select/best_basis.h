@@ -6,7 +6,8 @@
 // leaves this unexplored; we implement the Coifman-Wickerhauser [5]
 // best-basis search with a significance-count cost: choose the complete,
 // non-redundant tiling of the frequency plane minimizing the number of
-// coefficients whose magnitude exceeds a threshold.
+// coefficients whose magnitude exceeds a threshold. It is Algorithm 1's
+// tiling DP (select/tiling_dp.h) with that count as the leaf cost.
 
 #ifndef VECUBE_SELECT_BEST_BASIS_H_
 #define VECUBE_SELECT_BEST_BASIS_H_
@@ -32,9 +33,9 @@ struct CompressionBasis {
 };
 
 /// Runs the best-basis DP: cost(V) = #significant coefficients of V's
-/// data, minimized over all recursive tilings. Exponential in the graph
-/// size; intended for cubes whose full element graph fits in memory
-/// (N_ve <= ~2^22).
+/// data, minimized over all recursive tilings, each node solved once. The
+/// basis lists each split's partial side first. InvalidArgument when the
+/// graph has more than kDenseMemoLimit (2^24) nodes.
 Result<CompressionBasis> SelectCompressionBasis(const CubeShape& shape,
                                                 const Tensor& cube,
                                                 double threshold);

@@ -6,6 +6,7 @@
 
 #include "core/basis.h"
 #include "core/graph.h"
+#include "oracle/tilings.h"
 #include "select/pair_cost.h"
 #include "util/rng.h"
 
@@ -16,28 +17,6 @@ CubeShape Shape(std::vector<uint32_t> extents) {
   auto s = CubeShape::Make(std::move(extents));
   EXPECT_TRUE(s.ok());
   return *s;
-}
-
-// Exhaustively enumerates every basis reachable by Procedure 2 (recursive
-// guillotine splitting) — independent of the DP implementation.
-void EnumerateTilings(const ElementId& id, const CubeShape& shape,
-                      std::vector<std::vector<ElementId>>* out) {
-  out->push_back({id});
-  for (uint32_t m = 0; m < id.ndim(); ++m) {
-    if (!id.CanSplit(m, shape)) continue;
-    auto p = id.Child(m, StepKind::kPartial, shape);
-    auto r = id.Child(m, StepKind::kResidual, shape);
-    std::vector<std::vector<ElementId>> left, right;
-    EnumerateTilings(*p, shape, &left);
-    EnumerateTilings(*r, shape, &right);
-    for (const auto& l : left) {
-      for (const auto& t : right) {
-        std::vector<ElementId> combined = l;
-        combined.insert(combined.end(), t.begin(), t.end());
-        out->push_back(std::move(combined));
-      }
-    }
-  }
 }
 
 TEST(Algorithm1Test, ReturnsNonRedundantBasis) {
@@ -140,6 +119,22 @@ TEST(Algorithm1Test, RejectsOversizedGraphs) {
   Rng rng(5);
   auto pop = RandomViewPopulation(shape, &rng);
   EXPECT_FALSE(SelectMinCostBasis(shape, *pop).ok());
+}
+
+TEST(Algorithm1Test, RejectsPopulationOfAnotherShape) {
+  // A level-3 view fits 8x8 but not 4x4, whose cascades are 2 levels deep:
+  // the DP must reject it rather than shift its interval by a negative gap.
+  const CubeShape big = Shape({8, 8});
+  auto view = ElementId::AggregatedView(0b01, big);
+  ASSERT_TRUE(view.ok());
+  auto pop = FixedPopulation({{*view, 1.0}}, big);
+  ASSERT_TRUE(pop.ok());
+  const CubeShape small = Shape({4, 4});
+  auto selection = SelectMinCostBasis(small, *pop);
+  ASSERT_FALSE(selection.ok());
+  EXPECT_EQ(selection.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(
+      internal::MinTilingCosts(small, *pop, {ElementId::Root(2)}).ok());
 }
 
 TEST(Algorithm1Test, DeterministicForSamePopulation) {

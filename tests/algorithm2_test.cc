@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/basis.h"
+#include "core/graph.h"
 #include "oracle/procedure3.h"
 #include "select/algorithm1.h"
 #include "util/rng.h"
@@ -81,6 +84,35 @@ TEST(Algorithm2Test, ViewPoolOnlyAddsAggregatedViews) {
   ASSERT_TRUE(frontier.ok());
   for (size_t i = 1; i < frontier->size(); ++i) {
     EXPECT_TRUE((*frontier)[i].added.IsAggregatedView(shape));
+  }
+}
+
+TEST(Algorithm2Test, TiedCandidatesResolveToPoolOrder) {
+  // The two one-dimension views carry equal traffic, so adding either one
+  // saves the same cost; with room for one, the earlier in pool order wins.
+  const CubeShape shape = Shape({4, 4});
+  auto v01 = ElementId::AggregatedView(0b01, shape);
+  auto v10 = ElementId::AggregatedView(0b10, shape);
+  ASSERT_TRUE(v01.ok() && v10.ok());
+  for (const bool swapped : {false, true}) {
+    auto pop = swapped ? FixedPopulation({{*v10, 0.5}, {*v01, 0.5}}, shape)
+                       : FixedPopulation({{*v01, 0.5}, {*v10, 0.5}}, shape);
+    ASSERT_TRUE(pop.ok());
+    GreedyOptions options;
+    options.storage_target_cells = shape.volume() + v01->DataVolume(shape);
+    options.pool = CandidatePool::kAggregatedViews;
+    auto frontier = GreedySelect(shape, *pop, CubeOnlySet(shape), options);
+    ASSERT_TRUE(frontier.ok());
+    ASSERT_EQ(frontier->size(), 2u);
+    EXPECT_DOUBLE_EQ((*frontier)[1].processing_cost,
+                     0.5 * static_cast<double>(shape.volume() -
+                                               v10->DataVolume(shape)));
+    const std::vector<ElementId> pool =
+        ViewElementGraph(shape).AggregatedViews();
+    const auto pos = [&](const ElementId& id) {
+      return std::find(pool.begin(), pool.end(), id) - pool.begin();
+    };
+    EXPECT_EQ((*frontier)[1].added, pos(*v01) < pos(*v10) ? *v01 : *v10);
   }
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+
 #include "core/assembly.h"
 #include "core/basis.h"
 #include "core/computer.h"
 #include "cube/synthetic.h"
+#include "oracle/tilings.h"
 #include "util/rng.h"
 
 namespace vecube {
@@ -75,6 +80,60 @@ TEST(BestBasisTest, SelectedBasisReconstructsTheCube) {
   auto back = engine.Assemble(ElementId::Root(2));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->ApproxEquals(*cube, 0.0));
+}
+
+TEST(BestBasisTest, OptimalOverAllGuillotineTilings) {
+  // The brute-force oracle: every guillotine tiling, each element's
+  // significant count taken from its directly computed tensor. The search
+  // must reach the minimum and return the first minimal tiling in
+  // enumeration order, which pins the keep-then-lowest-dimension tie-break.
+  // (8x4 would have 671,364,078 tilings; 8x2 keeps the long dimension 0.)
+  for (const auto& extents :
+       {std::vector<uint32_t>{4, 4}, std::vector<uint32_t>{8, 2},
+        std::vector<uint32_t>{2, 2, 2}, std::vector<uint32_t>{4, 2, 2}}) {
+    const CubeShape shape = Shape(extents);
+    std::vector<std::vector<ElementId>> tilings;
+    EnumerateTilings(ElementId::Root(shape.ndim()), shape, &tilings);
+    Rng rng(41);
+    for (const bool sparse : {true, false}) {
+      auto cube = sparse ? SparseRandomCube(shape, &rng, 0.3)
+                         : UniformIntegerCube(shape, &rng, -3, 3);
+      ASSERT_TRUE(cube.ok());
+      ElementComputer computer(shape, &*cube);
+      for (const double threshold : {0.0, 0.5}) {
+        std::map<ElementId, uint64_t> counts;
+        auto count_of = [&](const ElementId& id) {
+          auto [it, fresh] = counts.try_emplace(id, 0);
+          if (fresh) {
+            auto data = computer.Compute(id);
+            EXPECT_TRUE(data.ok());
+            for (uint64_t i = 0; i < data->size(); ++i) {
+              if (std::fabs((*data)[i]) > threshold) ++it->second;
+            }
+          }
+          return it->second;
+        };
+        uint64_t best = std::numeric_limits<uint64_t>::max();
+        const std::vector<ElementId>* first_best = nullptr;
+        for (const auto& tiling : tilings) {
+          uint64_t total = 0;
+          for (const ElementId& id : tiling) total += count_of(id);
+          if (total < best) {
+            best = total;
+            first_best = &tiling;
+          }
+        }
+        auto result = SelectCompressionBasis(shape, *cube, threshold);
+        ASSERT_TRUE(result.ok());
+        EXPECT_EQ(result->significant_coefficients, best)
+            << shape.ToString() << " sparse " << sparse << " threshold "
+            << threshold;
+        EXPECT_EQ(result->basis, *first_best)
+            << shape.ToString() << " sparse " << sparse << " threshold "
+            << threshold;
+      }
+    }
+  }
 }
 
 TEST(BestBasisTest, ValidatesArguments) {

@@ -17,7 +17,8 @@ set(cases
   "${BENCH_DIR}/bench_table2_pedagogical"
   "${BENCH_DIR}/bench_fig8_exp1 10"
   "${BENCH_DIR}/bench_fig9_exp2 2"
-  "${EXAMPLES_DIR}/adaptive_reconfig")
+  "${EXAMPLES_DIR}/adaptive_reconfig"
+  "${EXAMPLES_DIR}/packet_compression")
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(failed "")

@@ -16,6 +16,7 @@
 #include "core/graph.h"
 #include "cube/synthetic.h"
 #include "oracle/procedure3.h"
+#include "oracle/tilings.h"
 #include "select/algorithm1.h"
 #include "select/pair_cost.h"
 #include "util/rng.h"
@@ -33,25 +34,7 @@ class Oracle1D : public ::testing::Test {
     auto cube = UniformIntegerCube(shape_, &rng, -7, 7);
     ASSERT_TRUE(cube.ok());
     cube_ = std::move(cube).value();
-    EnumerateTilings(ElementId::Root(1), &tilings_);
-  }
-
-  void EnumerateTilings(const ElementId& id,
-                        std::vector<std::vector<ElementId>>* out) {
-    out->push_back({id});
-    if (!id.CanSplit(0, shape_)) return;
-    auto p = id.Child(0, StepKind::kPartial, shape_);
-    auto r = id.Child(0, StepKind::kResidual, shape_);
-    std::vector<std::vector<ElementId>> left, right;
-    EnumerateTilings(*p, &left);
-    EnumerateTilings(*r, &right);
-    for (const auto& l : left) {
-      for (const auto& t : right) {
-        std::vector<ElementId> combined = l;
-        combined.insert(combined.end(), t.begin(), t.end());
-        out->push_back(std::move(combined));
-      }
-    }
+    EnumerateTilings(ElementId::Root(1), shape_, &tilings_);
   }
 
   CubeShape shape_;

@@ -106,6 +106,12 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          Everything else reads ElementId's codes and
                          encodes through ElementIndexer, so the node
                          space has one encoding and one encoder.
+  one-node-memo          Under src/, only src/core/word_memo.h may call
+                         calloc (how a lazily backed per-node table is
+                         allocated) or allocate a table sized by an
+                         ElementIndexer's ``size()``. Everything else keeps
+                         its per-node words in a WordMemo, so the tree has
+                         one node memo and one dense-table cap.
 
 Usage:
   tools/vecube_check.py [--root DIR] [--backend auto|ast|lexer]
@@ -150,6 +156,7 @@ RULES = (
     "escape-hatch-allowlist",
     "single-flight-in-server",
     "one-node-encoder",
+    "one-node-memo",
 )
 
 DISABLE_RE = re.compile(r"//\s*vecube-check:\s*disable=([\w,-]+)")
@@ -291,6 +298,15 @@ HEAP_CODE_RE = re.compile(
 NODE_RADIX_RE = re.compile(
     r"\b2(?:[uU]|[uU]?[lL]{1,2})?\s*\*\s*[\w.\[\]>:-]*extent\w*"
     r"(?:\([^)]*\)|\[[^\]]*\])?\s*-\s*1(?!\d)")
+
+# --- one-node-memo ----------------------------------------------------
+MEMO_FILE = "src/core/word_memo.h"
+CALLOC_RE = re.compile(r"\bcalloc\s*\(")
+# An allocation verb and an indexer's size() on one line: a table sized by
+# the node count. Handing the node count to a WordMemo is neither.
+NODE_TABLE_RE = re.compile(
+    r"(?:\b(?:assign|resize|reserve|malloc|new|make_unique|vector)\b)"
+    r".*\bindexer\w*\s*(?:\.|->)\s*size\s*\(\s*\)")
 
 # --- escape-hatch-allowlist -------------------------------------------
 ESCAPE_HATCH = "VECUBE_NO_THREAD_SAFETY_ANALYSIS"
@@ -855,6 +871,18 @@ def check_node_encoder(src: SourceFile, findings: list):
                 "ElementIndexer instead of another encoder copy"))
 
 
+def check_node_memo(src: SourceFile, findings: list):
+    if not src.rel.startswith("src/") or src.rel == MEMO_FILE:
+        return
+    for lineno, code in enumerate(src.code_lines, start=1):
+        if (CALLOC_RE.search(code) or NODE_TABLE_RE.search(code)) and \
+                not src.suppressed(lineno, "one-node-memo"):
+            findings.append(Finding(
+                src.rel, lineno, "one-node-memo",
+                "per-node table outside core/word_memo.h; keep per-node "
+                "words in a WordMemo instead of another memo copy"))
+
+
 def load_allowlist(root: Path) -> dict:
     """path -> [justification]; '#' comments and blank lines skipped."""
     entries = {}
@@ -958,6 +986,7 @@ def run_rules(root: Path, sources: dict, backend: str,
         check_escape_hatches(src, allowlist, findings)
         check_single_flight(src, findings)
         check_node_encoder(src, findings)
+        check_node_memo(src, findings)
     return findings
 
 
