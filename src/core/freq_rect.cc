@@ -1,7 +1,5 @@
 #include "core/freq_rect.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace vecube {
@@ -24,14 +22,7 @@ uint64_t FreqRect::Volume() const {
 
 uint64_t FreqRect::Overlap(const FreqRect& other) const {
   VECUBE_DCHECK(ndim() == other.ndim());
-  uint64_t volume = 1;
-  for (uint32_t m = 0; m < ndim(); ++m) {
-    const uint64_t lo = std::max(intervals_[m].lo, other.intervals_[m].lo);
-    const uint64_t hi = std::min(intervals_[m].hi, other.intervals_[m].hi);
-    if (hi <= lo) return 0;
-    volume *= hi - lo;
-  }
-  return volume;
+  return OverlapCells(intervals_, other.intervals_, ndim());
 }
 
 bool FreqRect::Contains(const FreqRect& other) const {

@@ -10,12 +10,14 @@
 // hypothetical element sets with it, and the Section 7.2.2 refinement
 // keeps only the elements the recorded plans read (UsedElements).
 //
-// Implementation note: the recursions run on ElementId values (a child or
-// parent is one code word changed), memoized per node in WordMemo tables
-// (core/word_memo.h). A node is expanded into its synthesis cones only when
-// some stored element is finer than it and comparable with it (DESIGN.md
-// §1, Procedure 3), so a plan visits the nodes near its target rather than
-// the whole graph.
+// Implementation note: the recursion is the tree's one tiling DP
+// (core/tiling_dp.h) with F_n as the leaf cost and Vol(n) as the split
+// charge; the memo word records each node's plan beside its cost. F_n is
+// also the DP's upper bound, which prices every split from its children's
+// aggregation alone before any child is planned. A node is expanded into
+// its synthesis cones only when some stored element is finer than it and
+// comparable with it (DESIGN.md §1, Procedure 3), so a plan visits the
+// nodes near its target rather than the whole graph.
 //
 // Planning is serial: the memo tables are unlocked. Once Warm() has
 // planned every node a target's execution visits, Plan and SourceOf on
@@ -25,22 +27,19 @@
 #define VECUBE_CORE_PLANNER_H_
 
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/element_id.h"
 #include "core/graph.h"
+#include "core/tiling_dp.h"
 #include "core/word_memo.h"
 #include "cube/shape.h"
 #include "util/result.h"
 
 namespace vecube {
-
-/// Cost value for unreachable targets.
-inline constexpr uint64_t kInfiniteCost =
-    std::numeric_limits<uint64_t>::max();
 
 /// Plans the cheapest assembly of any view element from a fixed set of
 /// stored elements. Plans are memoized across calls.
@@ -85,32 +84,55 @@ class Procedure3Planner {
       const std::vector<ElementId>& targets);
 
  private:
-  // A stored element as the ancestor memo refers to it.
-  struct StoredRef {
-    ElementId id;
-    uint64_t volume;  // kInfiniteCost for the "no ancestor" sentinel
+  // Procedure 3 as a TilingDp policy: leaf F_n, split charge Vol(n),
+  // settled when F_n <= Vol(n) or n has no finer relative.
+  struct Policy {
+    using Cost = uint64_t;
+    struct Data {};
+    explicit Policy(const CubeShape& shape) : indexer(shape) {}
+    // A stored element as the ancestor memo refers to it.
+    struct StoredRef {
+      ElementId id;
+      uint64_t volume;  // kInfiniteCost for the "no ancestor" sentinel
+    };
+
+    Leaf<uint64_t> Evaluate(const ElementId& node, const Data&);
+    // F_n, which no plan of n exceeds.
+    uint64_t UpperBound(const ElementId& node) {
+      return Aggregate(node, node.DataVolume(indexer.shape()));
+    }
+    static Data Child(const Data&, uint32_t, StepKind) { return {}; }
+
+    // F_n of a node of Vol(n) `volume`; kInfiniteCost without a stored
+    // ancestor.
+    uint64_t Aggregate(const ElementId& node, uint64_t volume);
+
+    // The smallest stored ancestor-or-self, as an ancestor-memo word: 1 +
+    // its position in `stored` (position 0 is the "none" sentinel).
+    uint32_t MinAncestor(const ElementId& node);
+    // True when some stored element is comparable with `node` in every
+    // dimension (one code a dyadic prefix of the other) and strictly finer
+    // in at least one: a "finer relative". Without one, synthesis cannot
+    // beat aggregation (DESIGN.md §1, Procedure 3).
+    [[nodiscard]] bool HasFinerRelative(const ElementId& node) const;
+    // The ancestor-memo word MinAncestor recorded for a visited node.
+    [[nodiscard]] uint32_t Recorded(const ElementId& node) const {
+      return ancestor_memo.Get(indexer.Encode(node));
+    }
+
+    ElementIndexer indexer;
+    // Stored elements: encoded index -> position in `stored`, and `stored`
+    // itself, behind the "none" sentinel at position 0.
+    std::unordered_map<uint64_t, uint32_t> stored_slot;
+    std::vector<StoredRef> stored{StoredRef{ElementId{}, kInfiniteCost}};
+    WordMemo<uint32_t> ancestor_memo{indexer.size()};
   };
+  using Dp = TilingDp<Policy>;
 
-  explicit Procedure3Planner(const CubeShape& shape)
-      : shape_(shape), indexer_(shape) {}
+  Procedure3Planner(const CubeShape& shape, Policy policy)
+      : dp_(shape, std::move(policy)) {}
 
-  // The smallest stored ancestor-or-self, as an ancestor-memo word: 1 + its
-  // position in stored_ (position 0 is the "none" sentinel).
-  uint32_t MinAncestor(const ElementId& node);
-  // True when some stored element is comparable with `node` in every
-  // dimension (one code a dyadic prefix of the other) and strictly finer in
-  // at least one: a "finer relative". Without one, synthesis cannot beat
-  // aggregation (DESIGN.md §1, Procedure 3).
-  [[nodiscard]] bool HasFinerRelative(const ElementId& node) const;
-
-  CubeShape shape_;
-  ElementIndexer indexer_;
-  // Stored elements: encoded index -> position in stored_, and stored_
-  // itself, behind the "none" sentinel at position 0.
-  std::unordered_map<uint64_t, uint32_t> stored_slot_;
-  std::vector<StoredRef> stored_{StoredRef{ElementId{}, kInfiniteCost}};
-  WordMemo<uint32_t> ancestor_memo_{indexer_.size()};
-  WordMemo<uint64_t> plan_memo_{indexer_.size()};
+  Dp dp_;
 };
 
 }  // namespace vecube

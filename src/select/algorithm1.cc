@@ -1,11 +1,10 @@
 #include "select/algorithm1.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "core/freq_rect.h"
-#include "select/tiling_dp.h"
+#include "core/tiling_dp.h"
 
 namespace vecube {
 
@@ -18,34 +17,22 @@ struct SupportCostPolicy {
   struct Data {};
   // Allocation-free description of one query's frequency rectangle.
   struct Query {
-    std::array<FreqInterval, kMaxDims> iv;
+    IntervalArray iv;
     uint64_t volume;
     double frequency;
   };
 
   Leaf<double> Evaluate(const ElementId& node, const Data&) const {
     const uint32_t d = shape.ndim();
-    // Left uninitialized: a zero fill per node costs as much as the geometry.
-    std::array<uint64_t, kMaxDims> lo, hi;
+    IntervalArray iv;
     uint64_t volume = 1;
     for (uint32_t m = 0; m < d; ++m) {
-      const FreqInterval iv = DimInterval(node, m, shape);
-      lo[m] = iv.lo;
-      hi[m] = iv.hi;
-      volume *= iv.width();
+      iv[m] = DimInterval(node, m, shape);
+      volume *= iv[m].width();
     }
     Leaf<double> leaf{0.0, true};
     for (const Query& q : queries) {
-      uint64_t overlap = 1;
-      for (uint32_t m = 0; m < d; ++m) {
-        const uint64_t olo = std::max(lo[m], q.iv[m].lo);
-        const uint64_t ohi = std::min(hi[m], q.iv[m].hi);
-        if (ohi <= olo) {
-          overlap = 0;
-          break;
-        }
-        overlap *= ohi - olo;
-      }
+      const uint64_t overlap = OverlapCells(iv, q.iv, d);
       if (overlap == 0) continue;
       if (overlap != volume) leaf.settled = false;
       leaf.cost += q.frequency * static_cast<double>((volume - overlap) +
@@ -60,8 +47,9 @@ struct SupportCostPolicy {
   std::vector<Query> queries;
 };
 
-// The input check SelectMinCostBasis and MinTilingCosts share: each query
-// must fit the shape before DimInterval shifts by its level gap.
+// The input checks SelectMinCostBasis and MinTilingCosts share: each query
+// must fit the shape before DimInterval shifts by its level gap, and the
+// graph must fit the dense memo.
 Result<TilingDp<SupportCostPolicy>> MakeDp(
     const CubeShape& shape, const QueryPopulation& population) {
   SupportCostPolicy policy{shape, {}};
@@ -74,7 +62,8 @@ Result<TilingDp<SupportCostPolicy>> MakeDp(
       geom.volume *= geom.iv[m].width();
     }
   }
-  return TilingDp<SupportCostPolicy>::Make(shape, std::move(policy));
+  VECUBE_RETURN_NOT_OK(CheckDenseGraph(shape));
+  return TilingDp<SupportCostPolicy>(shape, std::move(policy));
 }
 
 }  // namespace

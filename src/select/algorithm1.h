@@ -1,7 +1,7 @@
 // Algorithm 1: minimum-cost non-redundant basis selection (Section 5.2).
 //
 // Assign every view element its support cost C_n (Eq. 29) and run the
-// tiling DP of select/tiling_dp.h on it (Eqs. 30-31, Procedure 2): the
+// tiling DP of core/tiling_dp.h on it (Eqs. 30-31, Procedure 2): the
 // complete, non-redundant basis of minimum pair-model cost among all bases
 // reachable by recursive splitting (see DESIGN.md for the d >= 3 guillotine
 // caveat). A node that every overlapping query contains is kept without

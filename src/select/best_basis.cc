@@ -3,8 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "core/tiling_dp.h"
 #include "haar/transform.h"
-#include "select/tiling_dp.h"
 #include "util/logging.h"
 
 namespace vecube {
@@ -48,13 +48,13 @@ Result<CompressionBasis> SelectCompressionBasis(const CubeShape& shape,
   if (threshold < 0.0) {
     return Status::InvalidArgument("threshold must be non-negative");
   }
-  auto dp = TilingDp<SignificantCountPolicy>::Make(
-      shape, SignificantCountPolicy{threshold});
-  if (!dp.ok()) return dp.status();
+  VECUBE_RETURN_NOT_OK(CheckDenseGraph(shape));
+  TilingDp<SignificantCountPolicy> dp(shape,
+                                      SignificantCountPolicy{threshold});
   const ElementId root = ElementId::Root(shape.ndim());
   CompressionBasis result;
-  result.significant_coefficients = dp->Solve(root, cube);
-  dp->Extract(root, cube, &result.basis);
+  result.significant_coefficients = dp.Solve(root, cube);
+  dp.Extract(root, cube, &result.basis);
   result.cube_nonzeros = SignificantCountPolicy{0.0}.Evaluate(root, cube).cost;
   return result;
 }

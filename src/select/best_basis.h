@@ -7,7 +7,7 @@
 // best-basis search with a significance-count cost: choose the complete,
 // non-redundant tiling of the frequency plane minimizing the number of
 // coefficients whose magnitude exceeds a threshold. It is Algorithm 1's
-// tiling DP (select/tiling_dp.h) with that count as the leaf cost.
+// tiling DP (core/tiling_dp.h) with that count as the leaf cost.
 
 #ifndef VECUBE_SELECT_BEST_BASIS_H_
 #define VECUBE_SELECT_BEST_BASIS_H_

@@ -118,7 +118,9 @@ TEST(Algorithm1Test, RejectsOversizedGraphs) {
   const CubeShape shape = Shape(std::vector<uint32_t>(8, 16));
   Rng rng(5);
   auto pop = RandomViewPopulation(shape, &rng);
-  EXPECT_FALSE(SelectMinCostBasis(shape, *pop).ok());
+  const auto selection = SelectMinCostBasis(shape, *pop);
+  ASSERT_FALSE(selection.ok());
+  EXPECT_EQ(selection.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Algorithm1Test, RejectsPopulationOfAnotherShape) {

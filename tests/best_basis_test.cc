@@ -144,5 +144,16 @@ TEST(BestBasisTest, ValidatesArguments) {
   EXPECT_FALSE(SelectCompressionBasis(shape, *cube, -1.0).ok());
 }
 
+TEST(BestBasisTest, RejectsOversizedGraphs) {
+  // 2^16 cells, but 3^16 ~ 4.3e7 view elements: beyond the dense memo,
+  // which the search checks for itself.
+  const CubeShape shape = Shape(std::vector<uint32_t>(16, 2));
+  auto cube = Tensor::Zeros(std::vector<uint32_t>(16, 2));
+  ASSERT_TRUE(cube.ok());
+  auto result = SelectCompressionBasis(shape, *cube, 0.0);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace vecube

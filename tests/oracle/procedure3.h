@@ -5,10 +5,12 @@
 //   R_n = Vol(n) + min_m (T_p^m + T_r^m)                     [synthesis]
 //   T_n = min(F_n, R_n),     T = Σ_k f_k T_k                 (Eqs. 32-34)
 //
-// The exhaustive test oracle for Procedure3Planner (core/planner.h): it
-// explores every synthesis cone the planner's finer-relative prune skips,
-// fills dense memo tables eagerly, and re-derives the used set from the
-// costs rather than from recorded plans.
+// The exhaustive test oracle for Procedure3Planner (core/planner.h), the
+// Procedure-3 policy of the tiling DP (core/tiling_dp.h). It is written
+// apart from that DP: it explores every synthesis cone the planner's
+// finer-relative prune skips, prices no split by an upper bound, fills
+// dense memo tables eagerly, and re-derives the used set from the costs
+// rather than from recorded plans.
 
 #ifndef VECUBE_TESTS_ORACLE_PROCEDURE3_H_
 #define VECUBE_TESTS_ORACLE_PROCEDURE3_H_

@@ -1,7 +1,7 @@
 // Brute-force enumeration of every guillotine tiling of a view element:
 // every basis Procedure 2 can extract below it, independent of any DP. The
-// oracle the tiling DP (select/tiling_dp.h) is checked against, through
-// Algorithm 1 and the best-basis search.
+// oracle the tiling DP (core/tiling_dp.h) is checked against, through its
+// Algorithm 1 and best-basis policies.
 
 #ifndef VECUBE_TESTS_ORACLE_TILINGS_H_
 #define VECUBE_TESTS_ORACLE_TILINGS_H_

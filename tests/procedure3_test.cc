@@ -125,6 +125,77 @@ TEST(Procedure3Test, IntermediateAncestorBeatsRoot) {
   EXPECT_EQ(planner->Cost(*p4), 3u);  // 4 - 1, not 16 - 1
 }
 
+// The tie-breaks decide which elements the recorded plans read, hence
+// UsedElements, Algorithm 2's RemoveObsolete and its golden outputs.
+
+TEST(Procedure3Test, AggregationKeptOnTieWithSynthesis) {
+  // n = (2@0, 1@0), Vol 2. Aggregating from its stored ancestor (0@0, 1@0)
+  // costs 8 - 2 = 6. Splitting along dimension 1 costs 2 + 1 + 3 = 6 as
+  // well: its P child aggregates from (1@0, 2@0), its R child from
+  // (0@0, 2@1). Aggregation is kept.
+  const CubeShape shape = Shape({4, 4});
+  const std::vector<ElementId> set = {*ElementId::Make({{0, 0}, {1, 0}}, shape),
+                                      *ElementId::Make({{0, 0}, {2, 1}}, shape),
+                                      *ElementId::Make({{1, 0}, {2, 0}}, shape)};
+  auto planner = Procedure3Planner::Make(shape, set);
+  ASSERT_TRUE(planner.ok());
+  const ElementId n = *ElementId::Make({{2, 0}, {1, 0}}, shape);
+  EXPECT_EQ(planner->Cost(n.ChildUnchecked(1, StepKind::kPartial)), 1u);
+  EXPECT_EQ(planner->Cost(n.ChildUnchecked(1, StepKind::kResidual)), 3u);
+  EXPECT_EQ(planner->Cost(n), 6u);
+  EXPECT_EQ(planner->Plan(n).choice, Procedure3Planner::Choice::kAggregate);
+  auto used = planner->UsedElements({n});
+  ASSERT_TRUE(used.ok());
+  EXPECT_EQ(*used, std::vector<ElementId>{set[0]});
+}
+
+TEST(Procedure3Test, BoundSplitKeptWhenDeepPassTies) {
+  // n = (1@0, 1@1), Vol 4, has no stored ancestor. The aggregation-only
+  // bound prices the split along dimension 1 at 4 + 2 + 0 = 6: its P child
+  // aggregates from (0@0, 2@2), its R child is stored. Along dimension 0
+  // the bound is infinite, as the P child (2@0, 1@1) has no stored
+  // ancestor, but synthesizing that child from its two stored children
+  // costs 2, so the deep pass prices dimension 0 at 4 + 2 + 0 = 6 too. The
+  // bound's dimension 1 is kept.
+  const CubeShape shape = Shape({4, 4});
+  const std::vector<ElementId> set = {*ElementId::Make({{0, 0}, {2, 2}}, shape),
+                                      *ElementId::Make({{1, 0}, {2, 3}}, shape),
+                                      *ElementId::Make({{2, 0}, {2, 2}}, shape),
+                                      *ElementId::Make({{2, 0}, {2, 3}}, shape),
+                                      *ElementId::Make({{2, 1}, {1, 1}}, shape)};
+  auto planner = Procedure3Planner::Make(shape, set);
+  ASSERT_TRUE(planner.ok());
+  const ElementId n = *ElementId::Make({{1, 0}, {1, 1}}, shape);
+  EXPECT_EQ(planner->Cost(n), 6u);
+  EXPECT_EQ(planner->Cost(n.ChildUnchecked(0, StepKind::kPartial)), 2u);
+  const Procedure3Planner::Node node = planner->Plan(n);
+  EXPECT_EQ(node.choice, Procedure3Planner::Choice::kSynthesize);
+  EXPECT_EQ(node.split_dim, 1u);
+  auto used = planner->UsedElements({n});
+  ASSERT_TRUE(used.ok());
+  EXPECT_EQ(*used, (std::vector<ElementId>{set[0], set[1]}));
+}
+
+TEST(Procedure3Test, LowestDimensionWinsDeepTie) {
+  // The four quadrants of a 4x4 cube: splitting the root along either
+  // dimension costs 16 + 8 + 8 = 32, and no split has a finite
+  // aggregation-only bound. The lowest dimension wins.
+  const CubeShape shape = Shape({4, 4});
+  std::vector<ElementId> set;
+  for (const uint32_t a : {0u, 1u}) {
+    for (const uint32_t b : {0u, 1u}) {
+      set.push_back(*ElementId::Make({{1, a}, {1, b}}, shape));
+    }
+  }
+  auto planner = Procedure3Planner::Make(shape, set);
+  ASSERT_TRUE(planner.ok());
+  const ElementId root = ElementId::Root(2);
+  EXPECT_EQ(planner->Cost(root), 32u);
+  const Procedure3Planner::Node node = planner->Plan(root);
+  EXPECT_EQ(node.choice, Procedure3Planner::Choice::kSynthesize);
+  EXPECT_EQ(node.split_dim, 0u);
+}
+
 TEST(Procedure3Test, ValidatesSelectedIds) {
   const CubeShape shape = Shape({4});
   auto planner = Procedure3Planner::Make(shape, {ElementId::Root(2)});

@@ -112,6 +112,13 @@ Rules (suppress a single line with ``// vecube-check: disable=<rule>``):
                          ElementIndexer's ``size()``. Everything else keeps
                          its per-node words in a WordMemo, so the tree has
                          one node memo and one dense-table cap.
+  one-tiling-recursion   Under src/, a WordMemo may be declared only in
+                         src/core/tiling_dp.h, plus the planner policy's
+                         ``ancestor_memo`` in src/core/planner.h (an
+                         upward recursion over parents). Every
+                         keep-or-split recursion (Algorithm 1, the best
+                         basis, Procedure 3) is a TilingDp policy, so the
+                         tree has one such recursion and one plan word.
 
 Usage:
   tools/vecube_check.py [--root DIR] [--backend auto|ast|lexer]
@@ -157,6 +164,7 @@ RULES = (
     "single-flight-in-server",
     "one-node-encoder",
     "one-node-memo",
+    "one-tiling-recursion",
 )
 
 DISABLE_RE = re.compile(r"//\s*vecube-check:\s*disable=([\w,-]+)")
@@ -307,6 +315,13 @@ CALLOC_RE = re.compile(r"\bcalloc\s*\(")
 NODE_TABLE_RE = re.compile(
     r"(?:\b(?:assign|resize|reserve|malloc|new|make_unique|vector)\b)"
     r".*\bindexer\w*\s*(?:\.|->)\s*size\s*\(\s*\)")
+
+# --- one-tiling-recursion ---------------------------------------------
+TILING_DP_FILE = "src/core/tiling_dp.h"
+# (file, member) pairs allowed to hold a WordMemo outside the tiling DP.
+ALLOWED_MEMOS = {("src/core/planner.h", "ancestor_memo")}
+# A declared WordMemo: its type and the declared name.
+WORD_MEMO_DECL_RE = re.compile(r"\bWordMemo\s*<[^<>;]*>\s*(\w+)")
 
 # --- escape-hatch-allowlist -------------------------------------------
 ESCAPE_HATCH = "VECUBE_NO_THREAD_SAFETY_ANALYSIS"
@@ -883,6 +898,22 @@ def check_node_memo(src: SourceFile, findings: list):
                 "words in a WordMemo instead of another memo copy"))
 
 
+def check_tiling_recursion(src: SourceFile, findings: list):
+    if not src.rel.startswith("src/") or \
+            src.rel in (MEMO_FILE, TILING_DP_FILE):
+        return
+    for lineno, code in enumerate(src.code_lines, start=1):
+        for m in WORD_MEMO_DECL_RE.finditer(code):
+            if (src.rel, m.group(1)) in ALLOWED_MEMOS or \
+                    src.suppressed(lineno, "one-tiling-recursion"):
+                continue
+            findings.append(Finding(
+                src.rel, lineno, "one-tiling-recursion",
+                f"WordMemo '{m.group(1)}' outside core/tiling_dp.h; write "
+                "the recursion as a TilingDp policy instead of another "
+                "memoized copy"))
+
+
 def load_allowlist(root: Path) -> dict:
     """path -> [justification]; '#' comments and blank lines skipped."""
     entries = {}
@@ -987,6 +1018,7 @@ def run_rules(root: Path, sources: dict, backend: str,
         check_single_flight(src, findings)
         check_node_encoder(src, findings)
         check_node_memo(src, findings)
+        check_tiling_recursion(src, findings)
     return findings
 
 
