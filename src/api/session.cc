@@ -500,8 +500,9 @@ Status OlapSession::Reconfigure(
   }
   std::vector<ElementId> target_set;
   VECUBE_ASSIGN_OR_RETURN(
-      target_set, SelectElementSet(shape_, population,
-                                   options_.redundancy_budget_cells));
+      target_set,
+      SelectElementSet(shape_, population, options_.redundancy_budget_cells,
+                       /*predicted_cost=*/nullptr, pool_.get()));
   // Migrate: assemble the new set from the current store (never from the
   // base cube), both sides before either is swapped in.
   OpCounter ops;

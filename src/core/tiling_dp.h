@@ -24,6 +24,12 @@
 // of them). A uint64_t word packs the argmin beside the cost, so a solved
 // node's plan is one memo read; a double word is the cost's bits with the
 // sign bit as the visited flag, and Lookup re-derives the choice.
+//
+// Solve on a ThreadPool fans the nodes near the top out over the pool's
+// lanes, which share the dense memo: D(n) is a pure function of n, so two
+// lanes that race on a node write the same word (DESIGN.md §1). Only a
+// policy whose Evaluate and Child are const and thread-safe may fan out.
+// Extract stays serial, and the serial Solve is the fan-out's oracle.
 
 #ifndef VECUBE_CORE_TILING_DP_H_
 #define VECUBE_CORE_TILING_DP_H_
@@ -32,6 +38,7 @@
 #include <cstdint>
 #include <limits>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -41,6 +48,7 @@
 #include "cube/shape.h"
 #include "util/logging.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace vecube {
 
@@ -89,6 +97,35 @@ class TilingDp {
     return SolveAt(index, node, data).cost;
   }
 
+  /// D(node), with `pool`'s lanes first solving the distinct nodes within
+  /// kFanOutDepth levels below `node`, deepest first, on the shared memo;
+  /// then `node` itself is solved on the calling thread. The same value,
+  /// bit for bit, as Solve(node, data), which a null or one-lane pool runs.
+  /// Dense memo only.
+  Cost Solve(const ElementId& node, const Data& data, ThreadPool* pool) {
+    static_assert(
+        requires(const Policy& p, const ElementId& n, const Data& d) {
+          p.Evaluate(n, d);
+          p.Child(d, 0u, StepKind::kPartial);
+        },
+        "only a policy with const Evaluate and Child may fan out");
+    if (pool == nullptr || pool->num_threads() <= 1 ||
+        memo_.Get(indexer_.Encode(node)) != 0) {
+      return Solve(node, data);
+    }
+    memo_.Reserve();
+    const std::vector<std::pair<ElementId, Data>> frontier =
+        Frontier(node, data);
+    const uint64_t n = frontier.size();
+    pool->ParallelFor(n, /*grain=*/1, [&](uint64_t begin, uint64_t end) {
+      for (uint64_t i = begin; i < end; ++i) {
+        const auto& [below, below_data] = frontier[n - 1 - i];
+        Solve(below, below_data);
+      }
+    });
+    return Solve(node, data);
+  }
+
   /// D(node) and its choice, solving the node if it is unvisited. For a
   /// visited node with a uint64_t cost this only reads the memo.
   Best Lookup(const ElementId& node, const Data& data) {
@@ -128,6 +165,11 @@ class TilingDp {
   static constexpr uint32_t kChoiceMask = (1u << kChoiceBits) - 1;
   static_assert(kKeep <= kChoiceMask && kKeep != 0);
   static constexpr uint64_t kVisited = uint64_t{1} << 63;
+  // How far below the solved node the fan-out reaches. On the 32^4 graph
+  // depth 4 gives 768 nodes, and 4 lanes repeat 1-4% of the serial DP's
+  // Evaluate calls; shallower frontiers give fewer, more overlapping tasks
+  // (depth 1 repeated 16-19%).
+  static constexpr uint32_t kFanOutDepth = 4;
 
   static uint64_t Pack(const Best& best) {
     if constexpr (kIntegral) {
@@ -153,6 +195,35 @@ class TilingDp {
     } else {
       return a + b;
     }
+  }
+
+  // The distinct nodes 1..kFanOutDepth levels below `node`, level by level,
+  // each with its Data. Every path from `node` to a descendant has the same
+  // length, so each node appears once, at its depth.
+  [[nodiscard]] std::vector<std::pair<ElementId, Data>> Frontier(
+      const ElementId& node, const Data& data) const {
+    const CubeShape& shape = indexer_.shape();
+    std::vector<std::pair<ElementId, Data>> nodes;
+    std::vector<std::pair<ElementId, Data>> level{{node, data}};
+    std::unordered_set<uint64_t> seen;
+    for (uint32_t depth = 1; depth <= kFanOutDepth; ++depth) {
+      std::vector<std::pair<ElementId, Data>> next;
+      for (const auto& [parent, parent_data] : level) {
+        for (uint32_t m = 0; m < shape.ndim(); ++m) {
+          if (!parent.CanSplit(m, shape)) continue;
+          for (const StepKind kind :
+               {StepKind::kPartial, StepKind::kResidual}) {
+            const ElementId child = parent.ChildUnchecked(m, kind);
+            if (seen.insert(indexer_.Encode(child)).second) {
+              next.emplace_back(child, policy_.Child(parent_data, m, kind));
+            }
+          }
+        }
+      }
+      nodes.insert(nodes.end(), next.begin(), next.end());
+      level = std::move(next);
+    }
+    return nodes;
   }
 
   Best SolveAt(uint64_t index, const ElementId& node, const Data& data) {

@@ -10,9 +10,11 @@ namespace vecube {
 
 Result<std::vector<ElementId>> SelectElementSet(
     const CubeShape& shape, const QueryPopulation& population,
-    uint64_t redundancy_budget_cells, double* predicted_cost) {
+    uint64_t redundancy_budget_cells, double* predicted_cost,
+    ThreadPool* pool) {
   BasisSelection selection;
-  VECUBE_ASSIGN_OR_RETURN(selection, SelectMinCostBasis(shape, population));
+  VECUBE_ASSIGN_OR_RETURN(selection,
+                          SelectMinCostBasis(shape, population, pool));
   if (predicted_cost != nullptr) *predicted_cost = selection.predicted_cost;
   if (redundancy_budget_cells == 0) return std::move(selection.basis);
   GreedyOptions greedy;

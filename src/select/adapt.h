@@ -15,6 +15,7 @@
 #include "core/store.h"
 #include "cube/shape.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 #include "workload/population.h"
 
 namespace vecube {
@@ -23,9 +24,11 @@ namespace vecube {
 /// above 0, the greedy Algorithm 2 over the 2^d aggregated views (the
 /// objects queries name) up to that many cells beyond the basis.
 /// `predicted_cost` (optional) receives Algorithm 1's predicted cost.
+/// Algorithm 1 runs on `pool`'s lanes when one is given.
 Result<std::vector<ElementId>> SelectElementSet(
     const CubeShape& shape, const QueryPopulation& population,
-    uint64_t redundancy_budget_cells, double* predicted_cost = nullptr);
+    uint64_t redundancy_budget_cells, double* predicted_cost = nullptr,
+    ThreadPool* pool = nullptr);
 
 /// Assembles `targets` from `engine`'s store (of `shape`) as one AssembleBatch and
 /// returns them as a new store. `ops` (optional) accrues the batch's own

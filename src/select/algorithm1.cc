@@ -69,12 +69,13 @@ Result<TilingDp<SupportCostPolicy>> MakeDp(
 }  // namespace
 
 Result<BasisSelection> SelectMinCostBasis(const CubeShape& shape,
-                                          const QueryPopulation& population) {
+                                          const QueryPopulation& population,
+                                          ThreadPool* pool) {
   auto dp = MakeDp(shape, population);
   if (!dp.ok()) return dp.status();
   BasisSelection selection;
   const ElementId root = ElementId::Root(shape.ndim());
-  selection.predicted_cost = dp->Solve(root, {});
+  selection.predicted_cost = dp->Solve(root, {}, pool);
   dp->Extract(root, {}, &selection.basis);
   std::sort(selection.basis.begin(), selection.basis.end());
   return selection;
@@ -84,14 +85,14 @@ namespace internal {
 
 Result<std::vector<double>> MinTilingCosts(
     const CubeShape& shape, const QueryPopulation& population,
-    const std::vector<ElementId>& nodes) {
+    const std::vector<ElementId>& nodes, ThreadPool* pool) {
   auto dp = MakeDp(shape, population);
   if (!dp.ok()) return dp.status();
   std::vector<double> costs;
   costs.reserve(nodes.size());
   for (const ElementId& node : nodes) {
     VECUBE_RETURN_NOT_OK(node.Validate(shape));
-    costs.push_back(dp->Solve(node, {}));
+    costs.push_back(dp->Solve(node, {}, pool));
   }
   return costs;
 }

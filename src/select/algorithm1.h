@@ -6,7 +6,9 @@
 // reachable by recursive splitting (see DESIGN.md for the d >= 3 guillotine
 // caveat). A node that every overlapping query contains is kept without
 // visiting its children (DESIGN.md §1, Algorithm 1): on the 32^4 graph with
-// a view population the DP visits about half of the N_ve nodes.
+// a view population the DP visits about half of the N_ve nodes. Given a
+// ThreadPool, the nodes near the root are solved in order on one shared
+// memo by the pool's lanes first, with the same result bit for bit.
 
 #ifndef VECUBE_SELECT_ALGORITHM1_H_
 #define VECUBE_SELECT_ALGORITHM1_H_
@@ -16,6 +18,7 @@
 #include "core/element_id.h"
 #include "cube/shape.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 #include "workload/population.h"
 
 namespace vecube {
@@ -28,19 +31,23 @@ struct BasisSelection {
   double predicted_cost = 0.0;
 };
 
-/// Runs Algorithm 1. InvalidArgument when a query does not fit the shape,
-/// or when the graph has more than kDenseMemoLimit (2^24) nodes.
+/// Runs Algorithm 1, on `pool`'s lanes when one is given. InvalidArgument
+/// when a query does not fit the shape, or when the graph has more than
+/// kDenseMemoLimit (2^24) nodes.
 Result<BasisSelection> SelectMinCostBasis(const CubeShape& shape,
-                                          const QueryPopulation& population);
+                                          const QueryPopulation& population,
+                                          ThreadPool* pool = nullptr);
 
 namespace internal {
 
 /// D(V) of Eqs. 30-31 for each of `nodes`, from the same pruned DP that
-/// SelectMinCostBasis runs, solved in order on one shared memo. Exposed so
-/// tests can compare it node for node with an exhaustive DP.
+/// SelectMinCostBasis runs, solved in order on one shared memo (each on
+/// `pool`'s lanes when one is given). Exposed so tests can compare it node
+/// for node with an exhaustive DP.
 Result<std::vector<double>> MinTilingCosts(const CubeShape& shape,
                                            const QueryPopulation& population,
-                                           const std::vector<ElementId>& nodes);
+                                           const std::vector<ElementId>& nodes,
+                                           ThreadPool* pool = nullptr);
 
 }  // namespace internal
 

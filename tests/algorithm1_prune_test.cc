@@ -3,7 +3,8 @@
 // contains it. The exhaustive DP below, which solves all N_ve nodes, is the
 // oracle: on random view populations and on random arbitrary-element
 // populations, D(V) must match it bit for bit at every node, and the
-// extracted basis and predicted cost must be identical.
+// extracted basis and predicted cost must be identical. The DP fanned out
+// over a ThreadPool must in turn match the serial DP bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "core/graph.h"
 #include "select/algorithm1.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/population.h"
 
 namespace vecube {
@@ -241,8 +243,8 @@ TEST(Algorithm1PruneTest, PartialOverlapStillSplits) {
 // The parent's exhaustive DP on the 32^4 graph of perfbench's workloads
 // (15,752,961 nodes): the pruned DP must reproduce its predicted cost bit
 // for bit, and its basis size, on perfbench's population seed and three
-// others.
-TEST(Algorithm1PruneTest, PinnedCostsOn32To4Graph) {
+// others, serially and fanned out over `pool`.
+void ExpectPinnedCostsOn32To4Graph(ThreadPool* pool) {
   auto shape = CubeShape::MakeSquare(4, 32);
   ASSERT_TRUE(shape.ok());
   struct Pin {
@@ -257,7 +259,7 @@ TEST(Algorithm1PruneTest, PinnedCostsOn32To4Graph) {
     Rng rng(pin.seed);
     auto population = RandomViewPopulation(*shape, &rng);
     ASSERT_TRUE(population.ok());
-    auto selection = SelectMinCostBasis(*shape, *population);
+    auto selection = SelectMinCostBasis(*shape, *population, pool);
     ASSERT_TRUE(selection.ok());
     EXPECT_EQ(std::bit_cast<uint64_t>(selection->predicted_cost),
               pin.cost_bits)
@@ -265,6 +267,109 @@ TEST(Algorithm1PruneTest, PinnedCostsOn32To4Graph) {
     EXPECT_EQ(selection->basis.size(), pin.basis_size) << "seed " << pin.seed;
   }
 }
+
+TEST(Algorithm1PruneTest, PinnedCostsOn32To4Graph) {
+  ExpectPinnedCostsOn32To4Graph(nullptr);
+}
+
+// Kept out of the ThreadSanitizer job with the serial pin (CI excludes
+// On32To4Graph): ParallelAlgorithm1Test covers the same fan-out on 16^4.
+TEST(Algorithm1PruneTest, PinnedCostsOn32To4GraphOnFourLanes) {
+  ThreadPool pool(4);
+  ExpectPinnedCostsOn32To4Graph(&pool);
+}
+
+// The DP fanned out over pools of 1, 2 and 4 lanes against the serial DP:
+// the predicted cost's bits and the basis, and D(V) node for node, solving
+// `nodes` in order so that each unsolved one fans out from itself.
+void ExpectPoolsMatchSerial(const CubeShape& shape,
+                            const QueryPopulation& population,
+                            const std::vector<ElementId>& nodes,
+                            const std::string& label) {
+  auto serial = SelectMinCostBasis(shape, population);
+  ASSERT_TRUE(serial.ok());
+  auto serial_costs = internal::MinTilingCosts(shape, population, nodes);
+  ASSERT_TRUE(serial_costs.ok());
+  for (const uint32_t lanes : {1u, 2u, 4u}) {
+    ThreadPool pool(lanes);
+    const std::string at = label + " at " + std::to_string(lanes) + " lanes";
+    auto pooled = SelectMinCostBasis(shape, population, &pool);
+    ASSERT_TRUE(pooled.ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(pooled->predicted_cost),
+              std::bit_cast<uint64_t>(serial->predicted_cost))
+        << at;
+    EXPECT_EQ(pooled->basis, serial->basis) << at;
+    auto pooled_costs =
+        internal::MinTilingCosts(shape, population, nodes, &pool);
+    ASSERT_TRUE(pooled_costs.ok());
+    for (size_t k = 0; k < nodes.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<uint64_t>((*pooled_costs)[k]),
+                std::bit_cast<uint64_t>((*serial_costs)[k]))
+          << at << " node " << nodes[k].ToString();
+    }
+  }
+}
+
+// Every node leaf-first on graphs of up to 1024 nodes; otherwise 64 random
+// nodes, then the root.
+std::vector<ElementId> NodesToCompare(const ElementIndexer& indexer,
+                                      Rng* rng) {
+  std::vector<ElementId> nodes;
+  if (indexer.size() <= 1024) {
+    for (uint64_t index = indexer.size(); index-- > 0;) {
+      nodes.push_back(indexer.Decode(index));
+    }
+    return nodes;
+  }
+  for (int k = 0; k < 64; ++k) {
+    nodes.push_back(indexer.Decode(rng->UniformU64(indexer.size())));
+  }
+  nodes.push_back(indexer.Decode(0));
+  return nodes;
+}
+
+// Fewer trials on the large graphs keep the suite quick under TSan.
+int TrialsFor(const ElementIndexer& indexer) {
+  return indexer.size() <= 1024 ? 8 : 2;
+}
+
+class ParallelAlgorithm1Test
+    : public ::testing::TestWithParam<std::vector<uint32_t>> {};
+
+TEST_P(ParallelAlgorithm1Test, PoolsMatchSerialOnViewPopulations) {
+  const CubeShape shape = Shape(GetParam());
+  const ElementIndexer indexer(shape);
+  Rng rng(1998);
+  for (int trial = 0; trial < TrialsFor(indexer); ++trial) {
+    auto population = RandomViewPopulation(shape, &rng);
+    ASSERT_TRUE(population.ok());
+    ExpectPoolsMatchSerial(shape, *population, NodesToCompare(indexer, &rng),
+                           shape.ToString() + " trial " +
+                               std::to_string(trial));
+  }
+}
+
+TEST_P(ParallelAlgorithm1Test, PoolsMatchSerialOnElementPopulations) {
+  const CubeShape shape = Shape(GetParam());
+  const ElementIndexer indexer(shape);
+  Rng rng(2203);
+  for (int trial = 0; trial < TrialsFor(indexer); ++trial) {
+    const QueryPopulation population =
+        RandomElementPopulation(shape, indexer, &rng);
+    ExpectPoolsMatchSerial(shape, population, NodesToCompare(indexer, &rng),
+                           shape.ToString() + " trial " +
+                               std::to_string(trial));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ParallelAlgorithm1Test,
+    ::testing::Values(std::vector<uint32_t>{4, 4},
+                      std::vector<uint32_t>{8, 4, 4},
+                      std::vector<uint32_t>{4, 4, 4},
+                      std::vector<uint32_t>{2, 2, 2, 2, 2, 2},
+                      std::vector<uint32_t>{256, 256},
+                      std::vector<uint32_t>{16, 16, 16, 16}));
 
 }  // namespace
 }  // namespace vecube

@@ -275,10 +275,16 @@ ElementId RandomElement(const CubeShape& shape, Rng* rng) {
   return *ElementId::Make(std::move(codes), shape);
 }
 
-/// Runs one seeded sequence; `drift_rebuilds` and `optimize_rebuilds`
-/// accrue the element-set rebuilds that queries and Optimize() caused.
-void RunModel(uint64_t seed, uint32_t threads, bool cached,
-              int* drift_rebuilds, int* optimize_rebuilds) {
+/// What one seeded sequence rebuilt.
+struct ModelRun {
+  int drift_rebuilds = 0;     // rebuilds that queries triggered
+  int optimize_rebuilds = 0;  // rebuilds that Optimize() ran
+  /// The store's element ids after each rebuild, in order.
+  std::vector<std::vector<ElementId>> rebuilt_sets;
+};
+
+/// Runs one seeded sequence, accruing its rebuilds into `run`.
+void RunModel(uint64_t seed, uint32_t threads, bool cached, ModelRun* run) {
   const CubeShape shape = *CubeShape::Make({8, 4, 4});
   Rng rng(seed);
   Tensor model = *UniformIntegerCube(shape, &rng, -9, 9);
@@ -381,8 +387,9 @@ void RunModel(uint64_t seed, uint32_t threads, bool cached,
     }
     // The element set was rebuilt: one AssembleBatch over the store it
     // replaced, with the model's values.
-    ++*(op == "Optimize" ? optimize_rebuilds : drift_rebuilds);
+    ++(op == "Optimize" ? run->optimize_rebuilds : run->drift_rebuilds);
     const std::vector<ElementId> ids = session->store().Ids();
+    run->rebuilt_sets.push_back(ids);
     AssemblyEngine migrate(&before);
     OpCounter batch_ops;
     ASSERT_TRUE(migrate.AssembleBatch(ids, &batch_ops).ok());
@@ -402,15 +409,32 @@ class DynamicModelTest
 
 TEST_P(DynamicModelTest, MergedLoopMatchesDenseModel) {
   const auto [threads, cached] = GetParam();
-  int drift_rebuilds = 0, optimize_rebuilds = 0;
+  ModelRun run;
   for (uint64_t seed = 1; seed <= kModelSeeds; ++seed) {
-    RunModel(seed, threads, cached, &drift_rebuilds, &optimize_rebuilds);
+    RunModel(seed, threads, cached, &run);
     if (HasFatalFailure()) return;
   }
   // The sequences must reach both ways into the loop, or they check
   // nothing of it.
-  EXPECT_GT(drift_rebuilds, 0);
-  EXPECT_GT(optimize_rebuilds, 0);
+  EXPECT_GT(run.drift_rebuilds, 0);
+  EXPECT_GT(run.optimize_rebuilds, 0);
+}
+
+// Selection fans out over the session's pool at 4 threads and runs serially
+// at 1: every rebuild, by Optimize() or by drift, must pick the same
+// element set either way.
+TEST(DynamicModelThreadsTest, SameElementSetsAtEveryThreadCount) {
+  for (uint64_t seed = 1; seed <= kModelSeeds; ++seed) {
+    ModelRun serial, pooled;
+    RunModel(seed, 1, false, &serial);
+    if (HasFatalFailure()) return;
+    RunModel(seed, 4, false, &pooled);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(pooled.drift_rebuilds, serial.drift_rebuilds) << "seed " << seed;
+    EXPECT_EQ(pooled.optimize_rebuilds, serial.optimize_rebuilds)
+        << "seed " << seed;
+    EXPECT_EQ(pooled.rebuilt_sets, serial.rebuilt_sets) << "seed " << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -84,6 +84,7 @@
 #include "serve/serving.h"
 #include "serve/view_cache.h"
 #include "util/query_context.h"
+#include "util/thread_pool.h"
 #include "util/rng.h"
 #include "workload/population.h"
 
@@ -226,13 +227,16 @@ int CmdOptimize(const std::map<std::string, std::string>& flags) {
     const uint64_t volume = store->shape().volume();
     redundancy = budget > volume ? budget - volume : 0;
   }
+  // Selection and migration run on as many lanes as a session with
+  // num_threads = 0 would.
+  vecube::ThreadPool pool(vecube::ThreadPool::DefaultThreadCount());
   double predicted_cost = 0.0;
   auto target = vecube::SelectElementSet(store->shape(), *population,
-                                         redundancy, &predicted_cost);
+                                         redundancy, &predicted_cost, &pool);
   if (!target.ok()) return Fail(target.status());
 
   // Migrate from the loaded store (assembles the root if needed).
-  vecube::AssemblyEngine engine(&*store);
+  vecube::AssemblyEngine engine(&*store, &pool);
   auto next = vecube::MigrateStore(store->shape(), &engine, *target);
   if (!next.ok()) return Fail(next.status());
   Status st = vecube::SaveStoreV2(*next, flags.at("out"));
